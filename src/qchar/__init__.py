@@ -24,13 +24,11 @@ from .schur import (
     qbracket,
     qdim,
     schur_eval,
-    schur_eval_gt_oracle,
 )
 from .characters import (
     CoherenceReport,
     CoherentFamily,
     LevelCharacter,
-    check_product,
     cotransition,
     first_discrepancy,
     indecomposable,

@@ -8,19 +8,18 @@ cotransition kernel, restriction, coherence checking, the tensor product
 evaluation, exact and on the torus.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, enumerate_down, interlaces
 from .schur import (
-    _bialternant,
+    _branching,
+    _evaluator,
     check_q,
     lr_coefficients,
     principal_specialization,
     qdim,
-    schur_eval,
 )
 
 
@@ -175,10 +174,10 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
     """
     if len(points) != chi.level:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
-    pts = tuple(Fraction(x) for x in points)
+    s = _evaluator(chi.level, points)
     total = Fraction(0)
     for lam, p in chi.weights.items():
-        total += p * schur_eval(lam, pts) / principal_specialization(lam, chi.q)
+        total += p * s(lam) / principal_specialization(lam, chi.q)
     return total
 
 
@@ -188,8 +187,11 @@ def sgf_eval_torus(
     """Generating function paired with the torus, in floating point.
 
     The unit-modulus inputs z are substituted as (z_1, q^-2 z_2, ...,
-    q^(-2(N-1)) z_N), the scaled torus on which the series converges; the
-    result has modulus at most 1 up to rounding.
+    q^(-2(N-1)) z_N), the scaled torus on which the series converges, and
+    each Schur value comes from the branching rule, whose terms are all
+    positive at z = (1, ..., 1).  Rounding therefore stays relative to the
+    normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12 and
+    |S(1, ..., 1) - 1| <= 1e-12.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
@@ -197,38 +199,9 @@ def sgf_eval_torus(
     if any(abs(abs(v) - 1.0) > precision for v in zs):
         raise ValueError("torus points must have unit modulus")
     qf = float(chi.q)
-    points = [qf ** (-2 * i) * v for i, v in enumerate(zs)]
+    s = _branching([qf ** (-2 * i) * v for i, v in enumerate(zs)])
     total = 0j
     for lam, p in chi.weights.items():
         norm = float(principal_specialization(lam, chi.q))
-        total += float(p) * _bialternant(lam, points) / norm
+        total += float(p) * s(lam) / norm
     return total
-
-
-def check_product(
-    chi: LevelCharacter,
-    chi1: LevelCharacter,
-    chi2: LevelCharacter,
-    trials: int = 20,
-    seed: int = 0,
-) -> bool:
-    """Certify chi = chi1 (x) chi2 by exact evaluation at seeded rational points.
-
-    The generating functions are finite sums of linearly independent Schur
-    polynomials, so agreement at enough distinct exact points pins the
-    measures; the deterministic route is comparing against `tensor` output
-    weight by weight.
-    """
-    if not (chi.level == chi1.level == chi2.level):
-        raise ValueError("levels must agree")
-    if not (chi.q == chi1.q == chi2.q):
-        raise ValueError("q must agree")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pts = tuple(
-            Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-            for _ in range(chi.level)
-        )
-        if sgf_eval(chi, pts) != sgf_eval(chi1, pts) * sgf_eval(chi2, pts):
-            return False
-    return True

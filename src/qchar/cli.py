@@ -6,13 +6,11 @@ check, 1 when a verification command finds a violation, 2 on usage or
 domain errors.  Identical flags and seed produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
-@path to read a file.  QCHAR_THREADS, when set, caps internal parallelism;
-all current computations are single-threaded, which respects any cap.
+@path to read a file.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -60,7 +58,7 @@ def _torus_arg(text: str) -> list[complex]:
     if not isinstance(data, list) or not all(
         isinstance(z, list)
         and len(z) == 2
-        and all(isinstance(v, (int, float)) for v in z)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z)
         for z in data
     ):
         raise ValueError("torus points are a JSON array of [re, im] pairs")
@@ -207,6 +205,8 @@ def _cmd_kms_check(args):
             "lhs": jsonio.format_scalar(lhs),
             "rhs": jsonio.format_scalar(rhs),
         }
+    if args.trials < 1:
+        raise ValueError(f"--trials must be a positive integer, got {args.trials}")
     rng = random.Random(args.seed)
     sigs = chi.support()
     first_failure = None
@@ -344,23 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("QCHAR_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        raise ValueError(f"QCHAR_THREADS must be a positive integer, got {cap!r}")
-    if value < 1:
-        raise ValueError(f"QCHAR_THREADS must be a positive integer, got {cap!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         code, payload = args.handler(args)
     except (ValueError, OSError) as exc:
         _emit({"error": str(exc)}, None)

@@ -14,13 +14,36 @@ from .combinatorics import BoundaryParam, Signature
 from .blocks import BlockElement
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: bool is an int subclass but not a number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _document(data, what: str, list_key: str, value_key: str) -> tuple:
+    """Level, q and entry list of a character or block-element document;
+    every entry must be an object carrying "sig" and `value_key`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} is a JSON object")
+    try:
+        level, q, entries = data["level"], parse_scalar(data["q"]), data[list_key]
+    except KeyError as exc:
+        raise ValueError(f"{what} is missing key {exc}") from None
+    if not _is_int(level):
+        raise ValueError(f"{what} level must be an integer, got {level!r}")
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "sig" in e and value_key in e for e in entries
+    ):
+        raise ValueError(f'{what} entries are objects {{"sig": [...], "{value_key}": ...}}')
+    return level, q, entries
+
+
 def format_scalar(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_scalar(s) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"exact scalars are 'p/q' strings, got {s!r}")
@@ -35,7 +58,7 @@ def signature_to_json(sig: Signature) -> list[int]:
 
 
 def signature_from_json(data) -> Signature:
-    if not isinstance(data, list) or not all(isinstance(p, int) for p in data):
+    if not isinstance(data, list) or not all(_is_int(p) for p in data):
         raise ValueError(f"a signature is a JSON array of integers, got {data!r}")
     return Signature(tuple(data))
 
@@ -49,18 +72,8 @@ def character_to_json(chi: LevelCharacter) -> dict:
 
 
 def character_from_json(data) -> LevelCharacter:
-    if not isinstance(data, dict):
-        raise ValueError("a character is a JSON object")
-    try:
-        level = data["level"]
-        q = parse_scalar(data["q"])
-        entries = data["entries"]
-    except KeyError as exc:
-        raise ValueError(f"character is missing key {exc}") from None
-    weights = {}
-    for entry in entries:
-        sig = signature_from_json(entry["sig"])
-        weights[sig] = parse_scalar(entry["prob"])
+    level, q, entries = _document(data, "character", "entries", "prob")
+    weights = {signature_from_json(e["sig"]): parse_scalar(e["prob"]) for e in entries}
     return LevelCharacter(level, q, weights)
 
 
@@ -72,7 +85,11 @@ def family_to_json(family: CoherentFamily) -> dict:
 
 
 def family_from_json(data) -> CoherentFamily:
-    if not isinstance(data, dict) or "levels" not in data or "q" not in data:
+    if (
+        not isinstance(data, dict)
+        or not isinstance(data.get("levels"), list)
+        or "q" not in data
+    ):
         raise ValueError('a family is {"q": ..., "levels": [...]}')
     q = parse_scalar(data["q"])
     return CoherentFamily(q, tuple(character_from_json(c) for c in data["levels"]))
@@ -86,7 +103,8 @@ def theta_from_json(data) -> BoundaryParam:
     if (
         not isinstance(data, dict)
         or not isinstance(data.get("head"), list)
-        or not isinstance(data.get("tail"), int)
+        or not all(_is_int(h) for h in data["head"])
+        or not _is_int(data.get("tail"))
     ):
         raise ValueError('a boundary parameter is {"head": [...], "tail": t}')
     return BoundaryParam(tuple(data["head"]), data["tail"])
@@ -106,19 +124,15 @@ def block_to_json(x: BlockElement) -> dict:
 
 
 def block_from_json(data) -> BlockElement:
-    if not isinstance(data, dict):
-        raise ValueError("a block element is a JSON object")
-    try:
-        level = data["level"]
-        q = parse_scalar(data["q"])
-        entries = data["blocks"]
-    except KeyError as exc:
-        raise ValueError(f"block element is missing key {exc}") from None
+    level, q, entries = _document(data, "block element", "blocks", "matrix")
     blocks = {}
     for entry in entries:
         sig = signature_from_json(entry["sig"])
+        matrix = entry["matrix"]
+        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+            raise ValueError(f"the matrix at {list(sig.parts)} is a JSON array of rows")
         blocks[sig] = tuple(
-            tuple(parse_scalar(v) for v in row) for row in entry["matrix"]
+            tuple(parse_scalar(v) for v in row) for row in matrix
         )
     return BlockElement(level, q, blocks)
 

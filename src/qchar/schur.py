@@ -9,9 +9,10 @@ part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
-from .combinatorics import Signature, enumerate_gt_patterns, shift, weight
+from .combinatorics import Signature, shift
 
 
 def check_q(q: Fraction) -> Fraction:
@@ -30,26 +31,14 @@ def qbracket(n: int, q: Fraction) -> Fraction:
     return (q ** n - q ** (-n)) / (q - q ** (-1))
 
 
-def _validate_points(lam: Signature, points: Sequence[Fraction]) -> list[Fraction]:
-    if len(points) != lam.level:
-        raise ValueError(
-            f"need {lam.level} points for a level-{lam.level} signature, got {len(points)}"
-        )
-    pts = [Fraction(x) for x in points]
-    if any(x == 0 for x in pts):
-        raise ValueError("evaluation points must be nonzero")
-    return pts
-
-
-def _det(rows) -> object:
-    """In-place Gaussian elimination determinant; exact over Fraction,
-    partial-pivoted so the same code is usable over complex floats."""
+def _det(rows) -> Fraction:
+    """In-place Gaussian elimination determinant over Fraction."""
     n = len(rows)
-    det = 1
+    det = Fraction(1)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[piv][col] == 0:
-            return 0 * det
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             det = -det
@@ -64,11 +53,9 @@ def _det(rows) -> object:
     return det
 
 
-def _bialternant(lam: Signature, points: list) -> object:
+def _bialternant(lam: Signature, points: list[Fraction]) -> Fraction:
     """det(x_i^(mu_j + N - j)) / prod_{i<j}(x_i - x_j) after the Laurent shift."""
     n = lam.level
-    if n == 0:
-        return 1
     base = lam.parts[-1]
     mu = [p - base for p in lam.parts]
     exps = [mu[j] + n - 1 - j for j in range(n)]
@@ -86,45 +73,77 @@ def _bialternant(lam: Signature, points: list) -> object:
     return value
 
 
+def _branching(points: Sequence) -> Callable[[Signature], object]:
+    """Evaluator lam -> s_lam(points) by the branching rule
+
+        s_lam(x_1..x_N) = sum over mu below lam of s_mu(x_1..x_(N-1)) x_N^(|lam|-|mu|),
+
+    memoised over part tuples and shared by every signature it is asked
+    for, with one table of powers of x_N per level N.  Exact over Fraction;
+    over complex floats every term is positive when evaluated at the |x_i|,
+    so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
+    """
+    memo: dict[tuple[int, ...], object] = {(): 1}
+    powers: list[dict[int, object]] = [{} for _ in points]
+    return lambda lam: _branch(lam.parts, points, memo, powers)
+
+
+def _branch(parts: tuple[int, ...], points: Sequence, memo: dict, powers: list):
+    # module level rather than a closure, so an evaluator is not a reference cycle
+    value = memo.get(parts)
+    if value is None:
+        n = len(parts)
+        x, table = points[n - 1], powers[n - 1]
+        size = sum(parts)
+        value = 0
+        for mu in product(*[range(parts[i + 1], parts[i] + 1) for i in range(n - 1)]):
+            e = size - sum(mu)
+            p = table.get(e)
+            if p is None:
+                p = table[e] = x ** e
+            v = memo.get(mu)
+            value += (_branch(mu, points, memo, powers) if v is None else v) * p
+        memo[parts] = value
+    return value
+
+
+def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], Fraction]:
+    """lam -> s_lam(points) for level-`level` signatures at exact points.
+
+    This is the one choice of path: pairwise distinct points go through the
+    bialternant determinant ratio; coincident points, where its Vandermonde
+    denominator vanishes, and level 0 go through the branching rule.  Zero
+    points are rejected.
+    """
+    if len(points) != level:
+        raise ValueError(
+            f"need {level} points for a level-{level} signature, got {len(points)}"
+        )
+    pts = [Fraction(x) for x in points]
+    if any(x == 0 for x in pts):
+        raise ValueError("evaluation points must be nonzero")
+    if pts and len(set(pts)) == len(pts):
+        return lambda lam: _bialternant(lam, pts)
+    return _branching(pts)
+
+
 def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
     """Exact value of the Schur Laurent polynomial s_lam at rational points.
 
-    Pairwise distinct points go through the bialternant determinant ratio;
-    repeated points are routed to the pattern-sum evaluation (the
-    Vandermonde denominator would vanish).  Zero points are rejected.
+    Pairwise distinct points go through the bialternant determinant ratio,
+    coincident points through the branching rule.  Zero points are rejected.
     """
-    pts = _validate_points(lam, points)
-    if lam.level == 0:
-        return Fraction(1)
-    if len(set(pts)) < len(pts):
-        return schur_eval_gt_oracle(lam, pts)
-    return Fraction(_bialternant(lam, pts))
-
-
-def schur_eval_gt_oracle(lam: Signature, points: Sequence[Fraction]) -> Fraction:
-    """Reference evaluation: sum over patterns of prod_i x_i^(w_i).
-
-    Exponential in the level; kept as the independent cross-check for
-    `schur_eval` and as the fallback for coincident points.
-    """
-    pts = _validate_points(lam, points)
-    if lam.level == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for pattern in enumerate_gt_patterns(lam):
-        term = Fraction(1)
-        for x, e in zip(pts, weight(pattern)):
-            term *= x ** e
-        total += term
-    return total
+    return Fraction(_evaluator(lam.level, points)(lam))
 
 
 @lru_cache(maxsize=None)
 def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
-    """s_lam at (1, q^-2, ..., q^(-2(N-1))); strictly positive."""
+    """s_lam at (1, q^-2, ..., q^(-2(N-1))); strictly positive.
+
+    Equals qdim(lam, q) / q^((N-1)|lam|).
+    """
     q = check_q(q)
-    pts = tuple(q ** (-2 * i) for i in range(lam.level))
-    return schur_eval(lam, pts)
+    return qdim(lam, q) / q ** ((lam.level - 1) * lam.size)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from qchar import Signature, LevelCharacter, enumerate_gt_patterns, weight
+from qchar import Signature, LevelCharacter, enumerate_gt_patterns, sgf_eval, weight
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:
@@ -107,3 +107,44 @@ def random_character(
     raw = [Fraction(rng.randint(1, 9)) for _ in support]
     total = sum(raw)
     return LevelCharacter(level, q, {s: w / total for s, w in zip(support, raw)})
+
+
+def schur_eval_gt_oracle(lam: Signature, points) -> Fraction:
+    """Reference Schur evaluation: sum over GT patterns of prod_i x_i^(w_i).
+
+    Exponential in the level; the independent cross-check for `schur_eval`.
+    """
+    if len(points) != lam.level:
+        raise ValueError(f"need {lam.level} points, got {len(points)}")
+    total = Fraction(0)
+    for pattern in enumerate_gt_patterns(lam):
+        term = Fraction(1)
+        for x, e in zip(points, weight(pattern)):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def check_product(
+    chi: LevelCharacter,
+    chi1: LevelCharacter,
+    chi2: LevelCharacter,
+    trials: int = 20,
+    seed: int = 0,
+) -> bool:
+    """Certify chi = chi1 (x) chi2 by exact evaluation at seeded rational points.
+
+    The generating functions are finite sums of linearly independent Schur
+    polynomials, so agreement at enough distinct exact points pins the
+    measures; a randomized cross-check of `tensor`.
+    """
+    if not (chi.level == chi1.level == chi2.level):
+        raise ValueError("levels must agree")
+    if not (chi.q == chi1.q == chi2.q):
+        raise ValueError("q must agree")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        pts = random_points(chi.level, rng)
+        if sgf_eval(chi, pts) != sgf_eval(chi1, pts) * sgf_eval(chi2, pts):
+            return False
+    return True

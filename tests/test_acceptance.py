@@ -31,7 +31,6 @@ from qchar import (
     restrict,
     scaling,
     schur_eval,
-    schur_eval_gt_oracle,
     sgf_eval,
     sgf_eval_torus,
     shift,
@@ -40,7 +39,12 @@ from qchar import (
 )
 from qchar.blocks import BlockElement
 
-from helpers import lr_by_subtraction, random_character, random_points
+from helpers import (
+    lr_by_subtraction,
+    random_character,
+    random_points,
+    schur_eval_gt_oracle,
+)
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -210,17 +214,27 @@ def test_criterion_08_block_level_cotransition_power():
     _verdict("8 block-level cotransition power and embedding consistency", ok)
 
 
+def _torus_bound_holds(chi, rng, trials: int) -> bool:
+    n = chi.level
+    ok = abs(sgf_eval_torus(chi, [1.0] * n) - 1) <= 1e-12
+    for _ in range(trials):
+        z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
+        ok = ok and abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
+    return ok
+
+
 def test_criterion_09_torus_bound():
     rng = random.Random(90909)
     ok = True
     for idx in range(20):
-        n = idx % 3 + 1
-        chi = random_character(n, HALF, rng)
-        at_one = sgf_eval_torus(chi, [1.0] * n)
-        ok = ok and abs(at_one - 1) <= 1e-12
-        for _ in range(1000):
-            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
-            ok = ok and abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
+        chi = random_character(idx % 3 + 1, HALF, rng)
+        ok = ok and _torus_bound_holds(chi, rng, 1000)
+    # q near 1, where the scaled torus is nearly the unit torus
+    for q in (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)):
+        for level in range(1, 7):
+            for _ in range(4):
+                chi = random_character(level, q, rng, lo=-3, hi=3)
+                ok = ok and _torus_bound_holds(chi, rng, 100)
     _verdict("9 torus bound |S| <= 1 + 1e-12 and S(1,...,1) = 1", ok)
 
 

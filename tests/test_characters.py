@@ -8,7 +8,6 @@ from qchar import (
     CoherentFamily,
     LevelCharacter,
     Signature,
-    check_product,
     cotransition,
     first_discrepancy,
     indecomposable,
@@ -21,7 +20,7 @@ from qchar import (
     wq,
 )
 
-from helpers import random_character, random_points
+from helpers import check_product, random_character, random_points
 
 HALF = Fraction(1, 2)
 
@@ -192,8 +191,10 @@ class TestSgf:
         for level in (2, 3):
             chi = random_character(level, HALF, rng)
             x = random_points(level - 1, rng)
-            lhs = sgf_eval(chi, x + (HALF ** (-2 * (level - 1)),))
-            assert lhs == sgf_eval(restrict(chi), x)
+            top = HALF ** (-2 * (level - 1))
+            # the second point set repeats the top point (branching-rule path)
+            for y in (x, (top,) + x[1:]):
+                assert sgf_eval(chi, y + (top,)) == sgf_eval(restrict(chi), y)
 
 
 class TestSgfTorus:

@@ -5,6 +5,32 @@ import pytest
 from qchar.cli import main
 
 DELTA_10 = '{"level": 2, "q": "1/2", "entries": [{"sig": [1, 0], "prob": "1"}]}'
+CHAR = '{"level": %s, "q": "1/2", "entries": %s}'
+BLOCK = '{"level": %s, "q": "1/2", "blocks": %s}'
+ONE = '[{"sig": [0], "prob": "1"}]'
+THETA = ["extreme", "--q", "1/2", "--level", "1", "--trunc", "2", "--theta"]
+EMBED = ["embed", "--targets", "[[0, 0]]", "--block"]
+
+# documents that must exit 2 with a JSON error, never with a traceback
+MALFORMED = {
+    "entries-not-objects": ["restrict", "--char", CHAR % (1, "[[1]]")],
+    "entry-missing-prob": ["restrict", "--char", CHAR % (1, '[{"sig": [0]}]')],
+    "entries-not-a-list": ["restrict", "--char", CHAR % (1, '{"sig": [0]}')],
+    "bool-prob": ["restrict", "--char", CHAR % (1, '[{"sig": [0], "prob": true}]')],
+    "bool-level": ["restrict", "--char", CHAR % ("true", ONE)],
+    "bool-parts": ["qdim", "--q", "1/2", "--sig", "[true, false]"],
+    "bool-point": ["schur-eval", "--sig", "[1, 0]", "--points", "[true, 2]"],
+    "bool-torus-point": ["sgf-torus", "--char", CHAR % (1, ONE), "--z", "[[true, false]]"],
+    "bool-theta-head": THETA + ['{"head": [false], "tail": 1}'],
+    "bool-theta-tail": THETA + ['{"head": [0], "tail": true}'],
+    "null-theta-head": THETA + ['{"head": [null], "tail": 1}'],
+    "levels-not-a-list": ["coherent-check", "--family", '{"q": "1/2", "levels": 5}'],
+    "blocks-not-objects": EMBED + [BLOCK % (1, "[[0]]")],
+    "block-missing-sig": EMBED + [BLOCK % (1, '[{"matrix": [["1"]]}]')],
+    "matrix-not-a-list": EMBED + [BLOCK % (1, '[{"sig": [0], "matrix": 5}]')],
+    "rows-not-lists": EMBED + [BLOCK % (1, '[{"sig": [0], "matrix": [5]}]')],
+    "bool-block-level": EMBED + [BLOCK % ("true", '[{"sig": [0], "matrix": [["1"]]}]')],
+}
 
 
 def run_cli(capsys, *argv):
@@ -246,16 +272,19 @@ class TestErrorPaths:
             main(["no-such-command"])
         assert exc.value.code == 2
 
-    def test_invalid_thread_cap_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAR_THREADS", "zero")
-        code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", "[1,0]")
+    @pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_document_exits_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
         assert code == 2
-        assert "QCHAR_THREADS" in json.loads(out)["error"]
+        assert "error" in json.loads(out)
 
-    def test_valid_thread_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCHAR_THREADS", "2")
-        code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", "[1,0]")
-        assert code == 0
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_exit_two(self, capsys, trials):
+        code, out = run_cli(
+            capsys, "kms-check", "--state", DELTA_10, "--trials", trials
+        )
+        assert code == 2
+        assert "--trials" in json.loads(out)["error"]
 
 
 class TestFileArguments:

@@ -14,11 +14,10 @@ from qchar import (
     qbracket,
     qdim,
     schur_eval,
-    schur_eval_gt_oracle,
     shift,
 )
 
-from helpers import lr_by_subtraction, random_points
+from helpers import lr_by_subtraction, random_points, schur_eval_gt_oracle
 
 HALF = Fraction(1, 2)
 
@@ -64,9 +63,14 @@ class TestSchurEval:
             schur_eval(sig(1, 0), (0, 1))
 
     def test_repeated_points_fall_back_to_pattern_sum(self):
-        lam = sig(2, 0, -1)
-        pts = (Fraction(3), Fraction(3), Fraction(-2))
-        assert schur_eval(lam, pts) == schur_eval_gt_oracle(lam, pts)
+        # coincident points take the branching rule; the pattern sum is the reference
+        rng = random.Random(20261018)
+        for level in (2, 3, 4):
+            for lam in iter_signatures(level, -2, 2):
+                pts = list(random_points(level, rng))
+                i, j = rng.sample(range(level), 2)
+                pts[j] = pts[i]
+                assert schur_eval(lam, pts) == schur_eval_gt_oracle(lam, pts)
 
     def test_oracle_frozen_values(self):
         assert schur_eval_gt_oracle(sig(1, 1), (Fraction(3), Fraction(7))) == 21
