@@ -63,6 +63,7 @@ from .blocks import (
     random_block_element,
     scaling,
     scaling_unitary,
+    state_of_product,
 )
 
 __version__ = "0.1.0"

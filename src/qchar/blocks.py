@@ -218,16 +218,20 @@ def random_block_element(
     return BlockElement(level, q, blocks)
 
 
+def _require_state_compatible(chi: LevelCharacter, x: BlockElement) -> None:
+    if chi.level != x.level:
+        raise ValueError(f"levels must agree: {chi.level} != {x.level}")
+    if chi.q != x.q:
+        raise ValueError("q must agree")
+
+
 def char_state_eval(chi: LevelCharacter, x: BlockElement):
     """sum over lam of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
 
     F is diagonal, so the twisted trace needs only x's diagonal entries;
     blocks outside the state's support contribute nothing.
     """
-    if chi.level != x.level:
-        raise ValueError(f"levels must agree: {chi.level} != {x.level}")
-    if chi.q != x.q:
-        raise ValueError("q must agree")
+    _require_state_compatible(chi, x)
     q = x.q
     total = 0
     for sig, w in chi.weights.items():
@@ -238,6 +242,43 @@ def char_state_eval(chi: LevelCharacter, x: BlockElement):
         tr = sum(q ** e * rows[p][p] for p, e in enumerate(exps))
         total = total + w * tr / qdim(sig, q)
     return total
+
+
+def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
+    """chi(x @ y) without forming the product, O(d^2) per block:
+    sum over lam of weight(lam) / qdim(lam) * sum_p q^(e_p) sum_r x_pr y_rp.
+
+    Only the diagonal of each block product is built, with the same terms
+    in the same order as `@` followed by `char_state_eval`, so the value is
+    identical for exact and for complex-float entries alike; the level and
+    q checks are those of the two.
+    """
+    x._require_compatible(y)
+    _require_state_compatible(chi, x)
+    q = x.q
+    total = 0
+    for sig, w in chi.weights.items():
+        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+        if xs is None or ys is None:
+            continue
+        tr = 0
+        for p, (row, e) in enumerate(zip(xs, f_spectrum(sig).exponents)):
+            entry = 0
+            for a, yr in zip(row, ys):
+                if a:
+                    b = yr[p]
+                    if b:
+                        entry = entry + a * b
+            tr = tr + q ** e * entry
+        total = total + w * tr / qdim(sig, q)
+    return total
+
+
+def _difference_table(x: BlockElement, factor) -> dict:
+    """factor(k) for every difference k = e_p - e_r of two F exponents
+    occurring on x's blocks, each evaluated once."""
+    exps = {e for sig in x.blocks for e in f_spectrum(sig).exponents}
+    return {k: factor(k) for k in {ep - er for ep in exps for er in exps}}
 
 
 def scaling(x: BlockElement, s: int) -> BlockElement:
@@ -253,11 +294,12 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     if s == 0:
         return x
     q = x.q
+    factors = _difference_table(x, lambda k: q ** (s * k))
     blocks = {}
     for sig, rows in x.blocks.items():
         exps = f_spectrum(sig).exponents
         blocks[sig] = tuple(
-            tuple(v * q ** (s * (ep - er)) if v else v for v, er in zip(row, exps))
+            tuple(v * factors[ep - er] if v else v for v, er in zip(row, exps))
             for row, ep in zip(rows, exps)
         )
     return BlockElement(x.level, x.q, blocks)
@@ -266,12 +308,13 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
 def scaling_unitary(x: BlockElement, t: float) -> BlockElement:
     """Real-time flow Ad F^(it), numeric mode: unit-modulus entry factors."""
     lnq = math.log(float(x.q))
+    factors = _difference_table(x, lambda k: cmath.exp(1j * t * lnq * k))
     blocks = {}
     for sig, rows in x.blocks.items():
         exps = f_spectrum(sig).exponents
         blocks[sig] = tuple(
             tuple(
-                complex(v) * cmath.exp(1j * t * lnq * (ep - er)) if v else 0j
+                complex(v) * factors[ep - er] if v else 0j
                 for v, er in zip(row, exps)
             )
             for row, ep in zip(rows, exps)
@@ -281,10 +324,12 @@ def scaling_unitary(x: BlockElement, t: float) -> BlockElement:
 
 def kms_check(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> bool:
     """The beta = -1 KMS identity at imaginary time, exactly:
-    chi(x * scaling(y, 1)) equals chi(y * x)."""
-    lhs = char_state_eval(chi, x @ scaling(y, 1))
-    rhs = char_state_eval(chi, y @ x)
-    return lhs == rhs
+    chi(x * scaling(y, 1)) equals chi(y * x).
+
+    Both sides are computed, by `state_of_product`, and compared; neither
+    product is formed.
+    """
+    return state_of_product(chi, x, scaling(y, 1)) == state_of_product(chi, y, x)
 
 
 def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
@@ -329,24 +374,33 @@ def check_f_compatibility(nu: Signature, q: Fraction) -> FCompatReport:
     return FCompatReport(True)
 
 
-def _charpoly_psd(rows: Matrix) -> bool:
-    """Exact semidefiniteness for a symmetric rational matrix: every
-    elementary symmetric function of the (real) spectrum is nonnegative,
-    read off the characteristic polynomial by Faddeev-LeVerrier."""
-    n = len(rows)
+def _ldl_psd(rows: Matrix) -> bool:
+    """Exact semidefiniteness of a symmetric rational matrix by symmetric
+    Gaussian elimination (LDL^T with diagonal pivoting), O(n^3).
+
+    A negative diagonal entry refutes it.  Otherwise eliminate on any
+    positive diagonal entry: the matrix is PSD iff the Schur complement of
+    that pivot is.  When only zero diagonal entries remain, the remaining
+    submatrix is PSD iff it is zero.
+    """
     a = [[Fraction(v) for v in row] for row in rows]
-    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        ck = -sum(am[i][i] for i in range(n)) / k
-        if (-1) ** k * ck < 0:
+    live = list(range(len(a)))
+    while live:
+        if any(a[i][i] < 0 for i in live):
             return False
-        m = [
-            [am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)
-        ]
+        pivot = next((i for i in live if a[i][i] > 0), None)
+        if pivot is None:
+            return not any(a[i][j] for i in live for j in live)
+        live.remove(pivot)
+        prow = a[pivot]
+        d = prow[pivot]
+        for i in live:
+            if prow[i]:
+                m = prow[i] / d
+                ai = a[i]
+                for j in live:
+                    if prow[j]:
+                        ai[j] -= m * prow[j]
     return True
 
 
@@ -360,9 +414,11 @@ def decompose_state(
     Accepts exactly when every block is a nonnegative multiple of its
     diagonal F matrix (zero off-diagonals, diagonal proportional to the
     F eigenvalues); the returned coefficient at lam is that block's trace.
-    Densities must be positive semidefinite with traces summing to 1; in
-    exact mode all comparisons are exact, in float mode an absolute
-    threshold of `tol` applies.
+    Densities must be positive semidefinite with traces summing to 1.  With
+    exact (int or Fraction) entries every comparison is exact and the PSD
+    test is exact LDL^T elimination, O(d^3) per block and O(d^2) on a
+    diagonal one; with any float or complex entry the check runs
+    numerically, with an absolute threshold of `tol`.
     """
     q = check_q(q)
     mats = {}
@@ -380,7 +436,7 @@ def decompose_state(
         if exact:
             if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
                 raise ValueError(f"density at {sig} is not symmetric")
-            if not _charpoly_psd(rows):
+            if not _ldl_psd(rows):
                 raise ValueError(f"density at {sig} is not positive semidefinite")
         else:
             arr = np.array([[complex(v) for v in row] for row in rows])

@@ -28,6 +28,8 @@ def _json_arg(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON argument: {exc}") from None
+    except RecursionError:
+        raise ValueError("malformed JSON argument: nested too deeply") from None
 
 
 def _q_arg(text: str):
@@ -197,8 +199,8 @@ def _cmd_kms_check(args):
             raise ValueError("pass both --x and --y, or neither")
         x = _block_arg(args.x)
         y = _block_arg(args.y)
-        lhs = blocks.char_state_eval(chi, x @ blocks.scaling(y, 1))
-        rhs = blocks.char_state_eval(chi, y @ x)
+        lhs = blocks.state_of_product(chi, x, blocks.scaling(y, 1))
+        rhs = blocks.state_of_product(chi, y, x)
         ok = lhs == rhs
         return (0 if ok else 1), {
             "pass": ok,
@@ -237,7 +239,7 @@ def _cmd_f_compat(args):
 
 def _cmd_decompose(args):
     carrier = _block_arg(args.densities)
-    report = blocks.decompose_state(carrier.blocks, carrier.q, tol=args.tolerance)
+    report = blocks.decompose_state(carrier.blocks, carrier.q)
     if report.ok:
         coeffs = [
             {"sig": jsonio.signature_to_json(sig), "coeff": jsonio.format_scalar(c)}
@@ -335,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", _cmd_decompose, "classify a blockwise density")
     p.add_argument("--densities", required=True, help="block-element JSON carrying the densities")
-    p.add_argument("--tolerance", type=float, default=1e-10)
 
     p = add("embed", _cmd_embed, "embed a block element one level up")
     p.add_argument("--block", required=True)

@@ -148,3 +148,27 @@ def check_product(
         if sgf_eval(chi, pts) != sgf_eval(chi1, pts) * sgf_eval(chi2, pts):
             return False
     return True
+
+
+def charpoly_psd(rows) -> bool:
+    """Reference semidefiniteness test for a symmetric rational matrix: every
+    elementary symmetric function of the (real) spectrum is nonnegative,
+    read off the characteristic polynomial by Faddeev-LeVerrier, O(n^4).
+
+    The independent cross-check for the elimination in `blocks._ldl_psd`.
+    """
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [
+            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        if (-1) ** k * ck < 0:
+            return False
+        m = [
+            [am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)
+        ]
+    return True

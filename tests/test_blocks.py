@@ -22,8 +22,11 @@ from qchar import (
     random_block_element,
     scaling,
     scaling_unitary,
+    state_of_product,
 )
-from qchar.blocks import pattern_groups
+from qchar.blocks import _ldl_psd, pattern_groups
+
+from helpers import charpoly_psd, random_character
 
 HALF = Fraction(1, 2)
 
@@ -199,6 +202,128 @@ class TestKms:
         lhs = plain_trace(x @ scaling(y, 1))
         rhs = plain_trace(y @ x)
         assert lhs != rhs
+
+
+class TestStateOfProduct:
+    """The O(d^2) pairing against the matmul path it replaces."""
+
+    def _elements(self, level, rng):
+        # x and y share some blocks, each has blocks the other lacks, the
+        # state's support misses some of them and reaches blocks of neither
+        pool = list(iter_signatures(level, -2, 2))
+        chi = random_character(level, HALF, rng, max_support=5)
+        sigs = rng.sample(pool, min(6, len(pool)))
+        cut = len(sigs) // 2
+        x = random_block_element(level, HALF, sigs[: cut + 1], rng, density=0.6)
+        y = random_block_element(level, HALF, sigs[cut - 1 :], rng, density=0.6)
+        return chi, x, y
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_the_matmul_path(self, level):
+        rng = random.Random(100 + level)
+        for _ in range(25):
+            chi, x, y = self._elements(level, rng)
+            for a, b in ((x, y), (y, x), (x, scaling(y, 1)), (x, x.adjoint())):
+                assert state_of_product(chi, a, b) == char_state_eval(chi, a @ b)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_complex_float_entries_match_exactly(self, level):
+        rng = random.Random(200 + level)
+        for _ in range(10):
+            chi, x, y = self._elements(level, rng)
+            a, b = scaling_unitary(x, 0.3), scaling_unitary(y, -1.7)
+            assert state_of_product(chi, a, b) == char_state_eval(chi, a @ b)
+            assert state_of_product(chi, a, y) == char_state_eval(chi, a @ y)
+
+    @pytest.mark.parametrize(
+        "chi, x, y",
+        [
+            (indecomposable(sig(1, 0), HALF),
+             BlockElement.identity(2, HALF, [sig(1, 0)]),
+             BlockElement.identity(3, HALF, [sig(1, 0, 0)])),
+            (indecomposable(sig(1, 0), HALF),
+             BlockElement.identity(2, HALF, [sig(1, 0)]),
+             BlockElement.identity(2, Fraction(1, 3), [sig(1, 0)])),
+            (indecomposable(sig(1, 0), HALF),
+             BlockElement.identity(3, HALF, [sig(1, 0, 0)]),
+             BlockElement.identity(3, HALF, [sig(1, 0, 0)])),
+            (indecomposable(sig(1, 0), Fraction(1, 3)),
+             BlockElement.identity(2, HALF, [sig(1, 0)]),
+             BlockElement.identity(2, HALF, [sig(1, 0)])),
+        ],
+        ids=["xy-level", "xy-q", "state-level", "state-q"],
+    )
+    def test_errors_match_the_matmul_path(self, chi, x, y):
+        with pytest.raises(ValueError) as expected:
+            char_state_eval(chi, x @ y)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            state_of_product(chi, x, y)
+
+
+class TestLdlPsd:
+    """The exact elimination test against the Faddeev-LeVerrier oracle."""
+
+    @pytest.mark.parametrize(
+        "rows, psd",
+        [
+            (((0, 1), (1, 0)), False),
+            (((0, 0), (0, 1)), True),
+            (((0, 0, 0), (0, 0, 0), (0, 0, 0)), True),
+            (((1, 1), (1, 1)), True),
+            (((1, 2), (2, 1)), False),
+            (((1, 0, 0), (0, 0, 1), (0, 1, 0)), False),
+        ],
+    )
+    def test_edge_cases(self, rows, psd):
+        assert _ldl_psd(rows) is psd
+        assert charpoly_psd(rows) is psd
+
+    @staticmethod
+    def _gram(rng, n, rank):
+        # B^T D B with B of shape rank x n and D >= 0 diagonal: PSD of rank <= rank
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(rank)]
+        dg = [Fraction(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(rank)]
+        return tuple(
+            tuple(sum(b[k][i] * dg[k] * b[k][j] for k in range(rank)) for j in range(n))
+            for i in range(n)
+        )
+
+    @staticmethod
+    def _symmetric(rng, n):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                if rng.random() < 0.6:
+                    rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return tuple(map(tuple, rows))
+
+    def test_agrees_with_the_charpoly_oracle(self):
+        rng = random.Random(31337)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows = self._gram(rng, n, n)
+            elif kind == 1:
+                rows = self._gram(rng, n, rng.randint(0, max(0, n - 1)))
+            elif kind == 2:
+                # a Gram matrix pushed off the cone by a small negative shift
+                rows = self._gram(rng, n, rng.randint(1, n))
+                i = rng.randrange(n)
+                rows = tuple(
+                    tuple(v - (Fraction(1, 50) if (r, c) == (i, i) else 0)
+                          for c, v in enumerate(row))
+                    for r, row in enumerate(rows)
+                )
+            else:
+                rows = self._symmetric(rng, n)
+            psd = _ldl_psd(rows)
+            assert psd is charpoly_psd(rows), rows
+            verdicts.append(psd)
+        # both verdicts occur in bulk
+        assert 100 < sum(verdicts) < 300
 
 
 class TestEmbed:

@@ -1,8 +1,24 @@
+import contextlib
+import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qchar import (
+    Signature,
+    char_state_eval,
+    dimension,
+    iter_signatures,
+    random_block_element,
+    scaling,
+)
 from qchar.cli import main
+from qchar.jsonio import block_to_json, character_to_json, format_scalar
+
+from helpers import random_character
 
 DELTA_10 = '{"level": 2, "q": "1/2", "entries": [{"sig": [1, 0], "prob": "1"}]}'
 CHAR = '{"level": %s, "q": "1/2", "entries": %s}'
@@ -30,6 +46,7 @@ MALFORMED = {
     "matrix-not-a-list": EMBED + [BLOCK % (1, '[{"sig": [0], "matrix": 5}]')],
     "rows-not-lists": EMBED + [BLOCK % (1, '[{"sig": [0], "matrix": [5]}]')],
     "bool-block-level": EMBED + [BLOCK % ("true", '[{"sig": [0], "matrix": [["1"]]}]')],
+    "deeply-nested": EMBED + ["[" * 100000],
 }
 
 
@@ -216,6 +233,31 @@ class TestVerificationCommands:
         assert out == out2
         assert json.loads(out)["pass"] is True
 
+    def test_kms_check_explicit_matches_the_matmul_path(self, capsys):
+        # seeded level-3 elements on several blocks, some outside the state
+        rng = random.Random(4242)
+        q = Fraction(1, 2)
+        chi = random_character(3, q, rng, max_support=4)
+        sigs = rng.sample(list(iter_signatures(3, -2, 2)), 6)
+        x = random_block_element(3, q, sigs[:4] + chi.support()[:1], rng, density=0.6)
+        y = random_block_element(3, q, sigs[2:] + chi.support(), rng, density=0.6)
+        lhs = char_state_eval(chi, x @ scaling(y, 1))
+        rhs = char_state_eval(chi, y @ x)
+        code, out = run_cli(
+            capsys,
+            "kms-check",
+            "--state", json.dumps(character_to_json(chi)),
+            "--x", json.dumps(block_to_json(x)),
+            "--y", json.dumps(block_to_json(y)),
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "pass": True,
+            "lhs": format_scalar(lhs),
+            "rhs": format_scalar(rhs),
+        }
+        assert lhs != 0
+
     def test_f_compat(self, capsys):
         code, out = run_cli(capsys, "f-compat", "--q", "1/2", "--sig", "[1,0]")
         assert code == 0
@@ -308,3 +350,113 @@ class TestFileArguments:
         code, out = run_cli(capsys, "restrict", "--char", f"@{tmp_path}/nope.json")
         assert code == 2
         assert "error" in json.loads(out)
+
+
+# ---------------------------------------------------------------- fuzzing
+# Arbitrary JSON, block documents close enough to valid to reach the blocks
+# layer, and valid ones, fed to every argument that takes a block element.
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+GOOD = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2"]) | st.integers(-3, 3)
+SIGS = {1: [(0,), (1,), (-2,)], 2: [(0, 0), (1, 0), (2, 0)], 3: [(1, 0, 0), (1, 0, -1)]}
+
+
+@st.composite
+def valid_block_doc(draw, level=None, density=False):
+    """A well-formed block element; with `density`, positive diagonals,
+    symmetric off-diagonals and traces summing to 1."""
+    level = level or draw(st.integers(1, 3))
+    sigs = draw(st.lists(st.sampled_from(SIGS[level]), min_size=1, max_size=3, unique=True))
+    coupled = draw(st.booleans())
+    mats = []
+    for s in sigs:
+        d = dimension(Signature(s))
+        m = [[Fraction(draw(GOOD)) for _ in range(d)] for _ in range(d)]
+        if density:
+            for i in range(d):
+                m[i][i] = abs(m[i][i]) + 1
+                for j in range(i):
+                    m[i][j] = m[j][i] = m[j][i] if coupled else 0
+        mats.append(m)
+    total = sum(m[i][i] for m in mats for i in range(len(m))) if density else 1
+    blocks = [
+        {"sig": list(s), "matrix": [[format_scalar(v / total) for v in row] for row in m]}
+        for s, m in zip(sigs, mats)
+    ]
+    return {"level": level, "q": draw(st.sampled_from(["1/2", "2/3"])), "blocks": blocks}
+
+
+SCALAR = st.sampled_from(["0", "1", "1/2", "1/0", "x", ""]) | JSON
+NEAR_BLOCK_DOC = st.fixed_dictionaries(
+    {
+        "level": st.integers(-1, 4) | JSON,
+        "q": st.sampled_from(["1/2", "0", "1", "3/2"]) | JSON,
+        "blocks": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "sig": st.lists(st.integers(-2, 2), max_size=4) | JSON,
+                    "matrix": st.lists(st.lists(SCALAR, max_size=3), max_size=3) | JSON,
+                }
+            )
+            | JSON,
+            max_size=3,
+        )
+        | JSON,
+    }
+)
+BLOCK_DOC = valid_block_doc() | NEAR_BLOCK_DOC | JSON
+STATES = {
+    1: CHAR % (1, '[{"sig": [1], "prob": "1"}]'),
+    2: DELTA_10,
+    3: CHAR % (3, '[{"sig": [1, 0, -1], "prob": "1/3"}, {"sig": [1, 0, 0], "prob": "2/3"}]'),
+}
+TARGETS = {1: "[[0, 0], [1, 0]]", 2: "[[1, 0, 0], [1, 0, -1]]", 3: "[[1, 0, 0, 0]]"}
+LEVEL = st.sampled_from([1, 2, 3])
+FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _exit_code(argv):
+    """Run the CLI in process: exit 0, 1 or 2 with one JSON document, and
+    a JSON error on exit 2; any escaping exception fails the test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    payload = json.loads(out.getvalue())
+    assert (code == 2) == ("error" in payload)
+    return code
+
+
+class TestBlockArgumentFuzz:
+    @FUZZ
+    @given(level=LEVEL, data=st.data())
+    def test_kms_check(self, level, data):
+        docs = {"x": data.draw(valid_block_doc(level)), "y": data.draw(valid_block_doc(level))}
+        broken = data.draw(st.sampled_from([None, "x", "y"]))
+        if broken:
+            docs[broken] = data.draw(BLOCK_DOC)
+        x, y = docs["x"], docs["y"]
+        _exit_code(
+            ["kms-check", "--state", STATES[level], f"--x={json.dumps(x)}", f"--y={json.dumps(y)}"]
+        )
+
+    @FUZZ
+    @given(densities=valid_block_doc(density=True) | BLOCK_DOC)
+    def test_decompose(self, densities):
+        _exit_code(["decompose", f"--densities={json.dumps(densities)}"])
+
+    @FUZZ
+    @given(level=LEVEL, data=st.data())
+    def test_embed(self, level, data):
+        block = data.draw(valid_block_doc(level) | BLOCK_DOC)
+        _exit_code(["embed", "--targets", TARGETS[level], f"--block={json.dumps(block)}"])
