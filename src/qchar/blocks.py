@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .combinatorics import (
     Signature,
     dimension,
@@ -439,6 +437,8 @@ def decompose_state(
             if not _ldl_psd(rows):
                 raise ValueError(f"density at {sig} is not positive semidefinite")
         else:
+            import numpy as np  # float densities only, so `import qchar` does not load numpy
+
             arr = np.array([[complex(v) for v in row] for row in rows])
             if np.abs(arr - arr.conj().T).max() > tol:
                 raise ValueError(f"density at {sig} is not Hermitian")

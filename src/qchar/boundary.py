@@ -2,24 +2,27 @@
 
 An extreme character is parametrized by a nondecreasing integer sequence.
 Its level-N marginal is approximated by pushing the point mass at the
-reversed length-L prefix down from level L, exactly; for the constant
-sequence the approximant is already exact at every truncation (it is the
-point mass at a rectangle), and tensoring with that rectangle realizes the
-shift of the parameter sequence.
+reversed length-L prefix down from level L along the composed cotransition
+kernel, exactly and in one pass (the kernel's closed form is in
+`_pushdown`); for the constant sequence the approximant is already exact at
+every truncation (it is the point mass at a rectangle, returned without
+walking the levels), and tensoring with that rectangle realizes the shift
+of the parameter sequence.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .combinatorics import BoundaryParam, Signature, shift
 from .characters import (
     LevelCharacter,
     first_discrepancy,
     indecomposable,
-    restrict,
     tensor,
     total_variation,
 )
+from .schur import check_q, qdim
 
 
 @dataclass(frozen=True)
@@ -41,23 +44,72 @@ class CorollaryReport:
     discrepancy: Signature | None = None
 
 
+def _pushdown(nu: Signature, level: int, q: Fraction) -> dict[Signature, Fraction]:
+    """Row nu of the composed cotransition kernel from level L = nu.level down
+    to N = `level`, the pushdown of the point mass at nu.
+
+    Composing the one-step rows telescopes the quantum dimensions and the
+    q-powers; with t = q^2,
+
+        Lambda(nu, lam) = qdim(lam) / qdim(nu) * q^((N+1)|lam| - (L-1)|nu|)
+                          * sum over chains nu > mu_(L-1) > ... > mu_(N+1) > lam
+                            of the product of t^|mu_k| over N < k < L,
+
+    where the chain sum is the principal specialization of the skew Schur
+    function s_(nu/lam), and the support is nu[i+L-N] <= lam[i] <= nu[i].
+    The chain sum is accumulated level by level in integers: with t = A/B,
+    each mu at level k carries A^(|mu|-lo) * B^(hi-|mu|), lo and hi being
+    the smallest and largest sizes at that level, and the factors
+    t^lo / B^(hi-lo) of all levels fold into one rational constant.  When
+    every part of lam is pinned (nu[i+L-N] == nu[i]) the row is that point
+    mass.
+    """
+    top, n = nu.parts, level
+    if all(top[i + nu.level - n] == top[i] for i in range(n)):
+        return {Signature(top[:n]): Fraction(1)}
+    t = q * q
+    a, b = t.numerator, t.denominator
+    scale = q ** (-(nu.level - 1) * nu.size) / qdim(nu, q)
+    sums = {top: 1}
+    for k in range(nu.level - 1, n - 1, -1):
+        below: dict[tuple[int, ...], int] = {}
+        # interlacing on bare part tuples (as in enumerate_down), so the walk
+        # builds no Signature and leaves nothing in enumerate_down's cache
+        for mu, c in sums.items():
+            for lam in product(*[range(mu[i + 1], mu[i] + 1) for i in range(k)]):
+                below[lam] = below.get(lam, 0) + c
+        if k == n:
+            break
+        sizes = {mu: sum(mu) for mu in below}
+        lo, hi = min(sizes.values()), max(sizes.values())
+        apow = [a ** e for e in range(hi - lo + 1)]
+        bpow = [b ** e for e in range(hi - lo + 1)]
+        sums = {mu: c * apow[sizes[mu] - lo] * bpow[hi - sizes[mu]] for mu, c in below.items()}
+        scale *= t ** lo / bpow[-1]
+    out = {}
+    for lam, c in below.items():
+        sig = Signature(lam)
+        out[sig] = scale * c * q ** ((n + 1) * sig.size) * qdim(sig, q)
+    return out
+
+
 def extreme_character(
     theta: BoundaryParam, level: int, truncation: int, q: Fraction
 ) -> ExtremeApproximant:
     """Exact level-`level` pushdown of the point mass at the reversed prefix.
 
     The point mass sits at the signature (theta_L, ..., theta_1) at level
-    L = `truncation` and is restricted down one level at a time; all
-    arithmetic is exact.
+    L = `truncation` and is pushed down to `level` along the composed
+    cotransition kernel in one pass (`_pushdown`); all arithmetic is exact
+    and the result equals L - `level` successive restrictions.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     if truncation < level:
         raise ValueError(f"truncation {truncation} must be >= level {level}")
-    chi = indecomposable(theta.signature_at(truncation), q)
-    for _ in range(truncation - level):
-        chi = restrict(chi)
-    return ExtremeApproximant(theta, level, truncation, chi)
+    q = check_q(q)
+    weights = _pushdown(theta.signature_at(truncation), level, q)
+    return ExtremeApproximant(theta, level, truncation, LevelCharacter(level, q, weights))
 
 
 def cauchy_gap(

@@ -156,13 +156,18 @@ def qdim(lam: Signature, q: Fraction) -> Fraction:
     is pinned by exactly these identities, which the test suite checks.
     """
     q = check_q(q)
-    n = lam.level
-    value = Fraction(1)
+    # in integers, one Fraction at the end: with q = a/b and m >= 1,
+    # [m] = (b^2m - a^2m) / ((ab)^(m-1) (b^2 - a^2)), so each ratio
+    # [m] / [d] (m >= d) is (b^2m - a^2m) / ((b^2d - a^2d) (ab)^(m-d))
+    a, b = q.numerator, q.denominator
+    num = den = 1
+    parts, n = lam.parts, lam.level
     for i in range(n):
         for j in range(i + 1, n):
-            value *= qbracket(lam.parts[i] - lam.parts[j] + j - i, q)
-            value /= qbracket(j - i, q)
-    return value
+            m, d = parts[i] - parts[j] + j - i, j - i
+            num *= b ** (2 * m) - a ** (2 * m)
+            den *= (b ** (2 * d) - a ** (2 * d)) * (a * b) ** (m - d)
+    return Fraction(num, den)
 
 
 def _lr_fillings(nu: tuple[int, ...], lam: tuple[int, ...], mu: tuple[int, ...]) -> int:

@@ -9,7 +9,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from qchar import Signature, LevelCharacter, enumerate_gt_patterns, sgf_eval, weight
+from qchar import (
+    LevelCharacter,
+    Signature,
+    enumerate_gt_patterns,
+    restrict,
+    sgf_eval,
+    weight,
+)
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:
@@ -172,3 +179,14 @@ def charpoly_psd(rows) -> bool:
             [am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)
         ]
     return True
+
+
+def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
+    """Push a measure down to `level` one cotransition step at a time.
+
+    The independent cross-check for the one-pass pushdown behind
+    `extreme_character`.
+    """
+    while chi.level > level:
+        chi = restrict(chi)
+    return chi

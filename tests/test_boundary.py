@@ -11,6 +11,7 @@ from qchar import (
     ak_on_measure,
     ak_on_theta,
     cauchy_gap,
+    cotransition,
     extreme_character,
     first_discrepancy,
     indecomposable,
@@ -20,9 +21,10 @@ from qchar import (
     verify_corollary,
 )
 
-from helpers import random_character
+from helpers import iterated_restrict, random_character
 
 HALF = Fraction(1, 2)
+QS = (HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100))
 
 
 def sig(*parts):
@@ -62,6 +64,53 @@ class TestExtremeCharacter:
             for level in range(1, trunc + 1)
         )
         assert is_coherent(CoherentFamily(HALF, measures)).ok
+
+
+class TestPushdownOracle:
+    """The one-pass pushdown equals restricting one level at a time."""
+
+    @staticmethod
+    def oracle(theta, level, trunc, q):
+        return iterated_restrict(indecomposable(theta.signature_at(trunc), q), level)
+
+    def test_seeded_theta_sweep(self):
+        rng = random.Random(2)
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(5):
+                    head = sorted(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+                    theta = BoundaryParam(tuple(head), rng.randint(max(head, default=-3), 3))
+                    trunc = rng.randint(level, 10)
+                    got = extreme_character(theta, level, trunc, q).measure
+                    assert got == self.oracle(theta, level, trunc, q), (theta, level, trunc, q)
+
+    def test_truncation_equal_to_level_is_the_point_mass(self):
+        theta = BoundaryParam((-2, 0), 3)
+        for level in range(1, 5):
+            approx = extreme_character(theta, level, level, HALF)
+            assert approx.measure == indecomposable(theta.signature_at(level), HALF)
+
+    def test_one_step_is_the_cotransition_row(self):
+        for q in QS:
+            for theta in (BoundaryParam((-3, -1, 0), 2), BoundaryParam((-1,), 4)):
+                for level in range(1, 5):
+                    row = cotransition(theta.signature_at(level + 1), q)
+                    assert extreme_character(theta, level, level + 1, q).measure.weights == row
+
+    def test_negative_parts(self):
+        for q in QS:
+            for theta in (BoundaryParam((-5, -4, -4), -1), BoundaryParam((-6,), -2)):
+                for level, trunc in ((1, 6), (2, 7), (3, 5)):
+                    got = extreme_character(theta, level, trunc, q).measure
+                    assert got == self.oracle(theta, level, trunc, q)
+                    assert all(max(s.parts) < 0 for s in got.weights)
+
+    def test_pinned_parts_give_the_point_mass(self):
+        # nu[i + L - N] == nu[i] for every target part: a constant prefix
+        theta = BoundaryParam((-1, -1, -1), 2)
+        assert extreme_character(theta, 2, 3, HALF).measure == indecomposable(sig(-1, -1), HALF)
+        approx = extreme_character(BoundaryParam((), -3), 4, 10**5, HALF)
+        assert approx.measure == indecomposable(sig(-3, -3, -3, -3), HALF)
 
 
 class TestCauchyGap:

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qchar
 from qchar import (
     Signature,
     char_state_eval,
@@ -53,6 +58,19 @@ MALFORMED = {
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_fresh(*argv, timeout):
+    """Run `python *argv` in a new interpreter that imports this checkout's qchar."""
+    src = str(Path(qchar.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestBasicCommands:
@@ -106,6 +124,22 @@ class TestBasicCommands:
         _, first = run_cli(capsys, "qdim", "--q", "2/3", "--sig", "[2,1,0]")
         _, second = run_cli(capsys, "qdim", "--q", "2/3", "--sig", "[2,1,0]")
         assert first == second
+
+
+class TestFreshProcess:
+    def test_import_leaves_numpy_unloaded(self):
+        proc = run_fresh("-c", "import sys, qchar.cli; print('numpy' in sys.modules)", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_constant_sequence_at_a_huge_truncation(self):
+        proc = run_fresh(
+            "-m", "qchar.cli", "extreme", "--q", "1/2", "--theta", '{"head": [], "tail": 0}',
+            "--level", "2", "--trunc", "100000",
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["measure"]["entries"] == [{"sig": [0, 0], "prob": "1"}]
 
 
 class TestRoundTrips:
@@ -460,3 +494,66 @@ class TestBlockArgumentFuzz:
     def test_embed(self, level, data):
         block = data.draw(valid_block_doc(level) | BLOCK_DOC)
         _exit_code(["embed", "--targets", TARGETS[level], f"--block={json.dumps(block)}"])
+
+
+# Parameter sequences and signatures, valid, near-valid and arbitrary, fed to
+# the commands that read them.  Parts and integers stay small: a valid
+# signature with a part of 10**18 is a well-formed request whose work grows
+# with that part, not a malformed one.
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+PART = st.integers(-3, 3)
+VALID_THETA = st.lists(PART, max_size=4).flatmap(
+    lambda head: st.fixed_dictionaries(
+        {"head": st.just(sorted(head)), "tail": st.integers(max(head, default=-3), 3)}
+    )
+)
+THETA_DOC = (
+    VALID_THETA
+    | st.fixed_dictionaries(
+        {"head": st.lists(PART | SMALL_JSON, max_size=4) | SMALL_JSON, "tail": PART | SMALL_JSON}
+    )
+    | SMALL_JSON
+)
+SIG_DOC = (
+    st.lists(PART, max_size=4).map(lambda p: sorted(p, reverse=True))
+    | st.lists(PART | SMALL_JSON, max_size=4)
+    | SMALL_JSON
+)
+Q = st.sampled_from(["1/2", "2/3", "99/100"]) | st.sampled_from(
+    ["0", "1", "3/2", "-1/2", "x", "1/0", ""]
+)
+K = st.integers(-3, 3)
+
+
+class TestThetaAndSigFuzz:
+    @FUZZ
+    @given(theta=THETA_DOC, q=Q, level=st.integers(-1, 3), extra=st.integers(-1, 3))
+    def test_extreme(self, theta, q, level, extra):
+        _exit_code(
+            ["extreme", f"--q={q}", f"--theta={json.dumps(theta)}",
+             f"--level={level}", f"--trunc={level + extra}"]
+        )
+
+    @FUZZ
+    @given(theta=THETA_DOC, k=K)
+    def test_ak(self, theta, k):
+        _exit_code(["ak", f"--k={k}", f"--theta={json.dumps(theta)}"])
+
+    @FUZZ
+    @given(theta=THETA_DOC, q=Q, k=K, level=st.integers(-1, 3), extra=st.integers(-1, 3))
+    def test_verify_corollary(self, theta, q, k, level, extra):
+        _exit_code(
+            ["verify-corollary", f"--q={q}", f"--theta={json.dumps(theta)}", f"--k={k}",
+             f"--level={level}", f"--trunc={level + extra}"]
+        )
+
+    @FUZZ
+    @given(sig=SIG_DOC, q=Q)
+    def test_qdim(self, sig, q):
+        _exit_code(["qdim", f"--q={q}", f"--sig={json.dumps(sig)}"])

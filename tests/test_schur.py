@@ -115,6 +115,17 @@ class TestQDim:
         assert qdim(sig(1, 0), HALF) == Fraction(5, 2)
         assert qdim(sig(1, 1, 0), HALF) == Fraction(21, 4)
 
+    @pytest.mark.parametrize("q", [HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)])
+    def test_equals_the_bracket_product(self, q):
+        for level in range(1, 6):
+            for lam in iter_signatures(level, -3, 3 if level < 5 else 1):
+                p = lam.parts
+                expected = Fraction(1)
+                for i in range(level):
+                    for j in range(i + 1, level):
+                        expected *= qbracket(p[i] - p[j] + j - i, q) / qbracket(j - i, q)
+                assert qdim(lam, q) == expected
+
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)])
     def test_consistency_locks(self, q):
         # product formula == Schur value at the q-point == reversed q-point
