@@ -10,6 +10,7 @@ evaluation, exact and on the torus.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, enumerate_down, interlaces
@@ -195,8 +196,11 @@ def sgf_eval_torus(
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
+    if not (isfinite(precision) and precision >= 0):
+        raise ValueError(f"precision must be finite and nonnegative, got {precision}")
     zs = [complex(v) for v in z]
-    if any(abs(abs(v) - 1.0) > precision for v in zs):
+    # written so that a NaN or infinite coordinate fails the comparison
+    if not all(abs(abs(v) - 1.0) <= precision for v in zs):
         raise ValueError("torus points must have unit modulus")
     qf = float(chi.q)
     s = _branching([qf ** (-2 * i) * v for i, v in enumerate(zs)])

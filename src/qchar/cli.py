@@ -3,7 +3,9 @@
 Every command reads exact scalars as "p/q" strings and prints one JSON
 document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
-domain errors.  Identical flags and seed produce byte-identical output.
+domain errors (a floating-point overflow and a signature part beyond
+`jsonio.MAX_PART` included).  Identical flags and seed produce
+byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
@@ -67,8 +69,7 @@ def _torus_arg(text: str) -> list[complex]:
     return [complex(float(z[0]), float(z[1])) for z in data]
 
 
-def _emit(payload, path: str | None) -> None:
-    text = jsonio.dumps(payload)
+def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -163,6 +164,7 @@ def _cmd_extreme(args):
 def _cmd_ak(args):
     if (args.theta is None) == (args.char is None):
         raise ValueError("pass exactly one of --theta or --char")
+    jsonio.check_parts([args.k], "--k")
     if args.theta is not None:
         shifted = boundary.ak_on_theta(jsonio.theta_from_json(_json_arg(args.theta)), args.k)
         return 0, jsonio.theta_to_json(shifted)
@@ -171,6 +173,7 @@ def _cmd_ak(args):
 
 
 def _cmd_verify_corollary(args):
+    jsonio.check_parts([args.k], "--k")
     report = boundary.verify_corollary(
         jsonio.theta_from_json(_json_arg(args.theta)),
         args.k,
@@ -350,10 +353,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except (ValueError, OSError) as exc:
-        _emit({"error": str(exc)}, None)
+        text = jsonio.dumps(payload)
+    except OverflowError as exc:
+        _emit(jsonio.dumps({"error": f"floating-point overflow: {exc}"}), None)
         return 2
-    _emit(payload, args.output)
+    except (ValueError, OSError) as exc:
+        _emit(jsonio.dumps({"error": str(exc)}), None)
+        return 2
+    _emit(text, args.output)
     return code
 
 

@@ -14,6 +14,20 @@ from .combinatorics import BoundaryParam, Signature
 from .blocks import BlockElement
 
 
+# Largest magnitude of a signature part, a boundary-parameter entry or a
+# shift --k read from input.  Exact results carry powers of q whose
+# exponents grow with the parts, so without a bound a request such as qdim
+# at [10**11, 0] never finishes; README gives the reason for 1000.
+MAX_PART = 1000
+
+
+def check_parts(values, what: str) -> None:
+    """Reject integers above MAX_PART in magnitude."""
+    big = next((v for v in values if abs(v) > MAX_PART), None)
+    if big is not None:
+        raise ValueError(f"{what} {big} is beyond the input limit |v| <= {MAX_PART}")
+
+
 def _is_int(v) -> bool:
     """JSON integers only: bool is an int subclass but not a number here."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -60,6 +74,7 @@ def signature_to_json(sig: Signature) -> list[int]:
 def signature_from_json(data) -> Signature:
     if not isinstance(data, list) or not all(_is_int(p) for p in data):
         raise ValueError(f"a signature is a JSON array of integers, got {data!r}")
+    check_parts(data, "signature part")
     return Signature(tuple(data))
 
 
@@ -107,6 +122,7 @@ def theta_from_json(data) -> BoundaryParam:
         or not _is_int(data.get("tail"))
     ):
         raise ValueError('a boundary parameter is {"head": [...], "tail": t}')
+    check_parts(data["head"] + [data["tail"]], "boundary parameter entry")
     return BoundaryParam(tuple(data["head"]), data["tail"])
 
 
@@ -147,5 +163,9 @@ def approximant_to_json(approx: ExtremeApproximant) -> dict:
 
 
 def dumps(payload) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinite float raises ValueError: it has no JSON spelling.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+    return text + "\n"

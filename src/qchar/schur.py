@@ -4,12 +4,16 @@ Littlewood-Richardson coefficients.
 All values are ``fractions.Fraction``; the deformation parameter q is a
 rational strictly between 0 and 1, supplied at call time.  Laurent labels
 (signatures with negative parts) are handled by factoring out the smallest
-part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).
+part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).  Inside, the
+exact Schur evaluators and ``qdim`` work in Python integers and build one
+Fraction per value: the points are put over one common denominator, and
+the bialternant is a fraction-free (Bareiss) determinant.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .combinatorics import Signature, shift
@@ -31,46 +35,28 @@ def qbracket(n: int, q: Fraction) -> Fraction:
     return (q ** n - q ** (-n)) / (q - q ** (-1))
 
 
-def _det(rows) -> Fraction:
-    """In-place Gaussian elimination determinant over Fraction."""
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination, in place: every division is exact, so every entry stays a
+    minor of the input.  A zero pivot is swapped with a lower row."""
     n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            f = rows[r][col] / pivot
-            if f:
-                rr, rc = rows[r], rows[col]
-                for c in range(col + 1, n):
-                    rr[c] = rr[c] - f * rc[c]
-    return det
-
-
-def _bialternant(lam: Signature, points: list[Fraction]) -> Fraction:
-    """det(x_i^(mu_j + N - j)) / prod_{i<j}(x_i - x_j) after the Laurent shift."""
-    n = lam.level
-    base = lam.parts[-1]
-    mu = [p - base for p in lam.parts]
-    exps = [mu[j] + n - 1 - j for j in range(n)]
-    num = _det([[x ** e for e in exps] for x in points])
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= points[i] - points[j]
-    value = num / den
-    if base:
-        prod = 1
-        for x in points:
-            prod *= x
-        value *= prod ** base
-    return value
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if piv is None:
+                return 0
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def _branching(points: Sequence) -> Callable[[Signature], object]:
@@ -79,9 +65,10 @@ def _branching(points: Sequence) -> Callable[[Signature], object]:
         s_lam(x_1..x_N) = sum over mu below lam of s_mu(x_1..x_(N-1)) x_N^(|lam|-|mu|),
 
     memoised over part tuples and shared by every signature it is asked
-    for, with one table of powers of x_N per level N.  Exact over Fraction;
-    over complex floats every term is positive when evaluated at the |x_i|,
-    so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
+    for, with one table of powers of x_N per level N.  Exact over integers,
+    which is how `_evaluator` runs `_branch` at coincident points; over
+    complex floats (the torus pairing) every term is positive when evaluated
+    at the |x_i|, so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
     """
     memo: dict[tuple[int, ...], object] = {(): 1}
     powers: list[dict[int, object]] = [{} for _ in points]
@@ -110,9 +97,16 @@ def _branch(parts: tuple[int, ...], points: Sequence, memo: dict, powers: list):
 def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], Fraction]:
     """lam -> s_lam(points) for level-`level` signatures at exact points.
 
-    This is the one choice of path: pairwise distinct points go through the
-    bialternant determinant ratio; coincident points, where its Vandermonde
-    denominator vanishes, and level 0 go through the branching rule.  Zero
+    The points are put over one common denominator, x_i = c_i / B, and every
+    Schur value is computed in integers on the partition mu = lam - lam_N:
+
+        s_lam(x) = s_mu(c) (c_1 ... c_N)^lam_N / B^|lam|,
+
+    one Fraction per signature.  This is the one choice of path: at pairwise
+    distinct points s_mu(c) is the bialternant, a Bareiss determinant divided
+    exactly by the integer Vandermonde; at coincident points, where that
+    denominator vanishes, it is the branching rule.  Powers of the c_i, and
+    the branching memo, are shared by every signature of the call.  Zero
     points are rejected.
     """
     if len(points) != level:
@@ -122,18 +116,51 @@ def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], 
     pts = [Fraction(x) for x in points]
     if any(x == 0 for x in pts):
         raise ValueError("evaluation points must be nonzero")
-    if pts and len(set(pts)) == len(pts):
-        return lambda lam: _bialternant(lam, pts)
-    return _branching(pts)
+    den = lcm(*(x.denominator for x in pts))
+    c = [x.numerator * (den // x.denominator) for x in pts]
+    powers: list[dict[int, int]] = [{} for _ in c]
+    if len(set(c)) == len(c):
+        vandermonde = prod(c[i] - c[j] for i in range(level) for j in range(i + 1, level))
+
+        def partition(mu: tuple[int, ...]) -> int:
+            rows = []
+            for x, table in zip(c, powers):
+                row = []
+                for j, m in enumerate(mu):
+                    e = m + level - 1 - j
+                    p = table.get(e)
+                    if p is None:
+                        p = table[e] = x ** e
+                    row.append(p)
+                rows.append(row)
+            return _bareiss(rows) // vandermonde
+    else:
+        memo: dict[tuple[int, ...], int] = {(): 1}
+
+        def partition(mu: tuple[int, ...]) -> int:
+            return _branch(mu, c, memo, powers)
+    cprod = prod(c)
+
+    def value(lam: Signature) -> Fraction:
+        parts = lam.parts
+        base = parts[-1] if parts else 0
+        size = lam.size
+        s_mu = partition(tuple(p - base for p in parts))
+        # lam_N and |lam| may be negative: each power goes where it is positive
+        num = s_mu * cprod ** max(base, 0) * den ** max(-size, 0)
+        return Fraction(num, cprod ** max(-base, 0) * den ** max(size, 0))
+
+    return value
 
 
 def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
     """Exact value of the Schur Laurent polynomial s_lam at rational points.
 
-    Pairwise distinct points go through the bialternant determinant ratio,
+    Computed in integers over the points' common denominator, one Fraction
+    out: pairwise distinct points go through the Bareiss bialternant,
     coincident points through the branching rule.  Zero points are rejected.
     """
-    return Fraction(_evaluator(lam.level, points)(lam))
+    return _evaluator(lam.level, points)(lam)
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,9 @@ from qchar import (
     random_block_element,
     scaling,
 )
+from qchar import jsonio
 from qchar.cli import main
-from qchar.jsonio import block_to_json, character_to_json, format_scalar
+from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
 from helpers import random_character
 
@@ -31,6 +32,7 @@ BLOCK = '{"level": %s, "q": "1/2", "blocks": %s}'
 ONE = '[{"sig": [0], "prob": "1"}]'
 THETA = ["extreme", "--q", "1/2", "--level", "1", "--trunc", "2", "--theta"]
 EMBED = ["embed", "--targets", "[[0, 0]]", "--block"]
+TORUS = ["sgf-torus", "--char", CHAR % (1, '[{"sig": [1], "prob": "1"}]')]
 
 # documents that must exit 2 with a JSON error, never with a traceback
 MALFORMED = {
@@ -52,6 +54,15 @@ MALFORMED = {
     "rows-not-lists": EMBED + [BLOCK % (1, '[{"sig": [0], "matrix": [5]}]')],
     "bool-block-level": EMBED + [BLOCK % ("true", '[{"sig": [0], "matrix": [["1"]]}]')],
     "deeply-nested": EMBED + ["[" * 100000],
+    "nan-torus-point": TORUS + ["--z", "[[NaN, 0]]"],
+    "infinite-torus-point": TORUS + ["--z", "[[Infinity, 0]]"],
+    "nan-precision": TORUS + ["--z", "[[1, 0]]", "--precision", "nan"],
+    "infinite-precision": TORUS + ["--z", "[[2, 0]]", "--precision", "inf"],
+    "negative-precision": TORUS + ["--z", "[[1, 0]]", "--precision=-1e-3"],
+    "torus-overflow": [
+        "sgf-torus", "--char", CHAR % (3, '[{"sig": [300, 0, -300], "prob": "1"}]'),
+        "--z", "[[1, 0], [1, 0], [1, 0]]",
+    ],
 }
 
 
@@ -363,6 +374,61 @@ class TestErrorPaths:
         assert "--trials" in json.loads(out)["error"]
 
 
+class TestInputLimit:
+    # jsonio.MAX_PART bounds signature parts, boundary-parameter entries and
+    # --k; without it the first two requests run without bound
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qdim", "--q", "1/2", "--sig", "[100000000000, 0]"],
+            ["extreme", "--q", "1/2", "--theta", '{"head": [0], "tail": 100000000000}',
+             "--level", "1", "--trunc", "2"],
+            ["verify-corollary", "--q", "1/2", "--theta", '{"head": [0], "tail": 1}',
+             "--k", "100000000000", "--level", "1", "--trunc", "2"],
+        ],
+        ids=["qdim", "extreme", "verify-corollary"],
+    )
+    def test_over_the_limit_exits_two_at_once(self, argv):
+        proc = run_fresh("-m", "qchar.cli", *argv, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "limit" in json.loads(proc.stdout)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qdim", "--q", "1/2", "--sig", f"[{MAX_PART + 1}, 0]"],
+            ["schur-eval", "--sig", f"[0, {-MAX_PART - 1}]", "--points", '["1", "2"]'],
+            ["restrict", "--char", CHAR % (1, '[{"sig": [%d], "prob": "1"}]' % (MAX_PART + 1))],
+            THETA + ['{"head": [%d], "tail": 0}' % (-MAX_PART - 1)],
+            ["ak", "--k", str(MAX_PART + 1), "--theta", '{"head": [], "tail": 0}'],
+        ],
+        ids=["sig", "negative-sig", "char-entry", "theta-head", "ak-k"],
+    )
+    def test_one_past_the_limit_exits_two(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert "limit" in json.loads(out)["error"]
+
+    def test_requests_at_the_limit_finish(self, capsys):
+        m = MAX_PART
+        code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", f"[{m}, 0, {-m}]")
+        assert code == 0
+        assert jsonio.parse_scalar(json.loads(out)["value"]) == qchar.qdim(
+            Signature((m, 0, -m)), Fraction(1, 2)
+        )
+        code, out = run_cli(
+            capsys, "schur-eval", "--sig", f"[{m}, 0, {-m}]", "--points", '["1/2", "2/3", "-7/9"]'
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys, "verify-corollary", "--q", "1/2", "--theta",
+            '{"head": [%d], "tail": %d}' % (-m, 1 - m), "--k", str(m),
+            "--level", "1", "--trunc", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
 class TestFileArguments:
     def test_at_file_input(self, capsys, tmp_path):
         path = tmp_path / "char.json"
@@ -459,6 +525,10 @@ FUZZ = settings(
 )
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 def _exit_code(argv):
     """Run the CLI in process: exit 0, 1 or 2 with one JSON document, and
     a JSON error on exit 2; any escaping exception fails the test."""
@@ -466,7 +536,7 @@ def _exit_code(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2)
-    payload = json.loads(out.getvalue())
+    payload = json.loads(out.getvalue(), parse_constant=_not_json)
     assert (code == 2) == ("error" in payload)
     return code
 
@@ -557,3 +627,141 @@ class TestThetaAndSigFuzz:
     @given(sig=SIG_DOC, q=Q)
     def test_qdim(self, sig, q):
         _exit_code(["qdim", f"--q={q}", f"--sig={json.dumps(sig)}"])
+
+
+# Points, torus points, characters, families and targets, valid, near-valid
+# and arbitrary, fed to the commands that read them.  Exact points repeat
+# and change sign; torus coordinates include NaN and the infinities.
+
+POINT = st.sampled_from(["1/2", "2/4", "-1/2", "3", "-5/7", "9/4", "1"])
+BAD_POINT = st.sampled_from(["0", "0/3", "1/0", "x", ""]) | SMALL_JSON
+
+
+def points_doc(level):
+    return (
+        st.lists(POINT, min_size=level, max_size=level)
+        | st.lists(POINT | BAD_POINT, max_size=4)
+        | SMALL_JSON
+    )
+
+
+@st.composite
+def valid_char_doc(draw, level=None):
+    level = level if level is not None else draw(st.integers(1, 3))
+    sigs = draw(st.lists(st.sampled_from(list(iter_signatures(level, -2, 2))),
+                         min_size=1, max_size=3, unique=True))
+    raw = [Fraction(draw(st.integers(1, 9))) for _ in sigs]
+    entries = [
+        {"sig": list(s.parts), "prob": format_scalar(w / sum(raw))}
+        for s, w in sorted(zip(sigs, raw), key=lambda sw: sw[0].parts)
+    ]
+    return {"level": level, "q": draw(st.sampled_from(["1/2", "2/3", "99/100"])), "entries": entries}
+
+
+NEAR_CHAR_DOC = st.fixed_dictionaries(
+    {
+        "level": st.integers(-1, 4) | SMALL_JSON,
+        "q": Q | SMALL_JSON,
+        "entries": st.lists(
+            st.fixed_dictionaries(
+                {"sig": SIG_DOC, "prob": st.sampled_from(["1", "1/2", "0", "-1", "2", "x"]) | SMALL_JSON}
+            )
+            | SMALL_JSON,
+            max_size=3,
+        )
+        | SMALL_JSON,
+    }
+)
+
+
+def char_doc(level):
+    return valid_char_doc(level) | NEAR_CHAR_DOC | SMALL_JSON
+
+
+UNIT = st.sampled_from([[1, 0], [0, 1], [-1, 0], [0, -1], [0.6, 0.8], [-0.8, 0.6]])
+NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+COORD = NONFINITE | st.floats() | st.integers(-2, 2)
+
+
+def torus_doc(level):
+    return (
+        st.lists(UNIT, min_size=level, max_size=level)
+        | st.lists(UNIT | st.tuples(NONFINITE, st.just(0)).map(list), min_size=level, max_size=level)
+        | st.lists(UNIT | st.lists(COORD, min_size=2, max_size=2), min_size=level, max_size=level)
+        | st.lists(st.lists(COORD | SMALL_JSON, max_size=3) | SMALL_JSON, max_size=4)
+        | SMALL_JSON
+    )
+
+
+PRECISION = st.sampled_from(["1e-12", "0", "1e-3", "0.5", "1e300", "nan", "inf", "-inf", "-1"])
+TARGETS_DOC = (
+    st.lists(st.lists(PART, min_size=2, max_size=2).map(lambda p: sorted(p, reverse=True)), max_size=3)
+    | st.lists(SIG_DOC, max_size=3)
+    | SMALL_JSON
+)
+BLOCK_1 = BLOCK % (1, '[{"sig": [0], "matrix": [["1/2"]]}, {"sig": [1], "matrix": [["3"]]}]')
+
+
+@st.composite
+def family_doc(draw):
+    """A coherent family (levels 1..n from one restricted character), a
+    perturbed or mismatched one, or arbitrary JSON."""
+    top = draw(valid_char_doc())
+    levels = [jsonio.character_from_json(top)]
+    while levels[0].level > 1:
+        levels.insert(0, qchar.restrict(levels[0]))
+    docs = [character_to_json(chi) for chi in levels]
+    change = draw(st.sampled_from([None, "drop", "swap", "replace"]))
+    if change == "drop" and len(docs) > 1:
+        docs.pop(0)
+    elif change == "swap" and len(docs) > 1:
+        docs.reverse()
+    elif change == "replace":
+        i = draw(st.integers(0, len(docs) - 1))
+        docs[i] = draw(char_doc(i + 1))
+    return {"q": draw(st.sampled_from([top["q"], "1/2"]) | SMALL_JSON), "levels": docs}
+
+
+class TestPointsTorusCharFuzz:
+    @FUZZ
+    @given(sig=st.lists(PART, max_size=4).map(lambda p: sorted(p, reverse=True)) | SIG_DOC,
+           data=st.data())
+    def test_schur_eval(self, sig, data):
+        level = len(sig) if isinstance(sig, list) else 2
+        points = data.draw(points_doc(level))
+        _exit_code(["schur-eval", f"--sig={json.dumps(sig)}", f"--points={json.dumps(points)}"])
+
+    @FUZZ
+    @given(level=st.integers(1, 3), data=st.data())
+    def test_sgf_eval(self, level, data):
+        char, points = data.draw(char_doc(level)), data.draw(points_doc(level))
+        _exit_code(["sgf-eval", f"--char={json.dumps(char)}", f"--points={json.dumps(points)}"])
+
+    @FUZZ
+    @given(level=st.integers(1, 3), precision=st.none() | PRECISION, data=st.data())
+    def test_sgf_torus(self, level, precision, data):
+        # mostly valid characters, so that the torus points reach the pairing
+        char = data.draw(valid_char_doc(level) | char_doc(level))
+        z = data.draw(torus_doc(level))
+        argv = ["sgf-torus", f"--char={json.dumps(char)}", f"--z={json.dumps(z)}"]
+        _exit_code(argv + ([f"--precision={precision}"] if precision else []))
+
+    @FUZZ
+    @given(level=st.integers(1, 3), data=st.data())
+    def test_restrict(self, level, data):
+        _exit_code(["restrict", f"--char={json.dumps(data.draw(char_doc(level)))}"])
+
+    @FUZZ
+    @given(level=st.integers(1, 3), k=K, data=st.data())
+    def test_ak(self, level, k, data):
+        _exit_code(["ak", f"--k={k}", f"--char={json.dumps(data.draw(char_doc(level)))}"])
+
+    @FUZZ
+    @given(family=family_doc() | SMALL_JSON)
+    def test_coherent_check(self, family):
+        _exit_code(["coherent-check", f"--family={json.dumps(family)}"])
+
+    @FUZZ
+    @given(targets=TARGETS_DOC)
+    def test_embed_targets(self, targets):
+        _exit_code(["embed", f"--block={BLOCK_1}", f"--targets={json.dumps(targets)}"])

@@ -8,16 +8,18 @@ from qchar import (
     EMPTY,
     Signature,
     enumerate_down,
+    indecomposable,
     iter_signatures,
     lr_coefficients,
     principal_specialization,
     qbracket,
     qdim,
     schur_eval,
+    sgf_eval,
     shift,
 )
 
-from helpers import lr_by_subtraction, random_points, schur_eval_gt_oracle
+from helpers import lr_by_subtraction, random_character, random_points, schur_eval_gt_oracle
 
 HALF = Fraction(1, 2)
 
@@ -97,6 +99,50 @@ class TestSchurEval:
                 for lam in enumerate_down(nu)
             )
             assert lhs == rhs
+
+
+class TestIntegerEvaluator:
+    # points go over one common denominator and the Schur value is computed
+    # in integers; the pattern sum is the oracle, by exact equality
+    POINTS = {
+        "different-denominators": ("1/2", "-2/3", "5/7", "9/4"),
+        "negative": ("-1", "-3/5", "-7/2", "-2/9"),
+        "opposite-pairs": ("1/3", "-1/3", "5/2", "-5/2"),
+        "equal-values-written-differently": ("1/2", "2/4", "3/6", "-3"),
+    }
+
+    @pytest.mark.parametrize("points", list(POINTS.values()), ids=list(POINTS))
+    def test_agrees_with_the_pattern_sum(self, points):
+        assert schur_eval(EMPTY, points[:0]) == 1
+        last_parts = set()
+        for level in range(1, 5):
+            pts = points[:level]
+            for lam in iter_signatures(level, -2, 3 if level < 4 else 2):
+                assert schur_eval(lam, pts) == schur_eval_gt_oracle(lam, pts)
+                last_parts.add(lam.parts[-1])
+        assert min(last_parts) < 0 < max(last_parts)
+
+    def test_sgf_eval_is_the_per_signature_sum(self):
+        rng = random.Random(20261018)
+        for level in range(1, 5):
+            for q in (HALF, Fraction(2, 3), Fraction(99, 100)):
+                chi = random_character(level, q, rng, max_support=5)
+                pts = random_points(level, rng)
+                while len(set(pts)) < level:
+                    pts = random_points(level, rng)
+                expected = sum(
+                    p * schur_eval_gt_oracle(lam, pts) / principal_specialization(lam, q)
+                    for lam, p in chi.weights.items()
+                )
+                assert sgf_eval(chi, pts) == expected
+
+    @pytest.mark.parametrize("points", [(0, 1), ("0/5", 2), (0, 0), (3, 3, "0")])
+    def test_zero_points_raise(self, points):
+        lam = Signature((1,) + (0,) * (len(points) - 1))
+        with pytest.raises(ValueError, match="nonzero"):
+            schur_eval(lam, points)
+        with pytest.raises(ValueError, match="nonzero"):
+            sgf_eval(indecomposable(lam, HALF), points)
 
 
 class TestPrincipalSpecialization:
