@@ -403,53 +403,38 @@ def _ldl_psd(rows: Matrix) -> bool:
 
 
 def decompose_state(
-    densities: Mapping[Signature, Sequence[Sequence]],
-    q: Fraction,
-    tol: float = 1e-10,
+    densities: Mapping[Signature, Sequence[Sequence]], q: Fraction
 ) -> DecomposeReport:
     """Classify a blockwise density as a convex combination of F-traces.
 
     Accepts exactly when every block is a nonnegative multiple of its
     diagonal F matrix (zero off-diagonals, diagonal proportional to the
     F eigenvalues); the returned coefficient at lam is that block's trace.
-    Densities must be positive semidefinite with traces summing to 1.  With
-    exact (int or Fraction) entries every comparison is exact and the PSD
-    test is exact LDL^T elimination, O(d^3) per block and O(d^2) on a
-    diagonal one; with any float or complex entry the check runs
-    numerically, with an absolute threshold of `tol`.
+    Densities must have exact (int or Fraction) entries, be positive
+    semidefinite and have traces summing to 1.  Every comparison is exact,
+    and the PSD test is exact LDL^T elimination, O(d^3) per block and
+    O(d^2) on a diagonal one.
     """
     q = check_q(q)
     mats = {}
-    exact = True
     for sig, rows in densities.items():
         d = dimension(sig)
         rows = _freeze(rows)
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError(f"density at {sig} must be {d}x{d}")
-        exact = exact and all(_is_exact(v) for row in rows for v in row)
+        if not all(_is_exact(v) for row in rows for v in row):
+            raise ValueError(f"density at {sig} must have exact (int or Fraction) entries")
         mats[sig] = rows
 
     for sig, rows in mats.items():
         n = len(rows)
-        if exact:
-            if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-                raise ValueError(f"density at {sig} is not symmetric")
-            if not _ldl_psd(rows):
-                raise ValueError(f"density at {sig} is not positive semidefinite")
-        else:
-            import numpy as np  # float densities only, so `import qchar` does not load numpy
-
-            arr = np.array([[complex(v) for v in row] for row in rows])
-            if np.abs(arr - arr.conj().T).max() > tol:
-                raise ValueError(f"density at {sig} is not Hermitian")
-            if np.linalg.eigvalsh(arr).min() < -tol:
-                raise ValueError(f"density at {sig} is not positive semidefinite")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError(f"density at {sig} is not symmetric")
+        if not _ldl_psd(rows):
+            raise ValueError(f"density at {sig} is not positive semidefinite")
 
     total = sum(sum(rows[i][i] for i in range(len(rows))) for rows in mats.values())
-    if exact:
-        if total != 1:
-            raise ValueError(f"density traces must sum to 1, got {total}")
-    elif abs(total - 1) > tol:
+    if total != 1:
         raise ValueError(f"density traces must sum to 1, got {total}")
 
     coeffs = {}
@@ -458,10 +443,7 @@ def decompose_state(
         exps = f_spectrum(sig).exponents
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                off = rows[i][j]
-                if (off != 0) if exact else (abs(off) > tol):
+                if i != j and rows[i][j] != 0:
                     return DecomposeReport(
                         False,
                         reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]",
@@ -469,8 +451,7 @@ def decompose_state(
         ratios = [rows[i][i] / q ** exps[i] for i in range(n)]
         base = ratios[0]
         for i, r in enumerate(ratios[1:], start=1):
-            bad = (r != base) if exact else (abs(r - base) > tol)
-            if bad:
+            if r != base:
                 return DecomposeReport(
                     False,
                     reason=(

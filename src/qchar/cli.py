@@ -165,10 +165,13 @@ def _cmd_ak(args):
     if (args.theta is None) == (args.char is None):
         raise ValueError("pass exactly one of --theta or --char")
     jsonio.check_parts([args.k], "--k")
+    # the shifted artifact must be accepted back, so it obeys the input limit too
     if args.theta is not None:
         shifted = boundary.ak_on_theta(jsonio.theta_from_json(_json_arg(args.theta)), args.k)
+        jsonio.check_parts(shifted.head + (shifted.tail,), "shifted boundary parameter entry")
         return 0, jsonio.theta_to_json(shifted)
     shifted = boundary.ak_on_measure(_char_arg(args.char), args.k)
+    jsonio.check_parts([p for sig in shifted.weights for p in sig.parts], "shifted signature part")
     return 0, jsonio.character_to_json(shifted)
 
 

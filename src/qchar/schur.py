@@ -5,9 +5,11 @@ All values are ``fractions.Fraction``; the deformation parameter q is a
 rational strictly between 0 and 1, supplied at call time.  Laurent labels
 (signatures with negative parts) are handled by factoring out the smallest
 part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).  Inside, the
-exact Schur evaluators and ``qdim`` work in Python integers and build one
+exact Schur evaluator and ``qdim`` work in Python integers and build one
 Fraction per value: the points are put over one common denominator, and
-the bialternant is a fraction-free (Bareiss) determinant.
+each Schur value is a Jacobi-Trudi determinant of complete homogeneous
+values, taken fraction-free (Bareiss) at every point set.  The branching
+rule serves only the floating-point torus pairing.
 """
 
 from fractions import Fraction
@@ -65,10 +67,9 @@ def _branching(points: Sequence) -> Callable[[Signature], object]:
         s_lam(x_1..x_N) = sum over mu below lam of s_mu(x_1..x_(N-1)) x_N^(|lam|-|mu|),
 
     memoised over part tuples and shared by every signature it is asked
-    for, with one table of powers of x_N per level N.  Exact over integers,
-    which is how `_evaluator` runs `_branch` at coincident points; over
-    complex floats (the torus pairing) every term is positive when evaluated
-    at the |x_i|, so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
+    for, with one table of powers of x_N per level N.  Used only by the
+    complex-float torus pairing: every term is positive when evaluated at
+    the |x_i|, so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
     """
     memo: dict[tuple[int, ...], object] = {(): 1}
     powers: list[dict[int, object]] = [{} for _ in points]
@@ -102,12 +103,13 @@ def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], 
 
         s_lam(x) = s_mu(c) (c_1 ... c_N)^lam_N / B^|lam|,
 
-    one Fraction per signature.  This is the one choice of path: at pairwise
-    distinct points s_mu(c) is the bialternant, a Bareiss determinant divided
-    exactly by the integer Vandermonde; at coincident points, where that
-    denominator vanishes, it is the branching rule.  Powers of the c_i, and
-    the branching memo, are shared by every signature of the call.  Zero
-    points are rejected.
+    one Fraction per signature.  s_mu(c) is the Jacobi-Trudi determinant
+    det(h_(mu_i - i + j)(c)), l x l for the l <= N - 1 nonzero parts of mu,
+    taken by Bareiss elimination; it holds at every point set, distinct or
+    coincident.  The complete homogeneous values h_k(c) are one table shared
+    by every signature of the call, grown on demand by the column recurrence
+    h_k(c_1..c_n) = h_k(c_1..c_(n-1)) + c_n h_(k-1)(c_1..c_n), O(N) per k.
+    Zero points are rejected.
     """
     if len(points) != level:
         raise ValueError(
@@ -118,27 +120,24 @@ def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], 
         raise ValueError("evaluation points must be nonzero")
     den = lcm(*(x.denominator for x in pts))
     c = [x.numerator * (den // x.denominator) for x in pts]
-    powers: list[dict[int, int]] = [{} for _ in c]
-    if len(set(c)) == len(c):
-        vandermonde = prod(c[i] - c[j] for i in range(level) for j in range(i + 1, level))
+    h = [1]  # h[k] = h_k(c_1..c_N)
+    col = [1] * level  # col[n] = h_(len(h)-1)(c_1..c_(n+1))
 
-        def partition(mu: tuple[int, ...]) -> int:
-            rows = []
-            for x, table in zip(c, powers):
-                row = []
-                for j, m in enumerate(mu):
-                    e = m + level - 1 - j
-                    p = table.get(e)
-                    if p is None:
-                        p = table[e] = x ** e
-                    row.append(p)
-                rows.append(row)
-            return _bareiss(rows) // vandermonde
-    else:
-        memo: dict[tuple[int, ...], int] = {(): 1}
+    def partition(mu: tuple[int, ...]) -> int:
+        rows = mu[: len(mu) - mu.count(0)]  # the nonzero parts
+        ell = len(rows)
+        while ell and len(h) < rows[0] + ell:
+            acc = 0
+            for n, x in enumerate(c):
+                acc = col[n] = acc + x * col[n]
+            h.append(acc)
+        return _bareiss(
+            [
+                [h[m - i + j] if j >= i - m else 0 for j in range(ell)]
+                for i, m in enumerate(rows)
+            ]
+        )
 
-        def partition(mu: tuple[int, ...]) -> int:
-            return _branch(mu, c, memo, powers)
     cprod = prod(c)
 
     def value(lam: Signature) -> Fraction:
@@ -157,8 +156,8 @@ def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
     """Exact value of the Schur Laurent polynomial s_lam at rational points.
 
     Computed in integers over the points' common denominator, one Fraction
-    out: pairwise distinct points go through the Bareiss bialternant,
-    coincident points through the branching rule.  Zero points are rejected.
+    out, as a Jacobi-Trudi determinant; the same path serves distinct and
+    coincident points.  Zero points are rejected.
     """
     return _evaluator(lam.level, points)(lam)
 

@@ -7,11 +7,13 @@ the package; they are the reference every derived value is checked against.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from qchar import (
     LevelCharacter,
     Signature,
+    enumerate_down,
     enumerate_gt_patterns,
     restrict,
     sgf_eval,
@@ -130,6 +132,70 @@ def schur_eval_gt_oracle(lam: Signature, points) -> Fraction:
             term *= Fraction(x) ** e
         total += term
     return total
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= f * a[k][c]
+    return det
+
+
+def schur_eval_bialternant(lam: Signature, points) -> Fraction:
+    """Reference Schur evaluation at pairwise distinct points, as the ratio of
+    alternants det(x_i^(lam_j + N - j)) / det(x_i^(N - j)) over Fractions.
+
+    Laurent exponents are used as they stand, with no shift to a partition.
+    """
+    pts = [Fraction(x) for x in points]
+    n = lam.level
+    if len(pts) != n or len(set(pts)) != n:
+        raise ValueError(f"need {n} pairwise distinct points, got {pts}")
+    top = _fraction_det([[x ** (m + n - 1 - j) for j, m in enumerate(lam.parts)] for x in pts])
+    return top / _fraction_det([[x ** (n - 1 - j) for j in range(n)] for x in pts])
+
+
+def schur_eval_branching_oracle(lam: Signature, points) -> Fraction:
+    """Reference Schur evaluation at any nonzero points: branch in the last
+    variable, s_lam(x_1..x_n) = sum over mu below lam of
+    s_mu(x_1..x_(n-1)) x_n^(|lam| - |mu|), down to the two-variable closed
+    form s_(a,b)(x, y) = (xy)^b h_(a-b)(x, y), h_k(x, y) = sum_i x^i y^(k-i).
+    """
+    pts = tuple(Fraction(x) for x in points)
+    if len(pts) != lam.level:
+        raise ValueError(f"need {lam.level} points, got {len(pts)}")
+
+    @lru_cache(maxsize=None)
+    def h2(k: int) -> Fraction:
+        x, y = pts[:2]
+        return sum((x ** i * y ** (k - i) for i in range(k + 1)), Fraction(0))
+
+    def s(nu: Signature) -> Fraction:
+        n = nu.level
+        if n == 0:
+            return Fraction(1)
+        if n == 1:
+            return pts[0] ** nu.parts[0]
+        if n == 2:
+            a, b = nu.parts
+            return (pts[0] * pts[1]) ** b * h2(a - b)
+        y = pts[n - 1]
+        return sum((s(mu) * y ** (nu.size - mu.size) for mu in enumerate_down(nu)), Fraction(0))
+
+    return s(lam)
 
 
 def check_product(

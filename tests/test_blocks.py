@@ -428,11 +428,10 @@ class TestDecomposeState:
         with pytest.raises(ValueError):
             decompose_state({lam: ((HALF, 0), (0, 0))}, HALF)
 
-    def test_numeric_mode_threshold(self):
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_inexact_entries_raise(self, kind):
+        # only exact densities are classified; there is no numeric mode
         lam = sig(1, 0)
-        exact = f_density(lam, HALF)
-        rows = [[float(v) for v in row] for row in exact]
-        rows[0][1] = rows[1][0] = 1e-12  # inside the 1e-10 threshold
-        report = decompose_state({lam: rows}, HALF)
-        assert report.ok
-        assert abs(report.coefficients[lam] - 1) < 1e-9
+        rows = [[kind(v) for v in row] for row in f_density(lam, HALF)]
+        with pytest.raises(ValueError, match="exact"):
+            decompose_state({lam: rows}, HALF)

@@ -63,6 +63,11 @@ MALFORMED = {
         "sgf-torus", "--char", CHAR % (3, '[{"sig": [300, 0, -300], "prob": "1"}]'),
         "--z", "[[1, 0], [1, 0], [1, 0]]",
     ],
+    # the shifted artifact would be rejected by the commands that consume it
+    "ak-theta-beyond-limit": ["ak", "--k", "1000", "--theta", '{"head": [], "tail": 1000}'],
+    "ak-char-beyond-limit": [
+        "ak", "--k", "-1000", "--char", CHAR % (2, '[{"sig": [0, -1], "prob": "1"}]'),
+    ],
 }
 
 
@@ -152,8 +157,32 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["measure"]["entries"] == [{"sig": [0, 0], "prob": "1"}]
 
+    @pytest.mark.parametrize("command", ["schur-eval", "sgf-eval"])
+    def test_coincident_points_at_the_limit(self, command):
+        # parts at the limit at coincident points: one 2x2 Jacobi-Trudi determinant,
+        # where enumerating interlacing tuples would take about 10^6 steps per level
+        sig, points = "[1000, 0, -1000]", '["1/2", "1/2", "-7/9"]'
+        arg = ["--sig", sig]
+        if command == "sgf-eval":
+            arg = ["--char", CHAR % (3, '[{"sig": %s, "prob": "1"}]' % sig)]
+        proc = run_fresh("-m", "qchar.cli", command, *arg, "--points", points, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        lam, half = Signature((1000, 0, -1000)), Fraction(1, 2)
+        expected = qchar.schur_eval(lam, (half, half, Fraction(-7, 9)))
+        if command == "sgf-eval":
+            expected /= qchar.principal_specialization(lam, half)
+        assert jsonio.parse_scalar(json.loads(proc.stdout)["value"]) == expected
+
 
 class TestRoundTrips:
+    def test_ak_output_at_the_limit_is_accepted_back(self, capsys):
+        code, out = run_cli(capsys, "ak", "--k", "500", "--theta", '{"head": [], "tail": 500}')
+        assert code == 0
+        assert json.loads(out) == {"head": [], "tail": 1000}
+        code, out = run_cli(capsys, *THETA, out)
+        assert code == 0
+        assert json.loads(out)["measure"]["entries"] == [{"sig": [1000], "prob": "1"}]
+
     def test_restrict_feeds_sgf_eval(self, capsys):
         code, out = run_cli(capsys, "restrict", "--char", DELTA_10)
         assert code == 0

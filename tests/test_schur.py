@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qchar import (
     EMPTY,
     Signature,
+    dimension,
     enumerate_down,
     indecomposable,
     iter_signatures,
@@ -19,7 +20,16 @@ from qchar import (
     shift,
 )
 
-from helpers import lr_by_subtraction, random_character, random_points, schur_eval_gt_oracle
+from qchar.jsonio import MAX_PART
+
+from helpers import (
+    lr_by_subtraction,
+    random_character,
+    random_points,
+    schur_eval_bialternant,
+    schur_eval_branching_oracle,
+    schur_eval_gt_oracle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -65,7 +75,7 @@ class TestSchurEval:
             schur_eval(sig(1, 0), (0, 1))
 
     def test_repeated_points_fall_back_to_pattern_sum(self):
-        # coincident points take the branching rule; the pattern sum is the reference
+        # coincident points take the same Jacobi-Trudi path; the pattern sum is the reference
         rng = random.Random(20261018)
         for level in (2, 3, 4):
             for lam in iter_signatures(level, -2, 2):
@@ -143,6 +153,63 @@ class TestIntegerEvaluator:
             schur_eval(lam, points)
         with pytest.raises(ValueError, match="nonzero"):
             sgf_eval(indecomposable(lam, HALF), points)
+
+
+def random_signature(level: int, bound: int, rng: random.Random) -> Signature:
+    return Signature(sorted((rng.randint(-bound, bound) for _ in range(level)), reverse=True))
+
+
+class TestJacobiTrudi:
+    # one Jacobi-Trudi path serves every point set; at large parts each
+    # point set has its own independent oracle
+
+    @pytest.mark.parametrize("x", [Fraction(-7, 9), HALF, Fraction(3)])
+    def test_all_equal_points_large_parts(self, x):
+        # s_lam(x, ..., x) = x^|lam| dim(lam)
+        rng = random.Random(20261018)
+        for level in range(1, 6):
+            sigs = [random_signature(level, MAX_PART, rng) for _ in range(4)]
+            if level > 1:
+                sigs.append(Signature((MAX_PART,) + (0,) * (level - 2) + (-MAX_PART,)))
+            for lam in sigs:
+                assert schur_eval(lam, (x,) * level) == x ** lam.size * dimension(lam)
+
+    @pytest.mark.parametrize(
+        "x, y", [(HALF, Fraction(-7, 9)), (Fraction(-2, 3), Fraction(2, 3)), (Fraction(5, 4), 3)]
+    )
+    def test_mixed_coincident_points(self, x, y):
+        rng = random.Random(7)
+        sigs = [Signature((60, 0, -60)), Signature((60, 60, 0)), Signature((0, -30, -60))]
+        sigs += [random_signature(3, 60, rng) for _ in range(4)]
+        for lam in sigs:
+            for pts in ((x, x, y), (x, y, x), (y, x, x)):
+                assert schur_eval(lam, pts) == schur_eval_branching_oracle(lam, pts)
+
+    def test_distinct_points_near_the_limit(self):
+        rng = random.Random(11)
+        for level in (2, 3, 4):
+            for _ in range(4):
+                lam = Signature(
+                    sorted(
+                        (rng.choice((1, -1)) * rng.randint(MAX_PART - 20, MAX_PART)
+                         for _ in range(level)),
+                        reverse=True,
+                    )
+                )
+                pts = random_points(level, rng)
+                while len(set(pts)) < level:
+                    pts = random_points(level, rng)
+                assert schur_eval(lam, pts) == schur_eval_bialternant(lam, pts)
+
+    def test_oracles_agree_at_small_parts(self):
+        rng = random.Random(3)
+        for level in (1, 2, 3):
+            for lam in iter_signatures(level, -2, 2):
+                pts = random_points(level, rng)
+                expected = schur_eval_gt_oracle(lam, pts)
+                assert schur_eval_branching_oracle(lam, pts) == expected
+                if len(set(pts)) == level:
+                    assert schur_eval_bialternant(lam, pts) == expected
 
 
 class TestPrincipalSpecialization:
