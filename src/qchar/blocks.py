@@ -13,6 +13,13 @@ equally valid convention.
 
 States are reused from `characters`: a level character evaluates on a
 block element as sum of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
+
+With q = a/b every eigenvalue of F is a^e/b^e, so a twisted trace is a
+Laurent polynomial in q.  The pairings below gather each block's entry
+products by F exponent and evaluate the sum in integers over one common
+denominator, building one `Fraction` per block instead of a q-power per
+entry; the exact flow multiplies integer numerators and denominators, and
+the F-compatibility check compares exponents.
 """
 
 import cmath
@@ -29,7 +36,7 @@ from .combinatorics import (
     enumerate_gt_patterns,
     weight,
 )
-from .characters import LevelCharacter, wq
+from .characters import LevelCharacter
 from .schur import check_q, qdim
 
 Matrix = tuple[tuple, ...]
@@ -223,22 +230,58 @@ def _require_state_compatible(chi: LevelCharacter, x: BlockElement) -> None:
         raise ValueError("q must agree")
 
 
+def _laurent_value(terms: Mapping[int, object], q: Fraction):
+    """sum_e c_e q^e over an exponent -> coefficient map.
+
+    Exact coefficients are brought over their common denominator D; with
+    q = a/b and lo <= e <= hi the sum is
+    (sum_e D c_e a^(e-lo) b^(hi-e)) a^lo / (D b^hi), one `Fraction` built
+    from integers.  Complex-float coefficients are summed term by term.
+    """
+    if not terms:
+        return 0
+    if not all(_is_exact(c) for c in terms.values()):
+        return sum(c * q ** e for e, c in terms.items())
+    a, b = q.numerator, q.denominator
+    lo, hi = min(terms), max(terms)
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    num = sum(
+        c.numerator * (den // c.denominator) * a ** (e - lo) * b ** (hi - e)
+        for e, c in terms.items()
+    )
+    num, den = (num * a ** lo, den) if lo >= 0 else (num, den * a ** -lo)
+    num, den = (num, den * b ** hi) if hi >= 0 else (num * b ** -hi, den)
+    return Fraction(num, den)
+
+
+def _add_term(terms: dict, e: int, c) -> None:
+    if c:
+        terms[e] = terms.get(e, 0) + c
+
+
+def _block_share(chi: LevelCharacter, sig: Signature, terms: Mapping[int, object]):
+    """weight(sig) * P(q) / qdim(sig) for the exponent -> coefficient map
+    of a twisted trace P on the block at sig."""
+    return chi.weights[sig] * _laurent_value(terms, chi.q) / qdim(sig, chi.q)
+
+
 def char_state_eval(chi: LevelCharacter, x: BlockElement):
     """sum over lam of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
 
-    F is diagonal, so the twisted trace needs only x's diagonal entries;
+    F is diagonal, so the twisted trace needs only x's diagonal entries,
+    gathered by F exponent into one Laurent polynomial in q per block;
     blocks outside the state's support contribute nothing.
     """
     _require_state_compatible(chi, x)
-    q = x.q
     total = 0
-    for sig, w in chi.weights.items():
+    for sig in chi.weights:
         rows = x.blocks.get(sig)
         if rows is None:
             continue
-        exps = f_spectrum(sig).exponents
-        tr = sum(q ** e * rows[p][p] for p, e in enumerate(exps))
-        total = total + w * tr / qdim(sig, q)
+        terms = {}
+        for p, e in enumerate(f_spectrum(sig).exponents):
+            _add_term(terms, e, rows[p][p])
+        total = total + _block_share(chi, sig, terms)
     return total
 
 
@@ -247,19 +290,19 @@ def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
     sum over lam of weight(lam) / qdim(lam) * sum_p q^(e_p) sum_r x_pr y_rp.
 
     Only the diagonal of each block product is built, with the same terms
-    in the same order as `@` followed by `char_state_eval`, so the value is
-    identical for exact and for complex-float entries alike; the level and
-    q checks are those of the two.
+    in the same order as `@`, and it is gathered by F exponent exactly as
+    in `char_state_eval`, so the value is identical for exact and for
+    complex-float entries alike; the level and q checks are those of the
+    two.
     """
     x._require_compatible(y)
     _require_state_compatible(chi, x)
-    q = x.q
     total = 0
-    for sig, w in chi.weights.items():
+    for sig in chi.weights:
         xs, ys = x.blocks.get(sig), y.blocks.get(sig)
         if xs is None or ys is None:
             continue
-        tr = 0
+        terms = {}
         for p, (row, e) in enumerate(zip(xs, f_spectrum(sig).exponents)):
             entry = 0
             for a, yr in zip(row, ys):
@@ -267,8 +310,8 @@ def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
                     b = yr[p]
                     if b:
                         entry = entry + a * b
-            tr = tr + q ** e * entry
-        total = total + w * tr / qdim(sig, q)
+            _add_term(terms, e, entry)
+        total = total + _block_share(chi, sig, terms)
     return total
 
 
@@ -283,7 +326,11 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     """Imaginary-time flow at integer time: entry (p, r) of each block is
     multiplied by q^(s * (exp_p - exp_r)).
 
-    s = 1 is the KMS twist y -> F y F^(-1); the group law
+    With q = a/b the factor q^m is the integer pair (a^m, b^m), or
+    (b^-m, a^-m) for m < 0, so an exact entry v becomes
+    Fraction(v.numerator * a^m, v.denominator * b^m); a complex-float
+    entry is multiplied by the factor as a `Fraction`.  s = 1 is the KMS
+    twist y -> F y F^(-1); the group law
     scaling(scaling(x, s), t) = scaling(x, s + t) holds exactly.
     """
     if s != int(s):
@@ -291,15 +338,29 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     s = int(s)
     if s == 0:
         return x
-    q = x.q
-    factors = _difference_table(x, lambda k: q ** (s * k))
+    a, b = x.q.numerator, x.q.denominator
+
+    def factor(k):
+        m = s * k
+        return (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
+
+    factors = _difference_table(x, factor)
     blocks = {}
     for sig, rows in x.blocks.items():
         exps = f_spectrum(sig).exponents
-        blocks[sig] = tuple(
-            tuple(v * factors[ep - er] if v else v for v, er in zip(row, exps))
-            for row, ep in zip(rows, exps)
-        )
+        scaled = []
+        for row, ep in zip(rows, exps):
+            out = list(row)
+            for r, (v, er) in enumerate(zip(row, exps)):
+                if v:
+                    n, d = factors[ep - er]
+                    out[r] = (
+                        Fraction(v.numerator * n, v.denominator * d)
+                        if _is_exact(v)
+                        else v * Fraction(n, d)
+                    )
+            scaled.append(tuple(out))
+        blocks[sig] = tuple(scaled)
     return BlockElement(x.level, x.q, blocks)
 
 
@@ -320,14 +381,61 @@ def scaling_unitary(x: BlockElement, t: float) -> BlockElement:
     return BlockElement(x.level, x.q, blocks)
 
 
+def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]:
+    """The two sides of the KMS identity on one block, each as an exponent
+    -> coefficient map of a Laurent polynomial in q.
+
+    Left, Tr(F x sigma(y)): x_pr y_rp carries q^(e_p) from F and
+    q^(e_r - e_p) from the flow, so it is added at e_p + (e_r - e_p) = e_r,
+    column by column over x's rows; sigma(y) is never built.  Right,
+    Tr(F y x): y_pr x_rp is added at e_p, row by row over y's rows.
+    """
+    d = len(exps)
+    cols = [0] * d
+    for p, row in enumerate(xs):
+        for r, a in enumerate(row):
+            if a:
+                b = ys[r][p]
+                if b:
+                    cols[r] = cols[r] + a * b
+    lhs, rhs = {}, {}
+    for r in range(d):
+        _add_term(lhs, exps[r], cols[r])
+    for p, (row, ep) in enumerate(zip(ys, exps)):
+        entry = 0
+        for a, xr in zip(row, xs):
+            if a:
+                b = xr[p]
+                if b:
+                    entry = entry + a * b
+        _add_term(rhs, ep, entry)
+    return lhs, rhs
+
+
+def _kms_sides(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:
+    """chi(x * scaling(y, 1)) and chi(y * x), computed independently."""
+    x._require_compatible(y)
+    _require_state_compatible(chi, x)
+    lhs = rhs = 0
+    for sig in chi.weights:
+        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+        if xs is None or ys is None:
+            continue
+        left, right = _kms_terms(xs, ys, f_spectrum(sig).exponents)
+        lhs = lhs + _block_share(chi, sig, left)
+        rhs = rhs + _block_share(chi, sig, right)
+    return lhs, rhs
+
+
 def kms_check(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> bool:
     """The beta = -1 KMS identity at imaginary time, exactly:
     chi(x * scaling(y, 1)) equals chi(y * x).
 
-    Both sides are computed, by `state_of_product`, and compared; neither
-    product is formed.
+    Both sides are computed, each block's as a separate integer Laurent
+    sum in q, and compared; neither product nor scaling(y, 1) is formed.
     """
-    return state_of_product(chi, x, scaling(y, 1)) == state_of_product(chi, y, x)
+    lhs, rhs = _kms_sides(chi, x, y)
+    return lhs == rhs
 
 
 def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
@@ -358,16 +466,22 @@ def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
 
 def check_f_compatibility(nu: Signature, q: Fraction) -> FCompatReport:
     """Verify that F on each pattern group of nu equals the group label's F
-    scaled by the cotransition q-power, entry by entry and exactly."""
+    scaled by the cotransition q-power, entry by entry and exactly.
+
+    Every entry is a power of q, and q^e is injective on 0 < q < 1, so the
+    check compares exponents: big[offset + i] == shift + small[i], where
+    wq(lam, nu, q) = q^shift.
+    """
     if nu.level < 2:
         raise ValueError("need a signature of level >= 2")
     q = check_q(q)
     big = f_spectrum(nu).exponents
     for lam, offset, size in pattern_groups(nu):
-        factor = wq(lam, nu, q)
+        n = lam.level
+        shift = (n + 1) * lam.size - n * nu.size  # wq(lam, nu, q) = q^shift
         small = f_spectrum(lam).exponents
         for i in range(size):
-            if q ** big[offset + i] != factor * q ** small[i]:
+            if big[offset + i] != shift + small[i]:
                 return FCompatReport(False, lam, i)
     return FCompatReport(True)
 

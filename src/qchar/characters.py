@@ -10,7 +10,7 @@ evaluation, exact and on the torus.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import lcm
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, enumerate_down, interlaces
@@ -46,7 +46,9 @@ class LevelCharacter:
             if w <= 0:
                 raise ValueError(f"weights must be positive: {sig} -> {w}")
             weights[sig] = w
-        if sum(weights.values()) != 1:
+        # sum n_i / d_i == 1 in integers: sum n_i (D / d_i) == D, D = lcm(d_i)
+        common = lcm(*(w.denominator for w in weights.values()))
+        if sum(w.numerator * (common // w.denominator) for w in weights.values()) != common:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "weights", weights)
 
@@ -182,8 +184,11 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
     return total
 
 
+TORUS_PRECISION = 1e-12
+
+
 def sgf_eval_torus(
-    chi: LevelCharacter, z: Sequence[complex], precision: float = 1e-12
+    chi: LevelCharacter, z: Sequence[complex], precision: float = TORUS_PRECISION
 ) -> complex:
     """Generating function paired with the torus, in floating point.
 
@@ -192,12 +197,15 @@ def sgf_eval_torus(
     each Schur value comes from the branching rule, whose terms are all
     positive at z = (1, ..., 1).  Rounding therefore stays relative to the
     normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12 and
-    |S(1, ..., 1) - 1| <= 1e-12.
+    |S(1, ..., 1) - 1| <= 1e-12.  `precision`, the unit-modulus tolerance,
+    lies in [0, TORUS_PRECISION]: it can only tighten the test, since
+    points further off the torus void that bound.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
-    if not (isfinite(precision) and precision >= 0):
-        raise ValueError(f"precision must be finite and nonnegative, got {precision}")
+    # written so that a NaN precision fails the comparison
+    if not 0 <= precision <= TORUS_PRECISION:
+        raise ValueError(f"precision must lie in [0, {TORUS_PRECISION}], got {precision}")
     zs = [complex(v) for v in z]
     # written so that a NaN or infinite coordinate fails the comparison
     if not all(abs(abs(v) - 1.0) <= precision for v in zs):

@@ -205,8 +205,7 @@ def _cmd_kms_check(args):
             raise ValueError("pass both --x and --y, or neither")
         x = _block_arg(args.x)
         y = _block_arg(args.y)
-        lhs = blocks.state_of_product(chi, x, blocks.scaling(y, 1))
-        rhs = blocks.state_of_product(chi, y, x)
+        lhs, rhs = blocks._kms_sides(chi, x, y)
         ok = lhs == rhs
         return (0 if ok else 1), {
             "pass": ok,
@@ -307,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sgf-torus", _cmd_sgf_torus, "generating function on the torus")
     p.add_argument("--char", required=True)
     p.add_argument("--z", required=True, help="JSON array of [re, im] unit-modulus pairs")
-    p.add_argument("--precision", type=float, default=1e-12)
+    p.add_argument(
+        "--precision", type=float, default=characters.TORUS_PRECISION,
+        help="unit-modulus tolerance, in [0, 1e-12]",
+    )
 
     p = add("coherent-check", _cmd_coherent_check, "verify a coherent family")
     p.add_argument("--family", required=True)

@@ -11,14 +11,19 @@ from functools import lru_cache
 from itertools import product
 
 from qchar import (
+    BlockElement,
     LevelCharacter,
     Signature,
     enumerate_down,
     enumerate_gt_patterns,
+    f_spectrum,
+    qdim,
     restrict,
     sgf_eval,
     weight,
+    wq,
 )
+from qchar.blocks import FCompatReport, pattern_groups
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:
@@ -256,3 +261,75 @@ def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
     while chi.level > level:
         chi = restrict(chi)
     return chi
+
+
+def char_state_eval_oracle(chi: LevelCharacter, x: BlockElement):
+    """Reference state: sum over lam of weight(lam) * Tr(F_lam x_lam) / qdim(lam),
+    one q-power `Fraction` per diagonal entry.
+
+    The independent cross-check for the per-exponent integer sums behind
+    `char_state_eval`.
+    """
+    q = x.q
+    total = 0
+    for sig, w in chi.weights.items():
+        rows = x.blocks.get(sig)
+        if rows is None:
+            continue
+        exps = f_spectrum(sig).exponents
+        tr = sum(q ** e * rows[p][p] for p, e in enumerate(exps))
+        total = total + w * tr / qdim(sig, q)
+    return total
+
+
+def state_of_product_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement):
+    """Reference chi(x @ y) from the block diagonals, one q-power `Fraction`
+    per diagonal entry of the product."""
+    q = x.q
+    total = 0
+    for sig, w in chi.weights.items():
+        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+        if xs is None or ys is None:
+            continue
+        tr = 0
+        for p, (row, e) in enumerate(zip(xs, f_spectrum(sig).exponents)):
+            entry = sum(a * yr[p] for a, yr in zip(row, ys))
+            tr = tr + q ** e * entry
+        total = total + w * tr / qdim(sig, q)
+    return total
+
+
+def scaling_oracle(x: BlockElement, s: int) -> BlockElement:
+    """Reference imaginary-time flow: entry (p, r) times the `Fraction`
+    q^(s * (e_p - e_r))."""
+    q = x.q
+    blocks = {}
+    for sig, rows in x.blocks.items():
+        exps = f_spectrum(sig).exponents
+        blocks[sig] = tuple(
+            tuple(v * q ** (s * (ep - er)) if v else v for v, er in zip(row, exps))
+            for row, ep in zip(rows, exps)
+        )
+    return BlockElement(x.level, x.q, blocks)
+
+
+def kms_sides_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:
+    """Reference KMS sides chi(x * scaling(y, 1)) and chi(y * x), with the
+    flow applied to y as a `Fraction` matrix."""
+    return (
+        state_of_product_oracle(chi, x, scaling_oracle(y, 1)),
+        state_of_product_oracle(chi, y, x),
+    )
+
+
+def check_f_compatibility_oracle(nu: Signature, q: Fraction) -> FCompatReport:
+    """Reference F-compatibility: F on each pattern group of nu against the
+    group label's F times wq, compared as `Fraction` eigenvalues."""
+    big = f_spectrum(nu).exponents
+    for lam, offset, size in pattern_groups(nu):
+        factor = wq(lam, nu, q)
+        small = f_spectrum(lam).exponents
+        for i in range(size):
+            if q ** big[offset + i] != factor * q ** small[i]:
+                return FCompatReport(False, lam, i)
+    return FCompatReport(True)

@@ -24,9 +24,18 @@ from qchar import (
     scaling_unitary,
     state_of_product,
 )
-from qchar.blocks import _ldl_psd, pattern_groups
+from qchar import blocks
+from qchar.blocks import FSpectrum, _kms_sides, _kms_terms, _laurent_value, _ldl_psd, pattern_groups
 
-from helpers import charpoly_psd, random_character
+from helpers import (
+    char_state_eval_oracle,
+    charpoly_psd,
+    check_f_compatibility_oracle,
+    kms_sides_oracle,
+    random_character,
+    scaling_oracle,
+    state_of_product_oracle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -258,6 +267,137 @@ class TestStateOfProduct:
             char_state_eval(chi, x @ y)
         with pytest.raises(ValueError, match=str(expected.value)):
             state_of_product(chi, x, y)
+
+
+SWEEP_QS = [HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)]
+
+
+def _with_fraction_entries(x, rng):
+    """x with every nonzero entry divided by a random small denominator."""
+    divided = {
+        sig: tuple(tuple(Fraction(v, rng.randint(1, 6)) if v else v for v in row) for row in rows)
+        for sig, rows in x.blocks.items()
+    }
+    return BlockElement(x.level, x.q, divided)
+
+
+def _nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+class TestIntegerPathsAgainstOracle:
+    """The integer Laurent sums and integer flow against the per-entry
+    `Fraction` oracles in `helpers`, exactly."""
+
+    @staticmethod
+    def _cases(level, q, rng, count):
+        # level 4 keeps to blocks of side <= 20 to bound the sweep's cost
+        pool = [s for s in iter_signatures(level, -2, 2) if dimension(s) <= 20]
+        for i in range(count):
+            support = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            raw = [rng.randint(1, 9) for _ in support]
+            chi = LevelCharacter(level, q, {s: Fraction(r, sum(raw)) for s, r in zip(support, raw)})
+            # blocks partly outside the support, and one factor missing some
+            sigs = support + rng.sample(pool, min(2, len(pool)))
+            x = random_block_element(level, q, sigs, rng, density=0.5)
+            y = random_block_element(level, q, sigs[1:] or sigs, rng, density=0.5)
+            if i % 2:
+                x, y = _with_fraction_entries(x, rng), _with_fraction_entries(y, rng)
+            yield chi, x, y
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_seeded_sweep_equals_the_oracle(self, level, q):
+        rng = random.Random(1000 * level + q.denominator)
+        for chi, x, y in self._cases(level, q, rng, 6):
+            assert char_state_eval(chi, x) == char_state_eval_oracle(chi, x)
+            assert char_state_eval(chi, x @ y) == char_state_eval_oracle(chi, x @ y)
+            assert state_of_product(chi, x, y) == state_of_product_oracle(chi, x, y)
+            assert _kms_sides(chi, x, y) == kms_sides_oracle(chi, x, y)
+            assert kms_check(chi, x, y)
+            for s in range(-3, 4):
+                assert scaling(x, s) == scaling_oracle(x, s)
+            if level >= 2:
+                for nu in chi.support():
+                    assert check_f_compatibility(nu, q) == check_f_compatibility_oracle(nu, q)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{}, {0: 1}, {3: -2}, {-4: 5}, {-3: 1, -1: 2}, {1: 7, 4: -1},
+         {-2: Fraction(1, 3), 2: Fraction(-5, 6), 0: 4}, {-1: Fraction(7, 9), 5: 3}],
+    )
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    def test_laurent_value_on_every_sign_of_the_exponent_range(self, terms, q):
+        assert _laurent_value(terms, q) == sum((c * q ** e for e, c in terms.items()), Fraction(0))
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_complex_float_entries_through_scaling(self, level, q):
+        rng = random.Random(300 + level)
+        sigs = rng.sample(list(iter_signatures(level, -2, 2)), 3)
+        for _ in range(4):
+            x = scaling_unitary(random_block_element(level, q, sigs, rng, density=0.6), 0.7)
+            # exact and complex entries side by side in one block
+            mixed = {
+                sig: tuple(tuple(v if (i + j) % 2 else rng.randint(-3, 3) for j, v in enumerate(row))
+                           for i, row in enumerate(rows))
+                for sig, rows in x.blocks.items()
+            }
+            for z in (x, BlockElement(level, q, mixed)):
+                for s in range(-3, 4):
+                    assert scaling(z, s) == scaling_oracle(z, s)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_kms_sides_agree_as_laurent_polynomials(self, level):
+        # per block, the two sides are the same polynomial in q: an identity
+        # in q, stronger than agreement of the two values at one q
+        rng = random.Random(400 + level)
+        twisted = 0
+        for chi, x, y in self._cases(level, HALF, rng, 12):
+            for sig in chi.weights:
+                xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+                if xs is None or ys is None:
+                    continue
+                left, right = _kms_terms(xs, ys, f_spectrum(sig).exponents)
+                assert _nonzero(left) == _nonzero(right)
+                twisted += len(_nonzero(left)) > 1
+        # level 1 has the trivial flow: every block is a single exponent
+        assert twisted > 3 or level == 1
+
+    @pytest.mark.parametrize("nu", [sig(1, 0), sig(2, 1, -1), sig(2, 0, 0, -1)])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_f_compat_mutant_is_reported(self, nu, delta, monkeypatch):
+        # one exponent of nu's F off by one: q^e is injective on 0 < q < 1,
+        # so the exponent comparison must locate it
+        true_spectrum = f_spectrum
+        for k in range(dimension(nu)):
+            def mutated(lam, k=k):
+                exps = list(true_spectrum(lam).exponents)
+                if lam == nu:
+                    exps[k] += delta
+                return FSpectrum(lam, tuple(exps))
+
+            monkeypatch.setattr(blocks, "f_spectrum", mutated)
+            report = check_f_compatibility(nu, HALF)
+            lam, offset, _ = next(g for g in pattern_groups(nu) if g[1] <= k < g[1] + g[2])
+            assert report == blocks.FCompatReport(False, lam, k - offset)
+        monkeypatch.undo()
+        assert check_f_compatibility(nu, HALF).ok
+
+    @pytest.mark.parametrize("lam", [sig(1, 0), sig(2, 0, -1), sig(1, 0, 0, -1)])
+    def test_kms_on_matrix_units_exercises_the_twist(self, lam):
+        # u = e_pr, v = e_rp with e_p != e_r: the state is not tracial on the
+        # pair, yet the twisted identity holds
+        q = Fraction(2, 3)
+        chi = indecomposable(lam, q)
+        exps = f_spectrum(lam).exponents
+        pairs = [(p, r) for p in range(len(exps)) for r in range(len(exps)) if exps[p] != exps[r]]
+        assert pairs
+        for p, r in pairs:
+            u = BlockElement.basis_unit(lam.level, q, lam, p, r)
+            v = BlockElement.basis_unit(lam.level, q, lam, r, p)
+            assert kms_check(chi, u, v)
+            assert char_state_eval(chi, u @ v) != char_state_eval(chi, v @ u)
 
 
 class TestLdlPsd:

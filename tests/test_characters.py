@@ -42,6 +42,14 @@ class TestLevelCharacter:
         with pytest.raises(ValueError):
             LevelCharacter(1, HALF, {sig(0): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**30), Fraction(-1, 10**30)])
+    def test_weights_off_one_by_a_tiny_amount_rejected(self, eps):
+        # three denominators, so the integer test needs a nontrivial lcm
+        weights = {sig(0): Fraction(1, 3), sig(1): Fraction(1, 6), sig(2): HALF + eps}
+        assert sum(weights.values()) == 1 + eps
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            LevelCharacter(1, HALF, weights)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             LevelCharacter(1, HALF, {sig(0): 2, sig(1): -1})
@@ -215,6 +223,15 @@ class TestSgfTorus:
     def test_off_torus_rejected(self):
         with pytest.raises(ValueError):
             sgf_eval_torus(delta(HALF, 1, 0), [2, 1])
+
+    @pytest.mark.parametrize("precision", [0.5, 1e-11])
+    def test_precision_can_only_tighten(self, precision):
+        # a looser tolerance would admit points where |S(z)| <= 1 + 1e-12 fails
+        with pytest.raises(ValueError, match="precision"):
+            sgf_eval_torus(delta(HALF, 2), [1.5], precision=precision)
+
+    def test_tighter_precision_accepted(self):
+        assert sgf_eval_torus(delta(HALF, 2), [1], precision=0) == 1
 
     def test_modulus_bound(self):
         rng = random.Random(31)

@@ -59,6 +59,7 @@ MALFORMED = {
     "nan-precision": TORUS + ["--z", "[[1, 0]]", "--precision", "nan"],
     "infinite-precision": TORUS + ["--z", "[[2, 0]]", "--precision", "inf"],
     "negative-precision": TORUS + ["--z", "[[1, 0]]", "--precision=-1e-3"],
+    "loose-precision": TORUS + ["--z", "[[1.5, 0]]", "--precision", "0.5"],
     "torus-overflow": [
         "sgf-torus", "--char", CHAR % (3, '[{"sig": [300, 0, -300], "prob": "1"}]'),
         "--z", "[[1, 0], [1, 0], [1, 0]]",
