@@ -2,68 +2,97 @@
 Gelfand-Tsetlin graph: interlacing combinatorics, Schur evaluation,
 q-weighted cotransition kernels, character fusion, extreme-character
 approximants and a block-matrix model with its modular flow.
+
+The public names below are resolved on first access (PEP 562), so
+`import qchar` loads no layer and `from qchar import restrict` loads only
+the modules `restrict` needs.
 """
 
-from .combinatorics import (
-    EMPTY,
-    BoundaryParam,
-    GTPattern,
-    Signature,
-    dimension,
-    enumerate_down,
-    enumerate_gt_patterns,
-    interlaces,
-    iter_signatures,
-    shift,
-    weight,
-)
-from .schur import (
-    check_q,
-    lr_coefficients,
-    principal_specialization,
-    qbracket,
-    qdim,
-    schur_eval,
-)
-from .characters import (
-    CoherenceReport,
-    CoherentFamily,
-    LevelCharacter,
-    cotransition,
-    first_discrepancy,
-    indecomposable,
-    is_coherent,
-    restrict,
-    sgf_eval,
-    sgf_eval_torus,
-    tensor,
-    total_variation,
-    wq,
-)
-from .boundary import (
-    CorollaryReport,
-    ExtremeApproximant,
-    ak_on_measure,
-    ak_on_theta,
-    cauchy_gap,
-    extreme_character,
-    verify_corollary,
-)
-from .blocks import (
-    BlockElement,
-    DecomposeReport,
-    FCompatReport,
-    FSpectrum,
-    char_state_eval,
-    check_f_compatibility,
-    decompose_state,
-    embed,
-    f_spectrum,
-    kms_check,
-    random_block_element,
-    scaling,
-    scaling_unitary,
-    state_of_product,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "combinatorics": (
+        "EMPTY",
+        "BoundaryParam",
+        "GTPattern",
+        "Signature",
+        "dimension",
+        "enumerate_down",
+        "enumerate_gt_patterns",
+        "interlaces",
+        "iter_signatures",
+        "shift",
+        "weight",
+    ),
+    "schur": (
+        "check_q",
+        "lr_coefficients",
+        "principal_specialization",
+        "qbracket",
+        "qdim",
+        "schur_eval",
+    ),
+    "characters": (
+        "CoherenceReport",
+        "CoherentFamily",
+        "LevelCharacter",
+        "cotransition",
+        "first_discrepancy",
+        "indecomposable",
+        "is_coherent",
+        "restrict",
+        "sgf_eval",
+        "sgf_eval_torus",
+        "tensor",
+        "total_variation",
+        "wq",
+    ),
+    "boundary": (
+        "CorollaryReport",
+        "ExtremeApproximant",
+        "ak_on_measure",
+        "ak_on_theta",
+        "cauchy_gap",
+        "extreme_character",
+        "verify_corollary",
+    ),
+    "blocks": (
+        "BlockElement",
+        "DecomposeReport",
+        "FCompatReport",
+        "FSpectrum",
+        "char_state_eval",
+        "check_f_compatibility",
+        "decompose_state",
+        "embed",
+        "f_spectrum",
+        "kms_check",
+        "random_block_element",
+        "scaling",
+        "scaling_unitary",
+        "state_of_product",
+    ),
+}
+
+# public name -> the submodule that defines it
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_ORIGIN, *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

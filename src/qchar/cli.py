@@ -9,17 +9,26 @@ byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
+
+Each handler imports the layer (characters, boundary or blocks) it calls,
+so a request loads only what its subcommand uses.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import blocks, boundary, characters, jsonio, schur
+from . import jsonio, schur
 from .combinatorics import Signature
 from .schur import check_q
+
+if TYPE_CHECKING:
+    from .blocks import BlockElement
+    from .characters import LevelCharacter
 
 
 def _json_arg(text: str):
@@ -42,11 +51,11 @@ def _sig_arg(text: str) -> Signature:
     return jsonio.signature_from_json(_json_arg(text))
 
 
-def _char_arg(text: str) -> characters.LevelCharacter:
+def _char_arg(text: str) -> LevelCharacter:
     return jsonio.character_from_json(_json_arg(text))
 
 
-def _block_arg(text: str) -> blocks.BlockElement:
+def _block_arg(text: str) -> BlockElement:
     return jsonio.block_from_json(_json_arg(text))
 
 
@@ -97,6 +106,8 @@ def _cmd_lr(args):
 
 
 def _cmd_cotransition(args):
+    from . import characters
+
     rows = characters.cotransition(_sig_arg(args.sig), _q_arg(args.q))
     return 0, {
         "rows": [
@@ -107,24 +118,32 @@ def _cmd_cotransition(args):
 
 
 def _cmd_restrict(args):
+    from . import characters
+
     chi = characters.restrict(_char_arg(args.char))
     return 0, jsonio.character_to_json(chi)
 
 
 def _cmd_tensor(args):
+    from . import characters
+
     chi = characters.tensor(_char_arg(args.left), _char_arg(args.right))
     return 0, jsonio.character_to_json(chi)
 
 
 def _cmd_sgf_eval(args):
+    from . import characters
+
     value = characters.sgf_eval(_char_arg(args.char), _points_arg(args.points))
     return 0, {"value": jsonio.format_scalar(value)}
 
 
 def _cmd_sgf_torus(args):
-    value = characters.sgf_eval_torus(
-        _char_arg(args.char), _torus_arg(args.z), precision=args.precision
-    )
+    from . import characters
+
+    # without --precision the function's own default applies
+    tol = {} if args.precision is None else {"precision": args.precision}
+    value = characters.sgf_eval_torus(_char_arg(args.char), _torus_arg(args.z), **tol)
     return 0, {
         "value": {"re": value.real, "im": value.imag},
         "abs": abs(value),
@@ -132,6 +151,8 @@ def _cmd_sgf_torus(args):
 
 
 def _cmd_coherent_check(args):
+    from . import characters
+
     family = jsonio.family_from_json(_json_arg(args.family))
     report = characters.is_coherent(family)
     violation = None
@@ -152,6 +173,8 @@ def _cmd_coherent_check(args):
 
 
 def _cmd_extreme(args):
+    from . import boundary
+
     approx = boundary.extreme_character(
         jsonio.theta_from_json(_json_arg(args.theta)),
         args.level,
@@ -162,6 +185,8 @@ def _cmd_extreme(args):
 
 
 def _cmd_ak(args):
+    from . import boundary
+
     if (args.theta is None) == (args.char is None):
         raise ValueError("pass exactly one of --theta or --char")
     jsonio.check_parts([args.k], "--k")
@@ -176,6 +201,8 @@ def _cmd_ak(args):
 
 
 def _cmd_verify_corollary(args):
+    from . import boundary
+
     jsonio.check_parts([args.k], "--k")
     report = boundary.verify_corollary(
         jsonio.theta_from_json(_json_arg(args.theta)),
@@ -199,6 +226,10 @@ def _cmd_verify_corollary(args):
 
 
 def _cmd_kms_check(args):
+    import random
+
+    from . import blocks
+
     chi = _char_arg(args.state)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None:
@@ -232,6 +263,8 @@ def _cmd_kms_check(args):
 
 
 def _cmd_f_compat(args):
+    from . import blocks
+
     report = blocks.check_f_compatibility(_sig_arg(args.sig), _q_arg(args.q))
     violation = None
     if not report.ok:
@@ -243,6 +276,8 @@ def _cmd_f_compat(args):
 
 
 def _cmd_decompose(args):
+    from . import blocks
+
     carrier = _block_arg(args.densities)
     report = blocks.decompose_state(carrier.blocks, carrier.q)
     if report.ok:
@@ -255,6 +290,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_embed(args):
+    from . import blocks
+
     x = _block_arg(args.block)
     raw = _json_arg(args.targets)
     if not isinstance(raw, list):
@@ -306,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sgf-torus", _cmd_sgf_torus, "generating function on the torus")
     p.add_argument("--char", required=True)
     p.add_argument("--z", required=True, help="JSON array of [re, im] unit-modulus pairs")
-    p.add_argument(
-        "--precision", type=float, default=characters.TORUS_PRECISION,
-        help="unit-modulus tolerance, in [0, 1e-12]",
-    )
+    p.add_argument("--precision", type=float, help="unit-modulus tolerance, in [0, 1e-12]")
 
     p = add("coherent-check", _cmd_coherent_check, "verify a coherent family")
     p.add_argument("--family", required=True)

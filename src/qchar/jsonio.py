@@ -5,13 +5,20 @@ Parsing is strict and raises ValueError with a usable message; emitted
 structures round-trip through the parsers bit for bit.
 """
 
+from __future__ import annotations
+
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .boundary import ExtremeApproximant
-from .characters import CoherentFamily, LevelCharacter
 from .combinatorics import BoundaryParam, Signature
-from .blocks import BlockElement
+
+# the parsers import the layer they build when called, so a command loads
+# only the layers it uses
+if TYPE_CHECKING:
+    from .blocks import BlockElement
+    from .boundary import ExtremeApproximant
+    from .characters import CoherentFamily, LevelCharacter
 
 
 # Largest magnitude of a signature part, a boundary-parameter entry or a
@@ -87,6 +94,8 @@ def character_to_json(chi: LevelCharacter) -> dict:
 
 
 def character_from_json(data) -> LevelCharacter:
+    from .characters import LevelCharacter
+
     level, q, entries = _document(data, "character", "entries", "prob")
     weights = {signature_from_json(e["sig"]): parse_scalar(e["prob"]) for e in entries}
     return LevelCharacter(level, q, weights)
@@ -100,6 +109,8 @@ def family_to_json(family: CoherentFamily) -> dict:
 
 
 def family_from_json(data) -> CoherentFamily:
+    from .characters import CoherentFamily
+
     if (
         not isinstance(data, dict)
         or not isinstance(data.get("levels"), list)
@@ -140,6 +151,8 @@ def block_to_json(x: BlockElement) -> dict:
 
 
 def block_from_json(data) -> BlockElement:
+    from .blocks import BlockElement
+
     level, q, entries = _document(data, "block element", "blocks", "matrix")
     blocks = {}
     for entry in entries:

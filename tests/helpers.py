@@ -5,11 +5,16 @@ enumeration, leading-term stripping) and independent of the fast paths in
 the package; they are the reference every derived value is checked against.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
+import qchar
 from qchar import (
     BlockElement,
     LevelCharacter,
@@ -24,6 +29,19 @@ from qchar import (
     wq,
 )
 from qchar.blocks import FCompatReport, pattern_groups
+
+
+def run_fresh(*argv, timeout):
+    """Run `python *argv` in a new interpreter that imports this checkout's qchar."""
+    src = str(Path(qchar.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:
@@ -201,6 +219,39 @@ def schur_eval_branching_oracle(lam: Signature, points) -> Fraction:
         return sum((s(mu) * y ** (nu.size - mu.size) for mu in enumerate_down(nu)), Fraction(0))
 
     return s(lam)
+
+
+def _gaussian_mul(a: tuple, b: tuple) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def sgf_eval_torus_oracle(chi: LevelCharacter, z) -> tuple[Fraction, Fraction]:
+    """Exact value of the torus pairing at Gaussian-rational points of unit
+    modulus, each z_i a pair (re, im) of Fractions with re^2 + im^2 = 1.
+
+    Sums sum over lam of P(lam) s_lam(z_1, q^-2 z_2, ...) / s_lam(1, q^-2, ...)
+    pattern by pattern, both Schur values as sums over GT patterns; a
+    negative power of z_i is a power of its conjugate, z^-1 = conj(z) on
+    the unit circle.  Returns the real and imaginary parts.
+    """
+    pts = [(Fraction(re), Fraction(im)) for re, im in z]
+    if len(pts) != chi.level or any(re * re + im * im != 1 for re, im in pts):
+        raise ValueError(f"need {chi.level} points of unit modulus, got {pts}")
+    t = chi.q ** -2
+    total = (Fraction(0), Fraction(0))
+    for lam, p in chi.weights.items():
+        top, norm = (Fraction(0), Fraction(0)), Fraction(0)
+        for pattern in enumerate_gt_patterns(lam):
+            w = weight(pattern)
+            scale = t ** sum(i * e for i, e in enumerate(w))
+            term = (scale, Fraction(0))
+            for (re, im), e in zip(pts, w):
+                for _ in range(abs(e)):
+                    term = _gaussian_mul(term, (re, im if e > 0 else -im))
+            top = (top[0] + term[0], top[1] + term[1])
+            norm += scale
+        total = (total[0] + p * top[0] / norm, total[1] + p * top[1] / norm)
+    return total
 
 
 def check_product(

@@ -20,7 +20,7 @@ from qchar import (
     wq,
 )
 
-from helpers import check_product, random_character, random_points
+from helpers import check_product, random_character, random_points, sgf_eval_torus_oracle
 
 HALF = Fraction(1, 2)
 
@@ -241,6 +241,28 @@ class TestSgfTorus:
         for _ in range(50):
             z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]
             assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
+
+
+    # points of the unit circle with rational coordinates, from Pythagorean triples
+    PYTHAGOREAN = [
+        (Fraction(a, c), Fraction(b, c))
+        for a, b, c in [(3, 4, 5), (5, -12, 13), (-8, 15, 17), (-20, -21, 29), (0, 1, 1)]
+    ]
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_exact_at_gaussian_rational_points(self, level, q):
+        rng = random.Random(100 * level + q.denominator)
+        everything = list(iter_signatures(level, -3, 3))
+        share = Fraction(1, len(everything))
+        uniform = LevelCharacter(level, q, {lam: share for lam in everything})
+        for chi in [uniform] + [random_character(level, q, rng, lo=-3, hi=3) for _ in range(4)]:
+            for _ in range(2):
+                z = [rng.choice(self.PYTHAGOREAN) for _ in range(level)]
+                re, im = sgf_eval_torus_oracle(chi, z)
+                assert re * re + im * im <= 1
+                value = sgf_eval_torus(chi, [complex(a, b) for a, b in z])
+                assert abs(value - complex(re, im)) <= 1e-12
 
 
 class TestCheckProduct:

@@ -1,12 +1,8 @@
 import contextlib
 import io
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +20,7 @@ from qchar import jsonio
 from qchar.cli import main
 from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
-from helpers import random_character
+from helpers import random_character, run_fresh
 
 DELTA_10 = '{"level": 2, "q": "1/2", "entries": [{"sig": [1, 0], "prob": "1"}]}'
 CHAR = '{"level": %s, "q": "1/2", "entries": %s}'
@@ -72,22 +68,56 @@ MALFORMED = {
 }
 
 
+LEVEL_1 = CHAR % (1, '[{"sig": [0], "prob": "4/5"}, {"sig": [1], "prob": "1/5"}]')
+BLOCK_1 = BLOCK % (1, '[{"sig": [0], "matrix": [["1"]]}]')
+THETA_0 = '{"head": [], "tail": 0}'
+
+# one small valid request per subcommand, with the layers it must leave unloaded
+LAZY = {
+    "qdim": (["qdim", "--q", "1/2", "--sig", "[2, 1, 0]"], {"characters", "boundary", "blocks"}),
+    "schur-eval": (
+        ["schur-eval", "--sig", "[1, 0]", "--points", '["1/2", "1/3"]'],
+        {"characters", "boundary", "blocks"},
+    ),
+    "lr": (["lr", "--left", "[1, 0]", "--right", "[1, 0]"], {"characters", "boundary", "blocks"}),
+    "cotransition": (["cotransition", "--q", "1/2", "--sig", "[1, 0]"], {"boundary", "blocks"}),
+    "restrict": (["restrict", "--char", DELTA_10], {"boundary", "blocks"}),
+    "tensor": (["tensor", "--left", DELTA_10, "--right", DELTA_10], {"boundary", "blocks"}),
+    "sgf-eval": (
+        ["sgf-eval", "--char", DELTA_10, "--points", '["1/2", "1/3"]'], {"boundary", "blocks"}
+    ),
+    "sgf-torus": (TORUS + ["--z", "[[0.6, 0.8]]"], {"boundary", "blocks"}),
+    "coherent-check": (
+        ["coherent-check", "--family", '{"q": "1/2", "levels": [%s, %s]}' % (LEVEL_1, DELTA_10)],
+        {"boundary", "blocks"},
+    ),
+    "extreme": (THETA + [THETA_0], {"blocks"}),
+    "ak": (["ak", "--k", "1", "--theta", THETA_0], {"blocks"}),
+    "verify-corollary": (
+        ["verify-corollary", "--q", "1/2", "--theta", THETA_0, "--k", "1",
+         "--level", "1", "--trunc", "2"],
+        {"blocks"},
+    ),
+    "kms-check": (["kms-check", "--state", DELTA_10, "--trials", "2"], {"boundary"}),
+    "f-compat": (["f-compat", "--q", "1/2", "--sig", "[1, 0]"], {"boundary"}),
+    "decompose": (["decompose", "--densities", BLOCK_1], {"boundary"}),
+    "embed": (EMBED + [BLOCK_1], {"boundary"}),
+}
+
+# runs one request through the console-script entry point in a fresh
+# interpreter, then prints its exit code and the qchar modules it loaded
+LOADED = """
+import contextlib, io, json, sys
+from qchar.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qchar"))]))
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
-
-
-def run_fresh(*argv, timeout):
-    """Run `python *argv` in a new interpreter that imports this checkout's qchar."""
-    src = str(Path(qchar.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
 
 
 class TestBasicCommands:
@@ -95,6 +125,25 @@ class TestBasicCommands:
         code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", "[1,0]")
         assert code == 0
         assert json.loads(out) == {"value": "5/2"}
+
+    def test_sgf_torus_default_precision_is_the_stated_bound(self, capsys):
+        char = CHAR % (2, '[{"sig": [2, -1], "prob": "1/3"}, {"sig": [0, 0], "prob": "2/3"}]')
+        argv = ["sgf-torus", "--char", char, "--z", "[[0.6, 0.8], [0, -1]]"]
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0
+        assert default == run_cli(capsys, *argv, "--precision", "1e-12")
+        # a point 5e-13 off the torus passes the default test, not a tighter one
+        off = TORUS + ["--z", "[[1.0000000000005, 0]]"]
+        assert run_cli(capsys, *off)[0] == 0
+        assert run_cli(capsys, *off, "--precision", "1e-13")[0] == 2
+
+    def test_sgf_torus_help_states_the_bound_without_a_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sgf-torus", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "unit-modulus tolerance, in [0, 1e-12]" in out
+        assert "default" not in out
 
     def test_schur_eval(self, capsys):
         code, out = run_cli(
@@ -145,9 +194,26 @@ class TestBasicCommands:
 
 class TestFreshProcess:
     def test_import_leaves_numpy_unloaded(self):
-        proc = run_fresh("-c", "import sys, qchar.cli; print('numpy' in sys.modules)", timeout=60)
+        script = "import json, sys, qchar.cli; print(json.dumps(sorted(sys.modules)))"
+        proc = run_fresh("-c", script, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = set(json.loads(proc.stdout))
+        assert "numpy" not in loaded
+        # nor a layer that only some subcommands call
+        assert not {"qchar.blocks", "qchar.boundary", "qchar.characters"} & loaded
+
+    @pytest.mark.parametrize("command", list(LAZY))
+    def test_subcommand_loads_only_its_layers(self, command):
+        argv, unloaded = LAZY[command]
+        proc = run_fresh("-c", LOADED, *argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        assert not {f"qchar.{m}" for m in unloaded} & set(loaded), loaded
+        if command == "qdim":
+            assert loaded == [
+                "qchar", "qchar.cli", "qchar.combinatorics", "qchar.jsonio", "qchar.schur"
+            ]
 
     def test_constant_sequence_at_a_huge_truncation(self):
         proc = run_fresh(
