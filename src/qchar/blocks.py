@@ -24,13 +24,13 @@ the F-compatibility check compares exponents.
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
     Signature,
+    _Frozen,
     dimension,
     enumerate_down,
     enumerate_gt_patterns,
@@ -42,26 +42,27 @@ from .schur import check_q, qdim
 Matrix = tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class FSpectrum:
+class FSpectrum(_Frozen):
     """Diagonal exponents of F on one block, in canonical pattern order."""
 
-    signature: Signature
-    exponents: tuple[int, ...]
+    __slots__ = ("signature", "exponents")
+
+    def __init__(self, signature: Signature, exponents: tuple[int, ...]):
+        self._set(signature, exponents)
 
 
-@dataclass(frozen=True)
-class FCompatReport:
-    ok: bool
-    sig: Signature | None = None
-    index: int | None = None
+class FCompatReport(_Frozen):
+    __slots__ = ("ok", "sig", "index")
+
+    def __init__(self, ok: bool, sig: Signature | None = None, index: int | None = None):
+        self._set(ok, sig, index)
 
 
-@dataclass(frozen=True)
-class DecomposeReport:
-    ok: bool
-    coefficients: dict | None = None
-    reason: str | None = None
+class DecomposeReport(_Frozen):
+    __slots__ = ("ok", "coefficients", "reason")
+
+    def __init__(self, ok: bool, coefficients: dict | None = None, reason: str | None = None):
+        self._set(ok, coefficients, reason)
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +127,7 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-@dataclass(frozen=True)
-class BlockElement:
+class BlockElement(_Frozen):
     """Finitely supported signature -> square matrix map at one level.
 
     Matrix entries are exact (int or Fraction) or complex floats; each
@@ -135,24 +135,22 @@ class BlockElement:
     columns indexed by patterns in canonical order.  Absent blocks are zero.
     """
 
-    level: int
-    q: Fraction
-    blocks: Mapping[Signature, Matrix]
+    __slots__ = ("level", "q", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
-        if self.level < 1:
+    def __init__(self, level: int, q: Fraction, blocks: Mapping[Signature, Matrix]):
+        q = check_q(q)
+        if level < 1:
             raise ValueError("block elements live at level >= 1")
-        blocks = {}
-        for sig, rows in self.blocks.items():
-            if sig.level != self.level:
-                raise ValueError(f"{sig} is not a level-{self.level} signature")
+        frozen = {}
+        for sig, rows in blocks.items():
+            if sig.level != level:
+                raise ValueError(f"{sig} is not a level-{level} signature")
             d = dimension(sig)
             rows = _freeze(rows)
             if len(rows) != d or any(len(r) != d for r in rows):
                 raise ValueError(f"block at {sig} must be {d}x{d}")
-            blocks[sig] = rows
-        object.__setattr__(self, "blocks", blocks)
+            frozen[sig] = rows
+        self._set(level, q, frozen)
 
     @classmethod
     def identity(cls, level: int, q: Fraction, sigs: Iterable[Signature]) -> "BlockElement":

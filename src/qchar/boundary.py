@@ -10,11 +10,10 @@ walking the levels), and tensoring with that rectangle realizes the shift
 of the parameter sequence.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .combinatorics import BoundaryParam, Signature, shift
+from .combinatorics import BoundaryParam, Signature, _Frozen, shift
 from .characters import (
     LevelCharacter,
     first_discrepancy,
@@ -25,23 +24,29 @@ from .characters import (
 from .schur import check_q, qdim
 
 
-@dataclass(frozen=True)
-class ExtremeApproximant:
-    theta: BoundaryParam
-    level: int
-    truncation: int
-    measure: LevelCharacter
+class ExtremeApproximant(_Frozen):
+    __slots__ = ("theta", "level", "truncation", "measure")
+
+    def __init__(
+        self, theta: BoundaryParam, level: int, truncation: int, measure: LevelCharacter
+    ):
+        self._set(theta, level, truncation, measure)
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(_Frozen):
     """Outcome of the determinant-absorption check at one truncation."""
 
-    ok: bool
-    tensored: LevelCharacter
-    shifted: LevelCharacter
-    gap: Fraction
-    discrepancy: Signature | None = None
+    __slots__ = ("ok", "tensored", "shifted", "gap", "discrepancy")
+
+    def __init__(
+        self,
+        ok: bool,
+        tensored: LevelCharacter,
+        shifted: LevelCharacter,
+        gap: Fraction,
+        discrepancy: Signature | None = None,
+    ):
+        self._set(ok, tensored, shifted, gap, discrepancy)
 
 
 def _pushdown(nu: Signature, level: int, q: Fraction) -> dict[Signature, Fraction]:

@@ -8,12 +8,11 @@ cotransition kernel, restriction, coherence checking, the tensor product
 evaluation, exact and on the torus.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .combinatorics import Signature, enumerate_down, interlaces
+from .combinatorics import Signature, _Frozen, enumerate_down, interlaces
 from .schur import (
     _branching,
     _evaluator,
@@ -24,60 +23,56 @@ from .schur import (
 )
 
 
-@dataclass(frozen=True)
-class LevelCharacter:
+class LevelCharacter(_Frozen):
     """A level plus a finitely supported probability measure on signatures.
 
     Weights are strictly positive rationals summing to exactly 1.  The
     unique level-0 character is the point mass at the empty signature.
     """
 
-    level: int
-    q: Fraction
-    weights: Mapping[Signature, Fraction]
+    __slots__ = ("level", "q", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
-        weights = {}
-        for sig, w in self.weights.items():
-            if sig.level != self.level:
-                raise ValueError(f"{sig} is not a level-{self.level} signature")
+    def __init__(self, level: int, q: Fraction, weights: Mapping[Signature, Fraction]):
+        q = check_q(q)
+        checked = {}
+        for sig, w in weights.items():
+            if sig.level != level:
+                raise ValueError(f"{sig} is not a level-{level} signature")
             w = Fraction(w)
             if w <= 0:
                 raise ValueError(f"weights must be positive: {sig} -> {w}")
-            weights[sig] = w
+            checked[sig] = w
         # sum n_i / d_i == 1 in integers: sum n_i (D / d_i) == D, D = lcm(d_i)
-        common = lcm(*(w.denominator for w in weights.values()))
-        if sum(w.numerator * (common // w.denominator) for w in weights.values()) != common:
+        common = lcm(*(w.denominator for w in checked.values()))
+        if sum(w.numerator * (common // w.denominator) for w in checked.values()) != common:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", weights)
+        self._set(level, q, checked)
 
     def support(self) -> list[Signature]:
         return sorted(self.weights, key=lambda s: s.parts)
 
 
-@dataclass(frozen=True)
-class CoherentFamily:
+class CoherentFamily(_Frozen):
     """Characters at levels 1..M sharing q; coherence is checked separately."""
 
-    q: Fraction
-    measures: tuple[LevelCharacter, ...]
+    __slots__ = ("q", "measures")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
-        object.__setattr__(self, "measures", tuple(self.measures))
-        for i, chi in enumerate(self.measures):
+    def __init__(self, q: Fraction, measures: tuple[LevelCharacter, ...]):
+        q = check_q(q)
+        measures = tuple(measures)
+        for i, chi in enumerate(measures):
             if chi.level != i + 1:
                 raise ValueError(f"measure {i} has level {chi.level}, expected {i + 1}")
-            if chi.q != self.q:
+            if chi.q != q:
                 raise ValueError("all levels must share the same q")
+        self._set(q, measures)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    ok: bool
-    level: int | None = None
-    sig: Signature | None = None
+class CoherenceReport(_Frozen):
+    __slots__ = ("ok", "level", "sig")
+
+    def __init__(self, ok: bool, level: int | None = None, sig: Signature | None = None):
+        self._set(ok, level, sig)
 
 
 def indecomposable(lam: Signature, q: Fraction) -> LevelCharacter:

@@ -3,16 +3,62 @@
 Everything in this module is a pure function on immutable values; the
 enumeration orders are fixed and documented so that downstream output
 (generating-function sums, matrix blocks, JSON) is deterministic.
+
+`_Frozen` is the base of every value class in the package (signatures,
+patterns, boundary parameters, characters, reports, block elements): a
+slotted class with the equality, hash, repr and immutability of a frozen
+dataclass, without importing `dataclasses`.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Frozen:
+    """Immutable value whose fields are the subclass's ``__slots__``, in order.
+
+    Each subclass's ``__init__`` validates its arguments and sets every
+    field once, through `_set` or ``object.__setattr__``.  Equality holds
+    only between instances of the same class with equal field tuples, the
+    hash is the hash of the field tuple (a TypeError when a field is a
+    dict), the repr is ``Name(field=value, ...)``, assignment and deletion
+    raise AttributeError, and copies and pickles are rebuilt by the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Signature(_Frozen):
     """Nonincreasing integer tuple of length N (the level).
 
     Labels an irreducible representation of the rank-N (quantum) unitary
@@ -20,13 +66,24 @@ class Signature:
     unique label at rank zero.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        for a, b in zip(self.parts, self.parts[1:]):
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(map(int, parts))
+        object.__setattr__(self, "parts", parts)
+        for a, b in zip(parts, parts[1:]):
             if a < b:
-                raise ValueError(f"signature parts must be nonincreasing: {self.parts}")
+                raise ValueError(f"signature parts must be nonincreasing: {parts}")
+
+    # the package's hottest dict key: the base class's equality and hash
+    # values, without its loop over the fields
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def level(self) -> int:
@@ -44,8 +101,7 @@ class Signature:
 EMPTY = Signature(())
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(_Frozen):
     """Triangular array of pairwise interlacing rows; row k has length k.
 
     ``rows[0]`` is the single-entry bottom row, ``rows[-1]`` the top row.
@@ -53,11 +109,10 @@ class GTPattern:
     representation labeled by t.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         if not rows:
             raise ValueError("a pattern needs at least one row")
         for k, row in enumerate(rows):
@@ -66,14 +121,14 @@ class GTPattern:
         for low, up in zip(rows, rows[1:]):
             if not _interlaces_parts(low, up):
                 raise ValueError(f"rows do not interlace: {low} within {up}")
+        self._set(rows)
 
     @property
     def top(self) -> Signature:
         return Signature(self.rows[-1])
 
 
-@dataclass(frozen=True)
-class BoundaryParam:
+class BoundaryParam(_Frozen):
     """Eventually constant nondecreasing integer sequence.
 
     Represents (head[0], ..., head[-1], tail, tail, ...).  Trailing head
@@ -81,12 +136,11 @@ class BoundaryParam:
     sequences always compare equal.
     """
 
-    head: tuple[int, ...]
-    tail: int
+    __slots__ = ("head", "tail")
 
-    def __post_init__(self):
-        head = tuple(int(h) for h in self.head)
-        tail = int(self.tail)
+    def __init__(self, head: tuple[int, ...], tail: int):
+        head = tuple(int(h) for h in head)
+        tail = int(tail)
         for a, b in zip(head, head[1:]):
             if a > b:
                 raise ValueError(f"head must be nondecreasing: {head}")
@@ -94,8 +148,7 @@ class BoundaryParam:
             raise ValueError(f"head may not exceed the tail value: {head} / {tail}")
         while head and head[-1] == tail:
             head = head[:-1]
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
+        self._set(head, tail)
 
     def entry(self, i: int) -> int:
         """The i-th sequence entry, 1-based."""

@@ -183,16 +183,30 @@ def qdim(lam: Signature, q: Fraction) -> Fraction:
     """
     q = check_q(q)
     # in integers, one Fraction at the end: with q = a/b and m >= 1,
-    # [m] = (b^2m - a^2m) / ((ab)^(m-1) (b^2 - a^2)), so each ratio
-    # [m] / [d] (m >= d) is (b^2m - a^2m) / ((b^2d - a^2d) (ab)^(m-d))
+    # [m] = (b^2m - a^2m) / ((ab)^(m-1) (b^2 - a^2)).  A pair of equal parts
+    # has m == d and cancels, and in a long run of equal parts nearly every
+    # pair does, so only the net power of each bracket is multiplied out.
+    # Numerator and denominator hold equally many brackets, so the
+    # (b^2 - a^2) cancel and (ab) is left to the power
+    # sum of (m - d) = sum over i < j of (lam_i - lam_j).
     a, b = q.numerator, q.denominator
-    num = den = 1
+    power: dict[int, int] = {}
+    spread = 0
     parts, n = lam.parts, lam.level
     for i in range(n):
         for j in range(i + 1, n):
-            m, d = parts[i] - parts[j] + j - i, j - i
-            num *= b ** (2 * m) - a ** (2 * m)
-            den *= (b ** (2 * d) - a ** (2 * d)) * (a * b) ** (m - d)
+            gap = parts[i] - parts[j]
+            if gap:
+                m, d = gap + j - i, j - i
+                power[m] = power.get(m, 0) + 1
+                power[d] = power.get(d, 0) - 1
+                spread += gap
+    num, den = 1, (a * b) ** spread
+    for m, e in power.items():
+        if e > 0:
+            num *= (b ** (2 * m) - a ** (2 * m)) ** e
+        elif e < 0:
+            den *= (b ** (2 * m) - a ** (2 * m)) ** -e
     return Fraction(num, den)
 
 

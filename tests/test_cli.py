@@ -105,13 +105,18 @@ LAZY = {
 }
 
 # runs one request through the console-script entry point in a fresh
-# interpreter, then prints its exit code and the qchar modules it loaded
+# interpreter, then prints its exit code, the qchar modules it loaded, and
+# which of `dataclasses` and `inspect` it loaded beyond those the bare
+# interpreter had already (site hooks may import them on some hosts)
 LOADED = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
 from qchar.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qchar"))]))
+slow = sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qchar")), slow]))
 """
 
 
@@ -207,9 +212,10 @@ class TestFreshProcess:
         argv, unloaded = LAZY[command]
         proc = run_fresh("-c", LOADED, *argv, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout)
+        code, loaded, slow = json.loads(proc.stdout)
         assert code == 0
         assert not {f"qchar.{m}" for m in unloaded} & set(loaded), loaded
+        assert slow == []
         if command == "qdim":
             assert loaded == [
                 "qchar", "qchar.cli", "qchar.combinatorics", "qchar.jsonio", "qchar.schur"
@@ -223,6 +229,18 @@ class TestFreshProcess:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["measure"]["entries"] == [{"sig": [0, 0], "prob": "1"}]
+
+    def test_nonconstant_sequence_at_a_large_truncation(self):
+        # qdim of the level-400 start multiplies only the brackets that do not
+        # cancel in pairs; the full bracket product did not finish in 100 s
+        proc = run_fresh(
+            "-m", "qchar.cli", "extreme", "--q", "2/3", "--theta", '{"head": [-2, 0], "tail": 1}',
+            "--level", "2", "--trunc", "400",
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        entries = json.loads(proc.stdout)["measure"]["entries"]
+        assert sum(jsonio.parse_scalar(e["prob"]) for e in entries) == 1
 
     @pytest.mark.parametrize("command", ["schur-eval", "sgf-eval"])
     def test_coincident_points_at_the_limit(self, command):

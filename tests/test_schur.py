@@ -230,14 +230,23 @@ class TestQDim:
 
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)])
     def test_equals_the_bracket_product(self, q):
-        for level in range(1, 6):
-            for lam in iter_signatures(level, -3, 3 if level < 5 else 1):
-                p = lam.parts
-                expected = Fraction(1)
-                for i in range(level):
-                    for j in range(i + 1, level):
-                        expected *= qbracket(p[i] - p[j] + j - i, q) / qbracket(j - i, q)
-                assert qdim(lam, q) == expected
+        # long runs of equal parts, as in approximants of eventually constant
+        # sequences, where most brackets cancel in pairs
+        runs = [
+            (1,) * (level - 2) + (0, -2) for level in (6, 17, 40)
+        ] + [
+            (5,) + (2,) * (level // 2) + (0,) * (level - 1 - level // 2) for level in (9, 40)
+        ] + [(3,) * 13 + (1,) * 14 + (-1,) * 13, (4,) * 40, (2, 2) + (-3,) * 38]
+        small = [
+            lam for level in range(1, 6) for lam in iter_signatures(level, -3, 3 if level < 5 else 1)
+        ]
+        for lam in small + [Signature(parts) for parts in runs]:
+            p, level = lam.parts, lam.level
+            expected = Fraction(1)
+            for i in range(level):
+                for j in range(i + 1, level):
+                    expected *= qbracket(p[i] - p[j] + j - i, q) / qbracket(j - i, q)
+            assert qdim(lam, q) == expected
 
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)])
     def test_consistency_locks(self, q):
