@@ -63,38 +63,64 @@ def _pushdown(nu: Signature, level: int, q: Fraction) -> dict[Signature, Fractio
     where the chain sum is the principal specialization of the skew Schur
     function s_(nu/lam), and the support is nu[i+L-N] <= lam[i] <= nu[i].
     The chain sum is accumulated level by level in integers: with t = A/B,
-    each mu at level k carries A^(|mu|-lo) * B^(hi-|mu|), lo and hi being
-    the smallest and largest sizes at that level, and the factors
-    t^lo / B^(hi-lo) of all levels fold into one rational constant.  When
-    every part of lam is pinned (nu[i+L-N] == nu[i]) the row is that point
-    mass.
+    each mu at level k carries A^(|mu|-lo) * B^(hi-|mu|), where lo and hi,
+    the smallest and largest sizes at that level, are the sizes of the
+    corners nu[L-k:] and nu[:k] of the interlacing range.  What that leaves
+    out, A^lo / B^hi at each level, is kept as two exponent sums, so the
+    constant q^(-(L-1)|nu|) A^(sum lo) / (B^(sum hi) qdim(nu)) is built once
+    from net powers of q's numerator and denominator, and each output
+    weight is one Fraction built from integers: that constant, the chain
+    sum, qdim(lam) and q^((N+1)|lam|).  The leading parts equal to nu[0]
+    that are still pinned at a level are not carried in the walk, so for a
+    theta prefix (nu[0] repeated L - h times) the tuples it builds have at
+    most h + 1 parts whatever L is.  When every part of lam is pinned
+    (nu[i+L-N] == nu[i]) the row is that point mass.
     """
-    top, n = nu.parts, level
-    if all(top[i + nu.level - n] == top[i] for i in range(n)):
+    top, n, big = nu.parts, level, nu.level
+    if all(top[i + big - n] == top[i] for i in range(n)):
         return {Signature(top[:n]): Fraction(1)}
-    t = q * q
-    a, b = t.numerator, t.denominator
-    scale = q ** (-(nu.level - 1) * nu.size) / qdim(nu, q)
-    sums = {top: 1}
-    for k in range(nu.level - 1, n - 1, -1):
+    qn, qd = q.numerator, q.denominator
+    a, b = qn * qn, qd * qd
+    # the run of parts equal to `first` shrinks by one per level: at level k
+    # the first max(0, run - (L - k)) parts of every mu are `first`, so the
+    # walk carries only the parts after them (a theta prefix has run >= L - h)
+    first = top[0]
+    pinned = top.count(first)  # the run, at level L
+    sums = {top[pinned:]: 1}
+    lows = highs = 0
+    for k in range(big - 1, n - 1, -1):
+        lead = (first,) if pinned else ()
+        pinned = max(pinned - 1, 0)
         below: dict[tuple[int, ...], int] = {}
         # interlacing on bare part tuples (as in enumerate_down), so the walk
         # builds no Signature and leaves nothing in enumerate_down's cache
         for mu, c in sums.items():
-            for lam in product(*[range(mu[i + 1], mu[i] + 1) for i in range(k)]):
+            ext = lead + mu
+            for lam in product(*[range(ext[i + 1], ext[i] + 1) for i in range(len(ext) - 1)]):
                 below[lam] = below.get(lam, 0) + c
         if k == n:
             break
-        sizes = {mu: sum(mu) for mu in below}
-        lo, hi = min(sizes.values()), max(sizes.values())
-        apow = [a ** e for e in range(hi - lo + 1)]
-        bpow = [b ** e for e in range(hi - lo + 1)]
-        sums = {mu: c * apow[sizes[mu] - lo] * bpow[hi - sizes[mu]] for mu, c in below.items()}
-        scale *= t ** lo / bpow[-1]
+        lo, hi = sum(top[big - k:]), sum(top[:k])
+        weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
+        offset = pinned * first - lo  # |mu| - lo = sum(mu) + offset
+        sums = {mu: c * weight[sum(mu) + offset] for mu, c in below.items()}
+        lows, highs = lows + lo, highs + hi
+    # q^(-(L-1)|nu|) A^lows / B^highs = qn^x / qd^y, with A = qn^2, B = qd^2
+    x = 2 * lows - (big - 1) * nu.size
+    y = 2 * highs - (big - 1) * nu.size
+    scale = Fraction(qn) ** x / Fraction(qd) ** y / qdim(nu, q)
+    sn, sd = scale.numerator, scale.denominator
+    lead = (first,) * pinned
     out = {}
     for lam, c in below.items():
-        sig = Signature(lam)
-        out[sig] = scale * c * q ** ((n + 1) * sig.size) * qdim(sig, q)
+        sig = Signature(lead + lam)
+        d = qdim(sig, q)
+        # q^e with e = (N+1)|lam|: each power goes where it is positive
+        e = (n + 1) * sig.size
+        if e >= 0:
+            out[sig] = Fraction(sn * c * d.numerator * qn ** e, sd * d.denominator * qd ** e)
+        else:
+            out[sig] = Fraction(sn * c * d.numerator * qd ** -e, sd * d.denominator * qn ** -e)
     return out
 
 

@@ -38,8 +38,9 @@ class LevelCharacter(_Frozen):
         for sig, w in weights.items():
             if sig.level != level:
                 raise ValueError(f"{sig} is not a level-{level} signature")
-            w = Fraction(w)
-            if w <= 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w.numerator <= 0:
                 raise ValueError(f"weights must be positive: {sig} -> {w}")
             checked[sig] = w
         # sum n_i / d_i == 1 in integers: sum n_i (D / d_i) == D, D = lcm(d_i)
@@ -118,13 +119,19 @@ def first_discrepancy(a: LevelCharacter, b: LevelCharacter) -> Signature | None:
 
 
 def total_variation(a: LevelCharacter, b: LevelCharacter) -> Fraction:
-    """Half the l1 distance between the two weight maps; exact."""
-    keys = set(a.weights) | set(b.weights)
-    gap = sum(
-        abs(a.weights.get(sig, Fraction(0)) - b.weights.get(sig, Fraction(0)))
-        for sig in keys
+    """Half the l1 distance between the two weight maps; exact.
+
+    Taken in integers over D = lcm of both measures' denominators: every
+    weight n/d becomes n * (D/d), and the result is one Fraction,
+    sum |n_a (D/d_a) - n_b (D/d_b)| / 2D.
+    """
+    common = lcm(*(w.denominator for chi in (a, b) for w in chi.weights.values()))
+    ia, ib = (
+        {sig: w.numerator * (common // w.denominator) for sig, w in chi.weights.items()}
+        for chi in (a, b)
     )
-    return Fraction(gap) / 2
+    gap = sum(abs(ia.get(sig, 0) - ib.get(sig, 0)) for sig in ia.keys() | ib.keys())
+    return Fraction(gap, 2 * common)
 
 
 def is_coherent(family: CoherentFamily) -> CoherenceReport:
@@ -147,7 +154,10 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
 
     On point masses the output weight of nu is
     c^nu_{lam,mu} * qdim(nu) / (qdim(lam) * qdim(mu)), extended bilinearly;
-    the weights again sum to exactly 1.
+    the weights again sum to exactly 1.  Each term
+    p1 * p2 * c * qdim(nu) / (qdim(lam) * qdim(mu)) is built as one Fraction
+    from the integer numerators and denominators of its factors, and terms
+    that land on the same nu are added as Fractions.
     """
     if chi1.level != chi2.level:
         raise ValueError(f"levels must agree: {chi1.level} != {chi2.level}")
@@ -157,10 +167,15 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     out: dict[Signature, Fraction] = {}
     for lam, p1 in chi1.weights.items():
         d1 = qdim(lam, q)
+        num1, den1 = p1.numerator * d1.denominator, p1.denominator * d1.numerator
         for mu, p2 in chi2.weights.items():
-            scale = p1 * p2 / (d1 * qdim(mu, q))
+            d2 = qdim(mu, q)
+            num = num1 * p2.numerator * d2.denominator
+            den = den1 * p2.denominator * d2.numerator
             for nu, c in lr_coefficients(lam, mu).items():
-                out[nu] = out.get(nu, Fraction(0)) + scale * c * qdim(nu, q)
+                d = qdim(nu, q)
+                term = Fraction(num * c * d.numerator, den * d.denominator)
+                out[nu] = out[nu] + term if nu in out else term
     return LevelCharacter(chi1.level, q, out)
 
 

@@ -3,9 +3,10 @@
 Every command reads exact scalars as "p/q" strings and prints one JSON
 document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
-domain errors (a floating-point overflow and a signature part beyond
-`jsonio.MAX_PART` included).  Identical flags and seed produce
-byte-identical output.
+domain errors (a floating-point overflow, a signature part beyond
+`jsonio.MAX_PART`, an `--output` path that cannot be written and a request
+deeper than Python's recursion limit included).  Identical flags and seed
+produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
@@ -392,14 +393,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-        text = jsonio.dumps(payload)
+        _emit(jsonio.dumps(payload), args.output)
     except OverflowError as exc:
         _emit(jsonio.dumps({"error": f"floating-point overflow: {exc}"}), None)
+        return 2
+    except RecursionError:
+        _emit(jsonio.dumps({"error": "input too large: maximum recursion depth exceeded"}), None)
         return 2
     except (ValueError, OSError) as exc:
         _emit(jsonio.dumps({"error": str(exc)}), None)
         return 2
-    _emit(text, args.output)
     return code
 
 

@@ -22,6 +22,7 @@ from qchar import (
     enumerate_down,
     enumerate_gt_patterns,
     f_spectrum,
+    lr_coefficients,
     qdim,
     restrict,
     sgf_eval,
@@ -277,6 +278,32 @@ def check_product(
         if sgf_eval(chi, pts) != sgf_eval(chi1, pts) * sgf_eval(chi2, pts):
             return False
     return True
+
+
+def tensor_oracle(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
+    """Reference fusion: sum over (lam, mu, nu) of
+    p1 * p2 * c^nu_{lam,mu} * qdim(nu) / (qdim(lam) * qdim(mu)), one
+    `Fraction` operation at a time."""
+    q = chi1.q
+    out: dict[Signature, Fraction] = {}
+    for lam, p1 in chi1.weights.items():
+        d1 = qdim(lam, q)
+        for mu, p2 in chi2.weights.items():
+            scale = p1 * p2 / (d1 * qdim(mu, q))
+            for nu, c in lr_coefficients(lam, mu).items():
+                out[nu] = out.get(nu, Fraction(0)) + scale * c * qdim(nu, q)
+    return LevelCharacter(chi1.level, q, out)
+
+
+def total_variation_oracle(a: LevelCharacter, b: LevelCharacter) -> Fraction:
+    """Reference total variation: half the sum of |a - b| over the union of
+    the supports, in `Fraction`s."""
+    keys = set(a.weights) | set(b.weights)
+    gap = sum(
+        abs(a.weights.get(sig, Fraction(0)) - b.weights.get(sig, Fraction(0)))
+        for sig in keys
+    )
+    return Fraction(gap) / 2
 
 
 def charpoly_psd(rows) -> bool:

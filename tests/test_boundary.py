@@ -20,6 +20,7 @@ from qchar import (
     tensor,
     verify_corollary,
 )
+from qchar.boundary import _pushdown
 
 from helpers import iterated_restrict, random_character
 
@@ -83,6 +84,26 @@ class TestPushdownOracle:
                     trunc = rng.randint(level, 10)
                     got = extreme_character(theta, level, trunc, q).measure
                     assert got == self.oracle(theta, level, trunc, q), (theta, level, trunc, q)
+
+    def test_arbitrary_start_signatures(self):
+        # any nu, not only a theta prefix: leading runs of every length
+        rng = random.Random(17)
+        for q in QS:
+            for _ in range(15):
+                big = rng.randint(2, 7)
+                parts = sorted((rng.randint(-3, 3) for _ in range(big)), reverse=True)
+                nu = Signature(tuple(parts))
+                level = rng.randint(1, big - 1)
+                want = iterated_restrict(indecomposable(nu, q), level).weights
+                assert _pushdown(nu, level, q) == want, (nu, level, q)
+
+    def test_long_pinned_run(self):
+        # at L = 30 the walk carries only the parts after the pinned tail value
+        theta = BoundaryParam((-2, 0, 1), 2)
+        for q in (HALF, Fraction(99, 100)):
+            for level in (1, 2, 3):
+                got = extreme_character(theta, level, 30, q).measure
+                assert got == self.oracle(theta, level, 30, q), (level, q)
 
     def test_truncation_equal_to_level_is_the_point_mass(self):
         theta = BoundaryParam((-2, 0), 3)

@@ -13,16 +13,26 @@ from qchar import (
     indecomposable,
     is_coherent,
     iter_signatures,
+    lr_coefficients,
     restrict,
     sgf_eval,
     sgf_eval_torus,
     tensor,
+    total_variation,
     wq,
 )
 
-from helpers import check_product, random_character, random_points, sgf_eval_torus_oracle
+from helpers import (
+    check_product,
+    random_character,
+    random_points,
+    sgf_eval_torus_oracle,
+    tensor_oracle,
+    total_variation_oracle,
+)
 
 HALF = Fraction(1, 2)
+QS = (HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100))
 
 
 def sig(*parts):
@@ -31,6 +41,10 @@ def sig(*parts):
 
 def delta(q, *parts):
     return indecomposable(Signature(parts), q)
+
+
+class Third(Fraction):
+    """A Fraction subclass, as a caller might pass for a weight."""
 
 
 class TestLevelCharacter:
@@ -53,6 +67,36 @@ class TestLevelCharacter:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             LevelCharacter(1, HALF, {sig(0): 2, sig(1): -1})
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {sig(0): 1},
+            {sig(0): 0.5, sig(1): 0.5},
+            {sig(0): Third(1, 3), sig(1): Third(2, 3)},
+            {sig(0): Third(1, 3), sig(1): 0.5, sig(2): Fraction(1, 6)},
+        ],
+        ids=["int", "float", "fraction-subclass", "mixed"],
+    )
+    def test_weights_are_stored_as_fractions(self, weights):
+        chi = LevelCharacter(1, HALF, weights)
+        assert all(type(w) is Fraction for w in chi.weights.values())
+        assert chi.weights == {s: Fraction(w) for s, w in weights.items()}
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {sig(0): 0, sig(1): 1},
+            {sig(0): -1, sig(1): 2},
+            {sig(0): -0.5, sig(1): 1.5},
+            {sig(0): Third(0), sig(1): Third(1)},
+            {sig(0): Third(-1, 3), sig(1): Third(4, 3)},
+        ],
+        ids=["int-zero", "int-negative", "float-negative", "subclass-zero", "subclass-negative"],
+    )
+    def test_zero_and_negative_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="must be positive"):
+            LevelCharacter(1, HALF, weights)
 
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +210,25 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor(delta(HALF, 0), indecomposable(sig(0), Fraction(2, 3)))
 
+    def test_equals_the_fraction_oracle(self):
+        # 1-3 signatures per side with negative parts; several (lam, mu) pairs
+        # reach the same nu, so terms are added on a target already present
+        rng = random.Random(29)
+        repeated = 0
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(6):
+                    a = random_character(level, q, rng, max_support=3, lo=-3, hi=2)
+                    b = random_character(level, q, rng, max_support=3, lo=-2, hi=1)
+                    got = tensor(a, b)
+                    assert got == tensor_oracle(a, b), (a, b)
+                    assert all(type(w) is Fraction for w in got.weights.values())
+                    terms = sum(
+                        len(lr_coefficients(lam, mu)) for lam in a.weights for mu in b.weights
+                    )
+                    repeated += terms > len(got.weights)
+        assert repeated >= 20
+
     def test_restriction_intertwines_rectangle_tensoring(self):
         rng = random.Random(47)
         for k in (-1, 2):
@@ -173,6 +236,33 @@ class TestTensor:
             rect_up = indecomposable(Signature((k,) * 3), HALF)
             rect_down = indecomposable(Signature((k,) * 2), HALF)
             assert restrict(tensor(chi, rect_up)) == tensor(restrict(chi), rect_down)
+
+
+class TestTotalVariation:
+    def test_equals_the_fraction_oracle(self):
+        rng = random.Random(31)
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(8):
+                    # overlapping and disjoint supports, negative parts
+                    a = random_character(level, q, rng, max_support=3, lo=-3, hi=1)
+                    b = random_character(level, q, rng, max_support=3, lo=-2, hi=2)
+                    got = total_variation(a, b)
+                    assert type(got) is Fraction
+                    assert got == total_variation_oracle(a, b)
+                    assert got == total_variation(b, a)
+                    assert 0 <= got <= 1
+                    assert total_variation(a, a) == 0
+
+    def test_disjoint_supports_are_at_distance_one(self):
+        for q in QS:
+            assert total_variation(delta(q, 1, -2), delta(q, 0, -1)) == 1
+
+    def test_frozen_value(self):
+        a = LevelCharacter(1, HALF, {sig(0): Fraction(1, 3), sig(1): Fraction(2, 3)})
+        b = LevelCharacter(1, HALF, {sig(1): Fraction(1, 4), sig(2): Fraction(3, 4)})
+        # (1/3 + (2/3 - 1/4) + 3/4) / 2
+        assert total_variation(a, b) == Fraction(3, 4)
 
 
 class TestSgf:

@@ -65,6 +65,19 @@ MALFORMED = {
     "ak-char-beyond-limit": [
         "ak", "--k", "-1000", "--char", CHAR % (2, '[{"sig": [0, -1], "prob": "1"}]'),
     ],
+    # an --output path that cannot be written
+    "output-in-missing-directory": [
+        "qdim", "--q", "1/2", "--sig", "[1, 0]", "--output", "/nonexistent/dir/x.json",
+    ],
+    "output-is-a-directory": ["qdim", "--q", "1/2", "--sig", "[1, 0]", "--output", "."],
+}
+
+# valid requests whose LR rule recurses deeper than Python's default limit
+# (once per cell, or once per row); they exit 2 with a JSON error
+POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
+TOO_DEEP = {
+    "lr-1000-cells": ["lr", "--left", "[0, 0]", "--right", "[1000, 0]"],
+    "tensor-1200-rows": ["tensor", "--left", POINT_1200, "--right", POINT_1200],
 }
 
 
@@ -220,6 +233,13 @@ class TestFreshProcess:
             assert loaded == [
                 "qchar", "qchar.cli", "qchar.combinatorics", "qchar.jsonio", "qchar.schur"
             ]
+
+    @pytest.mark.parametrize("argv", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
+    def test_recursion_depth_exits_two(self, argv):
+        proc = run_fresh("-m", "qchar.cli", *argv, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "recursion" in json.loads(proc.stdout)["error"]
 
     def test_constant_sequence_at_a_huge_truncation(self):
         proc = run_fresh(
