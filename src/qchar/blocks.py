@@ -300,17 +300,24 @@ def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
         xs, ys = x.blocks.get(sig), y.blocks.get(sig)
         if xs is None or ys is None:
             continue
-        terms = {}
-        for p, (row, e) in enumerate(zip(xs, f_spectrum(sig).exponents)):
-            entry = 0
-            for a, yr in zip(row, ys):
-                if a:
-                    b = yr[p]
-                    if b:
-                        entry = entry + a * b
-            _add_term(terms, e, entry)
+        terms = _product_terms(xs, ys, f_spectrum(sig).exponents)
         total = total + _block_share(chi, sig, terms)
     return total
+
+
+def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
+    """Tr(F x y) on one block as an exponent -> coefficient map: the
+    diagonal entry p of x @ y, summed in the order `@` uses, at e_p."""
+    terms = {}
+    for p, (row, e) in enumerate(zip(xs, exps)):
+        entry = 0
+        for a, yr in zip(row, ys):
+            if a:
+                b = yr[p]
+                if b:
+                    entry = entry + a * b
+        _add_term(terms, e, entry)
+    return terms
 
 
 def _difference_table(x: BlockElement, factor) -> dict:
@@ -386,7 +393,7 @@ def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]
     Left, Tr(F x sigma(y)): x_pr y_rp carries q^(e_p) from F and
     q^(e_r - e_p) from the flow, so it is added at e_p + (e_r - e_p) = e_r,
     column by column over x's rows; sigma(y) is never built.  Right,
-    Tr(F y x): y_pr x_rp is added at e_p, row by row over y's rows.
+    Tr(F y x): `state_of_product`'s block terms with x and y swapped.
     """
     d = len(exps)
     cols = [0] * d
@@ -396,18 +403,10 @@ def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]
                 b = ys[r][p]
                 if b:
                     cols[r] = cols[r] + a * b
-    lhs, rhs = {}, {}
+    lhs = {}
     for r in range(d):
         _add_term(lhs, exps[r], cols[r])
-    for p, (row, ep) in enumerate(zip(ys, exps)):
-        entry = 0
-        for a, xr in zip(row, xs):
-            if a:
-                b = xr[p]
-                if b:
-                    entry = entry + a * b
-        _add_term(rhs, ep, entry)
-    return lhs, rhs
+    return lhs, _product_terms(ys, xs, exps)
 
 
 def _kms_sides(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:

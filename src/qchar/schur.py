@@ -9,7 +9,8 @@ exact Schur evaluator and ``qdim`` work in Python integers and build one
 Fraction per value: the points are put over one common denominator, and
 each Schur value is a Jacobi-Trudi determinant of complete homogeneous
 values, taken fraction-free (Bareiss) at every point set.  The branching
-rule serves only the floating-point torus pairing.
+rule serves only the floating-point torus pairing.  Littlewood-Richardson
+coefficients come from the row (horizontal-strip) form of the tableau rule.
 """
 
 from fractions import Fraction
@@ -210,77 +211,45 @@ def qdim(lam: Signature, q: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _lr_fillings(nu: tuple[int, ...], lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Count column-strict fillings of the skew shape nu/lam with content mu
-    whose reverse reading word is a lattice word.
-
-    Cells are filled row by row, right to left inside each row, which is
-    the reading order of the lattice condition, so every constraint is
-    checked incrementally.
-    """
-    cells = []
-    for i, (top, bottom) in enumerate(zip(nu, lam)):
-        for j in range(top - 1, bottom - 1, -1):
-            cells.append((i, j))
-    nletters = len(mu)
-    remaining = list(mu)
-    counts = [0] * (nletters + 1)  # counts[0] is a sentinel upper bound
-    counts[0] = len(cells) + 1
-    entry = {}
-    total = 0
-
-    def place(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        i, j = cells[idx]
-        hi = nletters
-        if j + 1 < nu[i] and (i, j + 1) in entry:
-            hi = min(hi, entry[(i, j + 1)])
-        lo = 1
-        if i > 0 and j >= lam[i - 1]:
-            lo = entry[(i - 1, j)] + 1
-        for r in range(lo, hi + 1):
-            if remaining[r - 1] == 0 or counts[r] + 1 > counts[r - 1]:
-                continue
-            counts[r] += 1
-            remaining[r - 1] -= 1
-            entry[(i, j)] = r
-            place(idx + 1)
-            del entry[(i, j)]
-            remaining[r - 1] += 1
-            counts[r] -= 1
-
-    place(0)
-    return total
-
-
 @lru_cache(maxsize=None)
-def _lr_partition_expansion(
+def _lr_partitions(
     lam: tuple[int, ...], mu: tuple[int, ...], nvars: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """LR expansion for partitions, keys restricted to at most nvars parts."""
-    mu = tuple(p for p in mu if p > 0)
-    total = sum(mu)
-    if total == 0:
-        return ((lam, 1),)
-    out = {}
+    """LR expansion of s_lam * s_mu for partitions (mu without zero parts),
+    keys with at most nvars parts, in ascending order.
 
-    def build(prefix: tuple[int, ...], i: int, left: int) -> None:
-        if i == nvars:
-            if left == 0:
-                c = _lr_fillings(prefix, lam, mu)
-                if c:
-                    out[prefix] = c
-            return
-        upper = lam[i] + left
-        if prefix:
-            upper = min(upper, prefix[-1])
-        for part in range(lam[i], upper + 1):
-            build(prefix + (part,), i + 1, left - (part - lam[i]))
-
-    build((), 0, total)
+    Letter r of an LR tableau of content mu is added to the shape as a
+    horizontal strip of mu_r cells: row i may grow up to the old length of
+    row i - 1, so columns stay strict.  The lattice condition reads: the
+    r's in rows 1..i number at most the (r - 1)'s in rows 1..i - 1.  A
+    state is a shape with that bound per row for the next letter, and
+    carries the number of fillings that reach it.  Strips are grown row by
+    row, each row taking only the counts its bounds allow and that the rows
+    below can still complete, so no zero term is ever built.
+    """
+    states = {(lam, (sum(mu),) * nvars): 1}  # letter 1 has no lattice bound
+    for m in mu:
+        grown: dict = {}
+        for (shape, bound), mult in states.items():
+            # partial strips over rows 0..i-1: (rows, next bound, cells placed)
+            partial = [((), (), 0)]
+            for i, row in enumerate(shape):
+                cap = shape[i - 1] - row if i else m
+                room = row - shape[-1]  # the most the rows below can take
+                partial = [
+                    (rows + (row + t,), nxt + (placed,), placed + t)
+                    for rows, nxt, placed in partial
+                    for t in range(
+                        max(0, m - placed - room),
+                        min(cap, m - placed, bound[i] - placed) + 1,
+                    )
+                ]
+            for rows, nxt, _ in partial:
+                grown[rows, nxt] = grown.get((rows, nxt), 0) + mult
+        states = grown
+    out: dict = {}
+    for (shape, _), mult in states.items():
+        out[shape] = out.get(shape, 0) + mult
     return tuple(sorted(out.items()))
 
 
@@ -288,10 +257,11 @@ def lr_coefficients(lam: Signature, mu: Signature) -> dict[Signature, int]:
     """Structure constants of s_lam * s_mu in level-many variables.
 
     Both labels are normalized to partitions by shifting away their
-    smallest parts (the coefficients are shift-equivariant), the classical
-    tableau rule is applied, and the keys are shifted back.  Keys are
-    signatures of the common level; terms whose partition would need more
-    rows are identically zero in that many variables and never appear.
+    smallest parts (the coefficients are shift-equivariant), the row form
+    of the tableau rule is applied without recursion, and the keys are
+    shifted back, in ascending order.  Keys are signatures of the common
+    level; terms whose partition would need more rows are identically zero
+    in that many variables and never appear.
     """
     if lam.level != mu.level:
         raise ValueError(f"levels must agree: {lam.level} != {mu.level}")
@@ -300,6 +270,6 @@ def lr_coefficients(lam: Signature, mu: Signature) -> dict[Signature, int]:
         return {lam: 1}
     a, b = lam.parts[-1], mu.parts[-1]
     lam0 = tuple(p - a for p in lam.parts)
-    mu0 = tuple(p - b for p in mu.parts)
-    raw = _lr_partition_expansion(lam0, mu0, n)
+    mu0 = tuple(p - b for p in mu.parts if p > b)
+    raw = _lr_partitions(lam0, mu0, n)
     return {shift(Signature(nu), a + b): c for nu, c in raw}

@@ -72,13 +72,17 @@ MALFORMED = {
     "output-is-a-directory": ["qdim", "--q", "1/2", "--sig", "[1, 0]", "--output", "."],
 }
 
-# valid requests whose LR rule recurses deeper than Python's default limit
-# (once per cell, or once per row); they exit 2 with a JSON error
-POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
+# a valid request whose branching rule recurses once per level, deeper than
+# Python's default limit; it exits 2 with a JSON error
 TOO_DEEP = {
-    "lr-1000-cells": ["lr", "--left", "[0, 0]", "--right", "[1000, 0]"],
-    "tensor-1200-rows": ["tensor", "--left", POINT_1200, "--right", POINT_1200],
+    "sgf-torus-1200-levels": [
+        "sgf-torus",
+        "--char", '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
+        % ([0] * 1200),
+        "--z", json.dumps([[1, 0]] * 1200),
+    ],
 }
+POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
 
 
 LEVEL_1 = CHAR % (1, '[{"sig": [0], "prob": "4/5"}, {"sig": [1], "prob": "1/5"}]')
@@ -240,6 +244,28 @@ class TestFreshProcess:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "recursion" in json.loads(proc.stdout)["error"]
+
+    def test_lr_with_a_1000_cell_strip(self):
+        # one 1000-cell strip, built in a loop: the LR rule recurses neither per cell nor per row
+        proc = run_fresh(
+            "-m", "qchar.cli", "lr", "--left", "[0, 0]", "--right", "[1000, 0]", timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"terms": [{"sig": [1000, 0], "coeff": 1}]}
+
+    def test_tensor_of_1200_row_point_masses(self):
+        # the Pieri rule at 1200 rows: the LR rule visits rows in a loop, not a call per row
+        proc = run_fresh(
+            "-m", "qchar.cli", "tensor", "--left", POINT_1200, "--right", POINT_1200,
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        half, lam = Fraction(1, 2), Signature((1,) + (0,) * 1199)
+        pieri = [Signature((2,) + (0,) * 1199), Signature((1, 1) + (0,) * 1198)]
+        expected = qchar.LevelCharacter(
+            1200, half, {nu: qchar.qdim(nu, half) / qchar.qdim(lam, half) ** 2 for nu in pieri}
+        )
+        assert json.loads(proc.stdout) == character_to_json(expected)
 
     def test_constant_sequence_at_a_huge_truncation(self):
         proc = run_fresh(

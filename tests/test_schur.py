@@ -301,17 +301,28 @@ class TestLRCoefficients:
             (sig(2, 0), sig(1, 1)),
             (sig(1, 0, -1), sig(1, 0, 0)),
             (sig(2, 1, 0), sig(2, 1, 0)),
+            (sig(2, 1, 0, 0), sig(1, 1, 0, 0)),
+            (sig(2, 1, 0, -1), sig(2, 0, 0, -1)),
         ]:
             assert lr_coefficients(lam, mu) == lr_by_subtraction(lam, mu)
 
     def test_product_identity_at_random_points(self):
+        # seeded signature pairs at levels 1-5; the Jacobi-Trudi evaluator
+        # shares no code with the tableau rule
         rng = random.Random(99)
-        for lam, mu in [(sig(2, 0), sig(1, 1)), (sig(1, 0, -1), sig(2, 1, 1))]:
-            pts = random_points(lam.level, rng)
-            lhs = sum(
-                c * schur_eval(nu, pts) for nu, c in lr_coefficients(lam, mu).items()
-            )
-            assert lhs == schur_eval(lam, pts) * schur_eval(mu, pts)
+
+        def draw(level):
+            return sig(*sorted((rng.randint(-2, 6) for _ in range(level)), reverse=True))
+
+        pairs = [(sig(2, 0), sig(1, 1)), (sig(1, 0, -1), sig(2, 1, 1))]
+        for level in [rng.randint(1, 5) for _ in range(150)]:
+            pairs.append((draw(level), draw(level)))
+        for lam, mu in pairs:
+            coeffs = lr_coefficients(lam, mu)
+            for _ in range(2):
+                pts = random_points(lam.level, rng)
+                lhs = sum(c * schur_eval(nu, pts) for nu, c in coeffs.items())
+                assert lhs == schur_eval(lam, pts) * schur_eval(mu, pts), (lam, mu)
 
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)])
     def test_dimension_multiplicativity(self, q):
