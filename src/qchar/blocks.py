@@ -333,10 +333,14 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
 
     With q = a/b the factor q^m is the integer pair (a^m, b^m), or
     (b^-m, a^-m) for m < 0, so an exact entry v becomes
-    Fraction(v.numerator * a^m, v.denominator * b^m); a complex-float
-    entry is multiplied by the factor as a `Fraction`.  s = 1 is the KMS
-    twist y -> F y F^(-1); the group law
-    scaling(scaling(x, s), t) = scaling(x, s + t) holds exactly.
+    Fraction(v.numerator * a^m, v.denominator * b^m).  That `Fraction` is
+    built once per distinct (numerator, denominator, gap e_p - e_r) in a
+    memo local to the call, and every later entry with the same key gets
+    the same immutable object; equal exact values (True and 1, 2 and
+    Fraction(4, 2)) share a key.  A complex-float entry is multiplied by
+    the factor as a `Fraction`.  s = 1 is the KMS twist y -> F y F^(-1);
+    the group law scaling(scaling(x, s), t) = scaling(x, s + t) holds
+    exactly.
     """
     if s != int(s):
         raise ValueError("imaginary-time scaling is exact only at integer times")
@@ -350,6 +354,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
         return (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
 
     factors = _difference_table(x, factor)
+    memo = {}
     blocks = {}
     for sig, rows in x.blocks.items():
         exps = f_spectrum(sig).exponents
@@ -358,12 +363,17 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
             out = list(row)
             for r, (v, er) in enumerate(zip(row, exps)):
                 if v:
-                    n, d = factors[ep - er]
-                    out[r] = (
-                        Fraction(v.numerator * n, v.denominator * d)
-                        if _is_exact(v)
-                        else v * Fraction(n, d)
-                    )
+                    k = ep - er
+                    if _is_exact(v):
+                        key = (v.numerator, v.denominator, k)
+                        f = memo.get(key)
+                        if f is None:
+                            n, d = factors[k]
+                            f = memo[key] = Fraction(key[0] * n, key[1] * d)
+                        out[r] = f
+                    else:
+                        n, d = factors[k]
+                        out[r] = v * Fraction(n, d)
             scaled.append(tuple(out))
         blocks[sig] = tuple(scaled)
     return BlockElement(x.level, x.q, blocks)
@@ -487,22 +497,27 @@ def _ldl_psd(rows: Matrix) -> bool:
     """Exact semidefiniteness of a symmetric rational matrix by symmetric
     Gaussian elimination (LDL^T with diagonal pivoting), O(n^3).
 
-    A negative diagonal entry refutes it.  Otherwise eliminate on any
+    A negative diagonal entry refutes it.  Otherwise eliminate on the first
     positive diagonal entry: the matrix is PSD iff the Schur complement of
     that pivot is.  When only zero diagonal entries remain, the remaining
-    submatrix is PSD iff it is zero.
+    submatrix is PSD iff it is zero.  A diagonal entry changes only when
+    its row is updated, so signs are checked once up front and then once
+    per updated row.  Elimination works on the entries as given (int or
+    Fraction), with no copy into `Fraction`s; the pivot is made a
+    `Fraction`, so every multiplier and every updated entry is exact and
+    no int / int division yields a float.
     """
-    a = [[Fraction(v) for v in row] for row in rows]
+    a = [list(row) for row in rows]
     live = list(range(len(a)))
+    if any(a[i][i] < 0 for i in live):
+        return False
     while live:
-        if any(a[i][i] < 0 for i in live):
-            return False
-        pivot = next((i for i in live if a[i][i] > 0), None)
+        pivot = next((i for i in live if a[i][i]), None)
         if pivot is None:
             return not any(a[i][j] for i in live for j in live)
         live.remove(pivot)
         prow = a[pivot]
-        d = prow[pivot]
+        d = Fraction(prow[pivot])
         for i in live:
             if prow[i]:
                 m = prow[i] / d
@@ -510,6 +525,8 @@ def _ldl_psd(rows: Matrix) -> bool:
                 for j in live:
                     if prow[j]:
                         ai[j] -= m * prow[j]
+                if ai[i] < 0:
+                    return False
     return True
 
 

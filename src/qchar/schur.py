@@ -23,9 +23,14 @@ from .combinatorics import Signature, shift
 
 
 def check_q(q: Fraction) -> Fraction:
-    """Validate the deformation parameter, 0 < q < 1."""
-    q = Fraction(q)
-    if not 0 < q < 1:
+    """Validate the deformation parameter, 0 < q < 1.
+
+    A `Fraction` has a positive denominator, so the range test is
+    0 < numerator < denominator, in integers.
+    """
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if not 0 < q.numerator < q.denominator:
         raise ValueError(f"q must lie strictly between 0 and 1: {q}")
     return q
 

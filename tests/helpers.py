@@ -19,6 +19,7 @@ from qchar import (
     BlockElement,
     LevelCharacter,
     Signature,
+    cotransition,
     enumerate_down,
     enumerate_gt_patterns,
     f_spectrum,
@@ -220,6 +221,31 @@ def schur_eval_branching_oracle(lam: Signature, points) -> Fraction:
         return sum((s(mu) * y ** (nu.size - mu.size) for mu in enumerate_down(nu)), Fraction(0))
 
     return s(lam)
+
+
+def path_expectation(chi: LevelCharacter, ys) -> object:
+    """Reference generating function as an expectation over the path: the
+    sum over chains lam^(N) -> ... -> lam^(0) of
+    P(lam^(N)) * prod_n Lambda(lam^(n), lam^(n-1)) * y_n^(|lam^(n)| - |lam^(n-1)|),
+    Lambda the cotransition kernel.
+
+    The chain is walked down one level at a time, each level's mass kept
+    per signature.  With y_n = q^(2(n-1)) x_n it is `sgf_eval(chi, x)`
+    exactly; with y_n = z_n on the unit circle it is `sgf_eval_torus(chi, z)`,
+    a convex combination of unit-modulus numbers.  No Schur value is ever
+    computed.
+    """
+    if len(ys) != chi.level:
+        raise ValueError(f"need {chi.level} variables, got {len(ys)}")
+    layer = dict(chi.weights)
+    for n in range(chi.level, 0, -1):
+        y = ys[n - 1]
+        below = {}
+        for nu, w in layer.items():
+            for lam, p in cotransition(nu, chi.q).items():
+                below[lam] = below.get(lam, 0) + w * p * y ** (nu.size - lam.size)
+        layer = below
+    return sum(layer.values())
 
 
 def _gaussian_mul(a: tuple, b: tuple) -> tuple:

@@ -400,6 +400,59 @@ class TestIntegerPathsAgainstOracle:
             assert char_state_eval(chi, u @ v) != char_state_eval(chi, v @ u)
 
 
+class TestScalingMemo:
+    """The per-call memo of exact entry factors in `scaling`."""
+
+    def _mixed(self, q):
+        # sig(2, 0) has exponents (2, 0, -2): (0, 1) and (1, 2) share the gap
+        # 2, and (1, 0) and (2, 1) the gap -2; at each shared gap an int meets
+        # an equal bool or an equal Fraction
+        rows = (
+            (True, 2, 0.5 - 1j),
+            (1, 3j, Fraction(4, 2)),
+            (Fraction(-7, 3), True, 2),
+        )
+        return BlockElement(2, q, {sig(2, 0): rows})
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    def test_mixed_entries_equal_the_oracle(self, q):
+        x = self._mixed(q)
+        for s in range(-3, 4):
+            assert scaling(x, s) == scaling_oracle(x, s)
+
+    def test_exact_entries_leave_as_fractions_and_complex_stay_complex(self):
+        x = self._mixed(HALF)
+        assert scaling(x, 0) is x
+        for s in (-3, -2, -1, 1, 2, 3):
+            out = scaling(x, s).blocks[sig(2, 0)]
+            for row, src in zip(out, x.blocks[sig(2, 0)]):
+                for v, w in zip(row, src):
+                    assert type(v) is (complex if type(w) is complex else Fraction)
+            # equal values at equal gaps: one object, built once
+            assert out[0][1] is out[1][2]
+            assert out[1][0] is out[2][1]
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    def test_group_law_on_fraction_entries(self, q):
+        rng = random.Random(700 + q.denominator)
+        sigs = [sig(2, 0, -1), sig(1, 1, 0)]
+        x = _with_fraction_entries(random_block_element(3, q, sigs, rng, density=0.6), rng)
+        for s, t in ((2, 3), (-1, 1), (3, -5), (-2, -1)):
+            assert scaling(scaling(x, s), t) == scaling(x, s + t)
+
+    def test_the_memo_does_not_outlive_a_call(self):
+        rows = ((1, 2, 3), (2, 1, 2), (3, 2, 1))
+        third = Fraction(1, 3)
+        x = BlockElement(2, HALF, {sig(2, 0): rows})
+        y = BlockElement(2, third, {sig(2, 0): rows})
+        first = scaling(x, 1)
+        assert scaling(y, 1) == scaling_oracle(y, 1)
+        assert scaling(y, 1).blocks[sig(2, 0)][0][1] == 2 * third ** 2
+        assert scaling(x, 1) == first == scaling_oracle(x, 1)
+        assert first.blocks[sig(2, 0)][0][1] == 2 * HALF ** 2
+        assert scaling(x, 2).blocks[sig(2, 0)][0][1] == 2 * HALF ** 4
+
+
 class TestLdlPsd:
     """The exact elimination test against the Faddeev-LeVerrier oracle."""
 
@@ -464,6 +517,73 @@ class TestLdlPsd:
             verdicts.append(psd)
         # both verdicts occur in bulk
         assert 100 < sum(verdicts) < 300
+
+
+class _NoFloatInt(int):
+    """An int whose true division fails the test if it yields a float."""
+
+    def __truediv__(self, other):
+        out = int.__truediv__(self, other)
+        assert out is NotImplemented, f"{int(self)} / {other} gave a float"
+        return out
+
+    def __rtruediv__(self, other):
+        out = int.__rtruediv__(self, other)
+        assert out is NotImplemented, f"{other} / {int(self)} gave a float"
+        return out
+
+
+class TestLdlPsdOnIntegers:
+    """`_ldl_psd` on integer-only input, eliminated without a copy."""
+
+    @staticmethod
+    def _integer_cases(rng, count):
+        for k in range(count):
+            n = rng.randint(1, 7)
+            kind = k % 3
+            if kind < 2:
+                # integer Gram matrix B^T B, full rank or rank-deficient, and
+                # in the second kind pushed off the cone at one diagonal entry
+                rank = rng.randint(0, n)
+                b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+                rows = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+                if kind == 1:
+                    i = rng.randrange(n)
+                    rows[i][i] -= 1
+            else:
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1):
+                        if rng.random() < 0.6:
+                            rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            yield tuple(map(tuple, rows))
+
+    def test_agrees_with_the_charpoly_oracle(self):
+        rng = random.Random(4242)
+        verdicts = []
+        for rows in self._integer_cases(rng, 300):
+            psd = _ldl_psd(rows)
+            assert psd is charpoly_psd(rows), rows
+            verdicts.append(psd)
+        assert 50 < sum(verdicts) < 250
+
+    # pivot 5 leaves (1/5, 4/5; 4/5, 16/5), whose Schur complement is
+    # exactly 0; in floats 1 - 4/5 rounds below 1/5 and it comes out -4.4e-16
+    ZERO_COMPLEMENT = ((5, -2, 2), (-2, 1, 0), (2, 0, 4))
+
+    def test_zero_schur_complement_that_floats_round_negative(self):
+        rows = self.ZERO_COMPLEMENT
+        assert charpoly_psd(rows)
+        assert _ldl_psd(rows) is True
+        a11, a12, a22 = 1 - (-2 / 5) * -2, 0 - (-2 / 5) * 2, 4 - (2 / 5) * 2
+        assert a22 - (a12 / a11) * a12 < 0
+
+    def test_no_float_is_ever_produced(self):
+        rng = random.Random(4243)
+        cases = [self.ZERO_COMPLEMENT] + list(self._integer_cases(rng, 100))
+        for rows in cases:
+            wrapped = tuple(tuple(_NoFloatInt(v) for v in row) for row in rows)
+            assert _ldl_psd(wrapped) is _ldl_psd(rows)
 
 
 class TestEmbed:

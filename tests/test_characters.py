@@ -24,6 +24,7 @@ from qchar import (
 
 from helpers import (
     check_product,
+    path_expectation,
     random_character,
     random_points,
     sgf_eval_torus_oracle,
@@ -353,6 +354,41 @@ class TestSgfTorus:
                 assert re * re + im * im <= 1
                 value = sgf_eval_torus(chi, [complex(a, b) for a, b in z])
                 assert abs(value - complex(re, im)) <= 1e-12
+
+
+class TestPathExpectation:
+    """Both generating functions against the walk down the cotransition
+    kernel in `helpers`, which computes no Schur value."""
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(2, 3), Fraction(9, 10)], ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_sgf_eval_is_the_path_expectation(self, level, q):
+        rng = random.Random(500 + 10 * level + q.denominator)
+        for _ in range(6):
+            chi = random_character(level, q, rng, lo=-3, hi=3)
+            x = random_points(level, rng)
+            ys = [q ** (2 * n) * v for n, v in enumerate(x)]
+            assert sgf_eval(chi, x) == path_expectation(chi, ys)
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(2, 3), Fraction(9, 10)], ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_sgf_eval_torus_is_the_path_expectation(self, level, q):
+        import cmath
+
+        rng = random.Random(600 + 10 * level + q.denominator)
+        for _ in range(6):
+            chi = random_character(level, q, rng, lo=-3, hi=3)
+            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(level)]
+            assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
+
+    def test_reversed_variable_order_disagrees(self):
+        # the path pins y_n to the level-n step: 4/5 y_2 + 1/5 y_1 for the
+        # point mass at (1, 0), which is not symmetric in y_1 and y_2
+        chi = delta(HALF, 1, 0)
+        x = (Fraction(2), Fraction(3))
+        ys = [x[0], HALF ** 2 * x[1]]
+        assert sgf_eval(chi, x) == path_expectation(chi, ys) == 1
+        assert path_expectation(chi, ys[::-1]) == Fraction(7, 4)
 
 
 class TestCheckProduct:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qchar import (
     EMPTY,
     Signature,
+    check_q,
     dimension,
     enumerate_down,
     indecomposable,
@@ -36,6 +37,30 @@ HALF = Fraction(1, 2)
 
 def sig(*parts):
     return Signature(parts)
+
+
+class TestCheckQ:
+    @pytest.mark.parametrize("q", [HALF, Fraction(99, 100), Fraction(1, 10 ** 30), 0.5, "2/3"])
+    def test_accepts_the_open_interval(self, q):
+        out = check_q(q)
+        assert type(out) is Fraction and out == Fraction(q)
+
+    def test_a_fraction_comes_back_unchanged(self):
+        assert check_q(HALF) is HALF
+
+    def test_a_fraction_subclass_becomes_a_fraction(self):
+        class Half(Fraction):
+            pass
+
+        out = check_q(Half(1, 2))
+        assert type(out) is Fraction and out == HALF
+
+    @pytest.mark.parametrize(
+        "q", [0, 1, Fraction(2, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, -2), -0.5, 1.5]
+    )
+    def test_rejects_the_rest(self, q):
+        with pytest.raises(ValueError, match="q must lie strictly between 0 and 1"):
+            check_q(q)
 
 
 class TestQBracket:
