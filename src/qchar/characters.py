@@ -9,12 +9,12 @@ evaluation, exact and on the torus.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import gcd, lcm, log2
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen, enumerate_down, interlaces
 from .schur import (
-    _branching,
     _evaluator,
     check_q,
     lr_coefficients,
@@ -183,15 +183,25 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
     """Exact generating function: sum of P(lam) s_lam(x) / s_lam(1, q^-2, ...).
 
     At the normalization point (1, q^-2, ..., q^(-2(N-1))) the value is 1
-    for every character.
+    for every character.  The sum is taken in integers, one Fraction at the
+    end: each term is the product of the integer parts of P(lam), of the
+    Schur value and of the principal specialization, and the terms are
+    folded over the lcm of their denominators, so the running denominator
+    grows only by the factors a term does not share with it.
     """
     if len(points) != chi.level:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
     s = _evaluator(chi.level, points)
-    total = Fraction(0)
+    q = chi.q
+    num, den = 0, 1
     for lam, p in chi.weights.items():
-        total += p * s(lam) / principal_specialization(lam, chi.q)
-    return total
+        sn, sd = s(lam)
+        ps = principal_specialization(lam, q)
+        n = p.numerator * sn * ps.denominator
+        d = p.denominator * sd * ps.numerator
+        g = gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return Fraction(num, den)
 
 
 TORUS_PRECISION = 1e-12
@@ -204,8 +214,14 @@ def sgf_eval_torus(
 
     The unit-modulus inputs z are substituted as (z_1, q^-2 z_2, ...,
     q^(-2(N-1)) z_N), the scaled torus on which the series converges, and
-    each Schur value comes from the branching rule, whose terms are all
-    positive at z = (1, ..., 1).  Rounding therefore stays relative to the
+    the Schur values are never formed: the coefficients P(lam) / s_lam(1,
+    q^-2, ...) are pushed down one level at a time by the branching rule
+    transposed,
+
+        C_(k-1)(mu) = sum over lam at level k above mu of C_k(lam) x_k^(|lam|-|mu|),
+
+    and the value is C_0 of the empty signature.  Every term is positive
+    when evaluated at the |x_k|, so rounding stays relative to the
     normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12 and
     |S(1, ..., 1) - 1| <= 1e-12.  `precision`, the unit-modulus tolerance,
     lies in [0, TORUS_PRECISION]: it can only tighten the test, since
@@ -220,10 +236,70 @@ def sgf_eval_torus(
     # written so that a NaN or infinite coordinate fails the comparison
     if not all(abs(abs(v) - 1.0) <= precision for v in zs):
         raise ValueError("torus points must have unit modulus")
-    qf = float(chi.q)
-    s = _branching([qf ** (-2 * i) * v for i, v in enumerate(zs)])
-    total = 0j
-    for lam, p in chi.weights.items():
-        norm = float(principal_specialization(lam, chi.q))
-        total += float(p) * s(lam) / norm
-    return total
+    q, qf = chi.q, float(chi.q)
+    # (parts, |parts|, coefficient) for each state of the current level
+    states = [
+        (lam.parts, lam.size, float(p) / float(principal_specialization(lam, q)))
+        for lam, p in chi.weights.items()
+    ]
+    for k in range(chi.level, 0, -1):
+        states = _push(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
+    return complex(states[0][2])
+
+
+# the widest factor |x|^(|lam| - |lam'|), in bits, between two states that
+# share one table of powers of x
+_TABLE_BITS = 256
+
+
+def _push(states: list, level: int, x: complex) -> list:
+    """The states one level down: C(mu) = sum over lam above mu of
+    C(lam) x^(|lam|-|mu|), each state a tuple (parts, size, coefficient).
+
+    States whose sizes lie far apart, so that |x|^(|lam| - |lam'|) reaches
+    2^_TABLE_BITS, are pushed in separate groups: one table of powers of x
+    anchored at one size would leave the float range at the others.
+    """
+    sizes = [size for _, size, _ in states]
+    lo, top = min(sizes), max(sizes)
+    bits = max(log2(abs(x)), 0.0)
+    if (top - lo) * bits < _TABLE_BITS:
+        return _push_close(states, lo, top, level, x)
+    groups: dict[int, list] = {}
+    for state in states:
+        groups.setdefault(int((state[1] - lo) * bits) // _TABLE_BITS, []).append(state)
+    merged: dict[tuple[int, ...], complex] = {}
+    for group in groups.values():
+        sizes = [size for _, size, _ in group]
+        for mu, _, v in _push_close(group, min(sizes), max(sizes), level, x):
+            merged[mu] = merged.get(mu, 0) + v
+    return [(mu, sum(mu), v) for mu, v in merged.items()]
+
+
+def _push_close(states: list, lo: int, top: int, level: int, x: complex) -> list:
+    """`_push` for states whose sizes lie in [lo, top], with one table of
+    powers of x.
+
+    x^(|lam|-|mu|) = x^(|lam|-lo) x^(lo-|mu|): one power per state on either
+    side of the interlacing product.  Below lam, |mu| runs from |lam| - lam_1
+    to |lam| - lam_N.
+    """
+    least = min(0, lo - max([size - lam[-1] for lam, size, _ in states]))
+    most = max(top - lo, lo - min([size - lam[0] for lam, size, _ in states]))
+    powers = _powers(x, least, most)  # x^e at index e - least
+    below: dict[tuple[int, ...], complex] = {}
+    for lam, size, c in states:
+        v = c * powers[size - lo - least]
+        for mu in product(*[range(lam[i + 1], lam[i] + 1) for i in range(level)]):
+            below[mu] = below.get(mu, 0) + v
+    return [(mu, size := sum(mu), v * powers[lo - size - least]) for mu, v in below.items()]
+
+
+def _powers(x: complex, least: int, most: int) -> list[complex]:
+    """x^least, ..., x^most (least <= 0) by repeated multiplication from x^0."""
+    up, down = [1 + 0j], [1 + 0j]
+    for _ in range(most):
+        up.append(up[-1] * x)
+    for _ in range(-least):
+        down.append(down[-1] / x)
+    return down[:0:-1] + up

@@ -243,13 +243,16 @@ def dimension(lam: Signature) -> int:
     Equals the number of patterns with top row `lam` (and the side length
     of the matrix block attached to `lam`).
     """
-    n = lam.level
+    # a pair of equal parts contributes (j - i) / (j - i) and is skipped
+    parts, n = lam.parts, lam.level
     num = 1
     den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= lam.parts[i] - lam.parts[j] + j - i
-            den *= j - i
+            gap = parts[i] - parts[j]
+            if gap:
+                num *= gap + j - i
+                den *= j - i
     return num // den
 
 

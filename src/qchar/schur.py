@@ -5,17 +5,17 @@ All values are ``fractions.Fraction``; the deformation parameter q is a
 rational strictly between 0 and 1, supplied at call time.  Laurent labels
 (signatures with negative parts) are handled by factoring out the smallest
 part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).  Inside, the
-exact Schur evaluator and ``qdim`` work in Python integers and build one
-Fraction per value: the points are put over one common denominator, and
-each Schur value is a Jacobi-Trudi determinant of complete homogeneous
-values, taken fraction-free (Bareiss) at every point set.  The branching
-rule serves only the floating-point torus pairing.  Littlewood-Richardson
-coefficients come from the row (horizontal-strip) form of the tableau rule.
+exact Schur evaluator and ``qdim`` work in Python integers: the points are
+put over one common denominator, and each Schur value is a Jacobi-Trudi
+determinant of complete homogeneous values, taken fraction-free (Bareiss)
+at every point set and handed back as an integer numerator and
+denominator, which `schur_eval` wraps in one Fraction.
+Littlewood-Richardson coefficients come from the row (horizontal-strip)
+form of the tableau rule.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm, prod
 from typing import Callable, Sequence
 
@@ -67,53 +67,23 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
-def _branching(points: Sequence) -> Callable[[Signature], object]:
-    """Evaluator lam -> s_lam(points) by the branching rule
-
-        s_lam(x_1..x_N) = sum over mu below lam of s_mu(x_1..x_(N-1)) x_N^(|lam|-|mu|),
-
-    memoised over part tuples and shared by every signature it is asked
-    for, with one table of powers of x_N per level N.  Used only by the
-    complex-float torus pairing: every term is positive when evaluated at
-    the |x_i|, so rounding stays relative to s_lam(|x_1|, ..., |x_N|).
-    """
-    memo: dict[tuple[int, ...], object] = {(): 1}
-    powers: list[dict[int, object]] = [{} for _ in points]
-    return lambda lam: _branch(lam.parts, points, memo, powers)
-
-
-def _branch(parts: tuple[int, ...], points: Sequence, memo: dict, powers: list):
-    # module level rather than a closure, so an evaluator is not a reference cycle
-    value = memo.get(parts)
-    if value is None:
-        n = len(parts)
-        x, table = points[n - 1], powers[n - 1]
-        size = sum(parts)
-        value = 0
-        for mu in product(*[range(parts[i + 1], parts[i] + 1) for i in range(n - 1)]):
-            e = size - sum(mu)
-            p = table.get(e)
-            if p is None:
-                p = table[e] = x ** e
-            v = memo.get(mu)
-            value += (_branch(mu, points, memo, powers) if v is None else v) * p
-        memo[parts] = value
-    return value
-
-
-def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], Fraction]:
-    """lam -> s_lam(points) for level-`level` signatures at exact points.
+def _evaluator(
+    level: int, points: Sequence[Fraction]
+) -> Callable[[Signature], tuple[int, int]]:
+    """lam -> s_lam(points) for level-`level` signatures at exact points, as
+    an integer pair (numerator, denominator), not reduced; the denominator
+    is nonzero but may be negative.
 
     The points are put over one common denominator, x_i = c_i / B, and every
     Schur value is computed in integers on the partition mu = lam - lam_N:
 
-        s_lam(x) = s_mu(c) (c_1 ... c_N)^lam_N / B^|lam|,
+        s_lam(x) = s_mu(c) (c_1 ... c_N)^lam_N / B^|lam|.
 
-    one Fraction per signature.  s_mu(c) is the Jacobi-Trudi determinant
-    det(h_(mu_i - i + j)(c)), l x l for the l <= N - 1 nonzero parts of mu,
-    taken by Bareiss elimination; it holds at every point set, distinct or
-    coincident.  The complete homogeneous values h_k(c) are one table shared
-    by every signature of the call, grown on demand by the column recurrence
+    s_mu(c) is the Jacobi-Trudi determinant det(h_(mu_i - i + j)(c)), l x l
+    for the l <= N - 1 nonzero parts of mu, taken by Bareiss elimination;
+    it holds at every point set, distinct or coincident.  The complete
+    homogeneous values h_k(c) are one table shared by every signature of
+    the call, grown on demand by the column recurrence
     h_k(c_1..c_n) = h_k(c_1..c_(n-1)) + c_n h_(k-1)(c_1..c_n), O(N) per k.
     Zero points are rejected.
     """
@@ -121,7 +91,7 @@ def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], 
         raise ValueError(
             f"need {level} points for a level-{level} signature, got {len(points)}"
         )
-    pts = [Fraction(x) for x in points]
+    pts = [x if type(x) is Fraction else Fraction(x) for x in points]
     if any(x == 0 for x in pts):
         raise ValueError("evaluation points must be nonzero")
     den = lcm(*(x.denominator for x in pts))
@@ -146,14 +116,14 @@ def _evaluator(level: int, points: Sequence[Fraction]) -> Callable[[Signature], 
 
     cprod = prod(c)
 
-    def value(lam: Signature) -> Fraction:
+    def value(lam: Signature) -> tuple[int, int]:
         parts = lam.parts
         base = parts[-1] if parts else 0
-        size = lam.size
-        s_mu = partition(tuple(p - base for p in parts))
+        size = sum(parts)
+        s_mu = partition(tuple([p - base for p in parts]))
         # lam_N and |lam| may be negative: each power goes where it is positive
         num = s_mu * cprod ** max(base, 0) * den ** max(-size, 0)
-        return Fraction(num, cprod ** max(-base, 0) * den ** max(size, 0))
+        return num, cprod ** max(-base, 0) * den ** max(size, 0)
 
     return value
 
@@ -165,7 +135,7 @@ def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
     out, as a Jacobi-Trudi determinant; the same path serves distinct and
     coincident points.  Zero points are rejected.
     """
-    return _evaluator(lam.level, points)(lam)
+    return Fraction(*_evaluator(lam.level, points)(lam))
 
 
 @lru_cache(maxsize=None)

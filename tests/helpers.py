@@ -24,8 +24,10 @@ from qchar import (
     enumerate_gt_patterns,
     f_spectrum,
     lr_coefficients,
+    principal_specialization,
     qdim,
     restrict,
+    schur_eval,
     sgf_eval,
     weight,
     wq,
@@ -221,6 +223,21 @@ def schur_eval_branching_oracle(lam: Signature, points) -> Fraction:
         return sum((s(mu) * y ** (nu.size - mu.size) for mu in enumerate_down(nu)), Fraction(0))
 
     return s(lam)
+
+
+def sgf_eval_oracle(chi: LevelCharacter, points) -> Fraction:
+    """Reference exact generating function: the sum over lam of
+    P(lam) * s_lam(x) / s_lam(1, q^-2, ...), one `Fraction` operation at a
+    time.
+
+    The independent cross-check for the integer fold behind `sgf_eval`.
+    """
+    if len(points) != chi.level:
+        raise ValueError(f"need {chi.level} points, got {len(points)}")
+    total = Fraction(0)
+    for lam, p in chi.weights.items():
+        total += p * schur_eval(lam, points) / principal_specialization(lam, chi.q)
+    return total
 
 
 def path_expectation(chi: LevelCharacter, ys) -> object:

@@ -27,6 +27,7 @@ from helpers import (
     path_expectation,
     random_character,
     random_points,
+    sgf_eval_oracle,
     sgf_eval_torus_oracle,
     tensor_oracle,
     total_variation_oracle,
@@ -295,6 +296,24 @@ class TestSgf:
             for y in (x, (top,) + x[1:]):
                 assert sgf_eval(chi, y + (top,)) == sgf_eval(restrict(chi), y)
 
+    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_equals_the_fraction_oracle(self, level, q):
+        rng = random.Random(700 + 10 * level + q.denominator)
+        chars = [random_character(level, q, rng, max_support=8, lo=-3, hi=3) for _ in range(6)]
+        if level == 4:
+            # a support of 495 signatures, folded over one growing denominator
+            everything = list(iter_signatures(4, -4, 4))
+            raw = [rng.randint(1, 9) for _ in everything]
+            total = sum(raw)
+            weights = {lam: Fraction(w, total) for lam, w in zip(everything, raw)}
+            chars.append(LevelCharacter(4, q, weights))
+        for chi in chars:
+            x = random_points(level, rng)
+            # the second point set repeats its first point
+            for pts in (x, x[:1] * level):
+                assert sgf_eval(chi, pts) == sgf_eval_oracle(chi, pts)
+
 
 class TestSgfTorus:
     def test_counit_point(self):
@@ -333,6 +352,16 @@ class TestSgfTorus:
             z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]
             assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
 
+    def test_sizes_far_apart(self):
+        # |x_3|^40 = 10^320 at q = 1/100: one table of powers of x_3 anchored at
+        # either size would overflow at the other, so each point mass gets its own
+        import cmath
+
+        chi = LevelCharacter(3, Fraction(1, 100), {sig(0, 0, 0): HALF, sig(0, 0, -40): HALF})
+        rng = random.Random(37)
+        zs = [[cmath.exp(2j * cmath.pi * rng.random()) for _ in range(3)] for _ in range(3)]
+        for z in [[1, 1, 1]] + zs:
+            assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
 
     # points of the unit circle with rational coordinates, from Pythagorean triples
     PYTHAGOREAN = [
@@ -340,14 +369,20 @@ class TestSgfTorus:
         for a, b, c in [(3, 4, 5), (5, -12, 13), (-8, 15, 17), (-20, -21, 29), (0, 1, 1)]
     ]
 
-    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)])
-    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
     def test_exact_at_gaussian_rational_points(self, level, q):
         rng = random.Random(100 * level + q.denominator)
-        everything = list(iter_signatures(level, -3, 3))
+        # the oracle sums over patterns, so the parts shrink as the level grows
+        top = 3 if level <= 3 else 1
+        everything = list(iter_signatures(level, -top, top))
         share = Fraction(1, len(everything))
         uniform = LevelCharacter(level, q, {lam: share for lam in everything})
-        for chi in [uniform] + [random_character(level, q, rng, lo=-3, hi=3) for _ in range(4)]:
+        if level == 4:
+            top = 2
+        for chi in [uniform] + [
+            random_character(level, q, rng, lo=-top, hi=top) for _ in range(4)
+        ]:
             for _ in range(2):
                 z = [rng.choice(self.PYTHAGOREAN) for _ in range(level)]
                 re, im = sgf_eval_torus_oracle(chi, z)

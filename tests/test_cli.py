@@ -72,16 +72,17 @@ MALFORMED = {
     "output-is-a-directory": ["qdim", "--q", "1/2", "--sig", "[1, 0]", "--output", "."],
 }
 
-# a valid request whose branching rule recurses once per level, deeper than
-# Python's default limit; it exits 2 with a JSON error
+# a valid request whose pattern enumeration recurses once per level, deeper
+# than Python's default limit; it exits 2 with a JSON error
 TOO_DEEP = {
-    "sgf-torus-1200-levels": [
-        "sgf-torus",
-        "--char", '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
+    "decompose-1200-levels": [
+        "decompose",
+        "--densities",
+        '{"level": 1200, "q": "99/100", "blocks": [{"sig": %s, "matrix": [["1"]]}]}'
         % ([0] * 1200),
-        "--z", json.dumps([[1, 0]] * 1200),
     ],
 }
+CHAR_1200 = '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
 POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
 
 
@@ -244,6 +245,16 @@ class TestFreshProcess:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "recursion" in json.loads(proc.stdout)["error"]
+
+    def test_torus_pairing_at_1200_levels(self):
+        # the coefficients are pushed down the 1200 levels in a loop, not a call per level
+        proc = run_fresh(
+            "-m", "qchar.cli", "sgf-torus",
+            "--char", CHAR_1200 % ([0] * 1200), "--z", json.dumps([[1, 0]] * 1200),
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"abs": 1.0, "value": {"re": 1.0, "im": 0.0}}
 
     def test_lr_with_a_1000_cell_strip(self):
         # one 1000-cell strip, built in a loop: the LR rule recurses neither per cell nor per row
