@@ -48,7 +48,6 @@ _EXPORTS = {
         "sgf_eval_torus",
         "tensor",
         "total_variation",
-        "wq",
     ),
     "boundary": (
         "CorollaryReport",

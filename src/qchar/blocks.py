@@ -477,7 +477,8 @@ def check_f_compatibility(nu: Signature, q: Fraction) -> FCompatReport:
 
     Every entry is a power of q, and q^e is injective on 0 < q < 1, so the
     check compares exponents: big[offset + i] == shift + small[i], where
-    wq(lam, nu, q) = q^shift.
+    q^shift = q^((N+1)|lam| - N|nu|) is the q-power of the cotransition
+    kernel, N the level of lam.
     """
     if nu.level < 2:
         raise ValueError("need a signature of level >= 2")
@@ -485,7 +486,7 @@ def check_f_compatibility(nu: Signature, q: Fraction) -> FCompatReport:
     big = f_spectrum(nu).exponents
     for lam, offset, size in pattern_groups(nu):
         n = lam.level
-        shift = (n + 1) * lam.size - n * nu.size  # wq(lam, nu, q) = q^shift
+        shift = (n + 1) * lam.size - n * nu.size
         small = f_spectrum(lam).exponents
         for i in range(size):
             if big[offset + i] != shift + small[i]:

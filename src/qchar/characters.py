@@ -5,15 +5,17 @@ combination of the indecomposable ones, so it is stored losslessly as a
 finitely supported probability measure.  This module provides the
 cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
-evaluation, exact and on the torus.
+evaluation, exact and on the torus.  A kernel row, `restrict` and the
+extreme-character approximants in `boundary` are each a pushdown along
+the kernel by one integer walker, `_push`.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd, lcm, log2
 from typing import Mapping, Sequence
 
-from .combinatorics import Signature, _Frozen, enumerate_down, interlaces
+from .combinatorics import Signature, _Frozen
 from .schur import (
     _evaluator,
     check_q,
@@ -81,32 +83,99 @@ def indecomposable(lam: Signature, q: Fraction) -> LevelCharacter:
     return LevelCharacter(lam.level, q, {lam: Fraction(1)})
 
 
-def wq(lam: Signature, nu: Signature, q: Fraction) -> Fraction:
-    """q^((N+1)|lam| - N|nu|) for an interlacing pair lam (level N) below nu."""
-    if not interlaces(lam, nu):
-        raise ValueError(f"{lam} does not interlace below {nu}")
-    n = lam.level
-    return check_q(q) ** ((n + 1) * lam.size - n * nu.size)
-
-
 def cotransition(nu: Signature, q: Fraction) -> dict[Signature, Fraction]:
-    """Stochastic row Lambda(nu, .): wq(lam, nu) * qdim(lam) / qdim(nu).
+    """Stochastic row of the cotransition kernel at nu (level N + 1):
 
-    Entries are positive and sum to exactly 1; keys ascend lexicographically.
+        Lambda(nu, lam) = q^((N+1)|lam| - N|nu|) * qdim(lam) / qdim(nu)
+
+    for lam interlacing below nu.  Entries are positive and sum to exactly
+    1; keys ascend lexicographically.
     """
-    d = qdim(nu, q)
-    return {lam: wq(lam, nu, q) * qdim(lam, q) / d for lam in enumerate_down(nu)}
+    q = check_q(q)
+    if nu.level < 1:
+        raise ValueError("need a signature of level >= 1")
+    return _push({nu: 1}, nu.level - 1, q)
 
 
 def restrict(chi: LevelCharacter) -> LevelCharacter:
-    """Push the measure one level down along the cotransition kernel."""
+    """Push the measure one level down along the cotransition kernel:
+    the sum over nu of P(nu) Lambda(nu, .), taken in integers by `_push`."""
     if chi.level < 1:
         raise ValueError("cannot restrict below level 0")
-    out: dict[Signature, Fraction] = {}
-    for nu, p in chi.weights.items():
-        for lam, c in cotransition(nu, chi.q).items():
-            out[lam] = out.get(lam, Fraction(0)) + p * c
-    return LevelCharacter(chi.level - 1, chi.q, out)
+    return LevelCharacter(chi.level - 1, chi.q, _push(chi.weights, chi.level - 1, chi.q))
+
+
+def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dict:
+    """Push the measure `weights` at level L >= 1 down to N = `level` < L
+    along the composed cotransition kernel, in one pass, in integers:
+
+        Lambda(nu, lam) = qdim(lam) / qdim(nu) * q^((N+1)|lam| - (L-1)|nu|)
+                          * sum over chains nu > mu_(L-1) > ... > mu_(N+1) > lam
+                            of the product of q^(2|mu_k|) over N < k < L
+
+    on nu[i+L-N] <= lam[i] <= nu[i].  Each nu starts as the integer
+    P(nu) q^(-(L-1)(|nu|-s0)) / qdim(nu) (s0 the least |nu|) over one common
+    denominator, divided by their gcd.  With q^2 = A/B a mu at level k
+    carries A^(|mu|-lo) B^(hi-|mu|), lo and hi the extreme sizes there; the
+    rest is one constant, and each output weight one Fraction from integers.
+    Parts pinned to nu[0] in every nu are not carried (a theta prefix walks
+    at most h + 1 parts whatever L is); a single nu whose target parts are
+    all pinned (nu[i+L-N] == nu[i]) is its point mass at once.
+    """
+    sigs = list(weights)
+    n, big, top = level, sigs[0].level, sigs[0].parts
+    if len(sigs) == 1 and all(top[i + big - n] == top[i] for i in range(n)):
+        return {Signature(top[:n]): Fraction(1)}
+    qn, qd = q.numerator, q.denominator
+    a, b = qn * qn, qd * qd
+    least = min([nu.size for nu in sigs])
+    nums, dens = [], []
+    for nu, p in weights.items():
+        d, e = qdim(nu, q), (big - 1) * (nu.size - least)
+        nums.append(p.numerator * d.denominator * qd ** e)
+        dens.append(p.denominator * d.numerator * qn ** e)
+    common = lcm(*dens)
+    starts = [m * (common // d) for m, d in zip(nums, dens)]
+    g = gcd(*starts)
+    # lo and hi at level k, at index k - 1: the least and largest corner sums
+    # nu[L-k:] and nu[:k] of the interlacing ranges
+    los = list(map(min, zip(*[accumulate(reversed(nu.parts)) for nu in sigs])))
+    his = list(map(max, zip(*[accumulate(nu.parts) for nu in sigs])))
+    # at level k the first max(0, run - (L - k)) parts of every mu are `first`
+    first = top[0]
+    pinned = min([nu.parts.count(first) if nu.parts[0] == first else 0 for nu in sigs])
+    sums = {nu.parts[pinned:]: c // g for nu, c in zip(sigs, starts)}
+    for k in range(big - 1, n - 1, -1):
+        lead = (first,) if pinned else ()
+        pinned = max(pinned - 1, 0)
+        below: dict[tuple[int, ...], int] = {}
+        # interlacing on bare part tuples (as in enumerate_down), so the walk
+        # builds no Signature and leaves nothing in enumerate_down's cache
+        for mu, c in sums.items():
+            ext = lead + mu
+            for lam in product(*[range(ext[i + 1], ext[i] + 1) for i in range(len(ext) - 1)]):
+                below[lam] = below.get(lam, 0) + c
+        if k == n:
+            break
+        lo, hi = los[k - 1], his[k - 1]
+        weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
+        offset = pinned * first - lo  # |mu| - lo = sum(mu) + offset
+        sums = {mu: c * weight[sum(mu) + offset] for mu, c in below.items()}
+    # q^(-(L-1)s0) A^(sum lo) / B^(sum hi) over levels N < k < L is qn^x / qd^y
+    x = 2 * sum(los[n:big - 1]) - (big - 1) * least
+    y = 2 * sum(his[n:big - 1]) - (big - 1) * least
+    scale = Fraction(qn) ** x / Fraction(qd) ** y * Fraction(g, common)
+    sn, sd = scale.numerator, scale.denominator
+    lead = (first,) * pinned
+    out = {}
+    for lam, c in below.items():
+        sig = Signature(lead + lam)
+        d = qdim(sig, q)
+        # q^e with e = (N+1)|lam|: each power goes where it is positive
+        e = (n + 1) * sig.size
+        up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        out[sig] = Fraction(sn * c * d.numerator * up, sd * d.denominator * down)
+    return out
 
 
 def first_discrepancy(a: LevelCharacter, b: LevelCharacter) -> Signature | None:
@@ -243,7 +312,7 @@ def sgf_eval_torus(
         for lam, p in chi.weights.items()
     ]
     for k in range(chi.level, 0, -1):
-        states = _push(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
+        states = _push_torus(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
     return complex(states[0][2])
 
 
@@ -252,7 +321,7 @@ def sgf_eval_torus(
 _TABLE_BITS = 256
 
 
-def _push(states: list, level: int, x: complex) -> list:
+def _push_torus(states: list, level: int, x: complex) -> list:
     """The states one level down: C(mu) = sum over lam above mu of
     C(lam) x^(|lam|-|mu|), each state a tuple (parts, size, coefficient).
 
@@ -264,20 +333,20 @@ def _push(states: list, level: int, x: complex) -> list:
     lo, top = min(sizes), max(sizes)
     bits = max(log2(abs(x)), 0.0)
     if (top - lo) * bits < _TABLE_BITS:
-        return _push_close(states, lo, top, level, x)
+        return _push_torus_close(states, lo, top, level, x)
     groups: dict[int, list] = {}
     for state in states:
         groups.setdefault(int((state[1] - lo) * bits) // _TABLE_BITS, []).append(state)
     merged: dict[tuple[int, ...], complex] = {}
     for group in groups.values():
         sizes = [size for _, size, _ in group]
-        for mu, _, v in _push_close(group, min(sizes), max(sizes), level, x):
+        for mu, _, v in _push_torus_close(group, min(sizes), max(sizes), level, x):
             merged[mu] = merged.get(mu, 0) + v
     return [(mu, sum(mu), v) for mu, v in merged.items()]
 
 
-def _push_close(states: list, lo: int, top: int, level: int, x: complex) -> list:
-    """`_push` for states whose sizes lie in [lo, top], with one table of
+def _push_torus_close(states: list, lo: int, top: int, level: int, x: complex) -> list:
+    """`_push_torus` for states whose sizes lie in [lo, top], with one table of
     powers of x.
 
     x^(|lam|-|mu|) = x^(|lam|-lo) x^(lo-|mu|): one power per state on either

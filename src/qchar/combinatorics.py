@@ -195,15 +195,6 @@ def enumerate_down(upper: Signature) -> tuple[Signature, ...]:
     return tuple(Signature(parts) for parts in product(*ranges))
 
 
-def _pattern_rows(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if len(top) == 1:
-        yield (top,)
-        return
-    for lam in reversed(enumerate_down(Signature(top))):
-        for rows in _pattern_rows(lam.parts):
-            yield rows + (top,)
-
-
 def enumerate_gt_patterns(top: Signature) -> Iterator[GTPattern]:
     """Lazily enumerate all patterns with the given top row.
 
@@ -216,8 +207,19 @@ def enumerate_gt_patterns(top: Signature) -> Iterator[GTPattern]:
     """
     if top.level < 1:
         raise ValueError("need a signature of level >= 1")
-    for rows in _pattern_rows(top.parts):
-        yield GTPattern(rows)
+    # depth first on an explicit stack of iterators, one per level of the path
+    path: list[tuple[int, ...]] = []  # the rows above the current one, top row first
+    stack = [iter((top,))]
+    while stack:
+        lam = next(stack[-1], None)
+        if lam is None:
+            stack.pop()
+            del path[-1:]
+        elif lam.level == 1:
+            yield GTPattern((lam.parts, *reversed(path)))
+        else:
+            path.append(lam.parts)
+            stack.append(reversed(enumerate_down(lam)))
 
 
 def weight(pattern: GTPattern) -> tuple[int, ...]:

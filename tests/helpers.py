@@ -19,18 +19,17 @@ from qchar import (
     BlockElement,
     LevelCharacter,
     Signature,
-    cotransition,
+    check_q,
     enumerate_down,
     enumerate_gt_patterns,
     f_spectrum,
+    interlaces,
     lr_coefficients,
     principal_specialization,
     qdim,
-    restrict,
     schur_eval,
     sgf_eval,
     weight,
-    wq,
 )
 from qchar.blocks import FCompatReport, pattern_groups
 
@@ -246,11 +245,11 @@ def path_expectation(chi: LevelCharacter, ys) -> object:
     P(lam^(N)) * prod_n Lambda(lam^(n), lam^(n-1)) * y_n^(|lam^(n)| - |lam^(n-1)|),
     Lambda the cotransition kernel.
 
-    The chain is walked down one level at a time, each level's mass kept
-    per signature.  With y_n = q^(2(n-1)) x_n it is `sgf_eval(chi, x)`
-    exactly; with y_n = z_n on the unit circle it is `sgf_eval_torus(chi, z)`,
-    a convex combination of unit-modulus numbers.  No Schur value is ever
-    computed.
+    The chain is walked down one level at a time along
+    `cotransition_oracle`, each level's mass kept per signature.  With
+    y_n = q^(2(n-1)) x_n it is `sgf_eval(chi, x)` exactly; with y_n = z_n
+    on the unit circle it is `sgf_eval_torus(chi, z)`, a convex combination
+    of unit-modulus numbers.  No Schur value is ever computed.
     """
     if len(ys) != chi.level:
         raise ValueError(f"need {chi.level} variables, got {len(ys)}")
@@ -259,7 +258,7 @@ def path_expectation(chi: LevelCharacter, ys) -> object:
         y = ys[n - 1]
         below = {}
         for nu, w in layer.items():
-            for lam, p in cotransition(nu, chi.q).items():
+            for lam, p in cotransition_oracle(nu, chi.q).items():
                 below[lam] = below.get(lam, 0) + w * p * y ** (nu.size - lam.size)
         layer = below
     return sum(layer.values())
@@ -373,14 +372,42 @@ def charpoly_psd(rows) -> bool:
     return True
 
 
-def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
-    """Push a measure down to `level` one cotransition step at a time.
+def wq(lam: Signature, nu: Signature, q: Fraction) -> Fraction:
+    """q^((N+1)|lam| - N|nu|) for an interlacing pair lam (level N) below nu."""
+    if not interlaces(lam, nu):
+        raise ValueError(f"{lam} does not interlace below {nu}")
+    n = lam.level
+    return check_q(q) ** ((n + 1) * lam.size - n * nu.size)
 
-    The independent cross-check for the one-pass pushdown behind
-    `extreme_character`.
+
+def cotransition_oracle(nu: Signature, q: Fraction) -> dict[Signature, Fraction]:
+    """Reference cotransition row: wq(lam, nu) * qdim(lam) / qdim(nu) for each
+    lam of `enumerate_down(nu)`, in that order, one `Fraction` per entry.
+
+    The independent cross-check for the integer walker behind `cotransition`.
+    """
+    d = qdim(nu, q)
+    return {lam: wq(lam, nu, q) * qdim(lam, q) / d for lam in enumerate_down(nu)}
+
+
+def restrict_oracle(chi: LevelCharacter) -> LevelCharacter:
+    """Reference restriction: sum over nu of P(nu) * cotransition_oracle(nu),
+    one `Fraction` product and sum per kernel entry."""
+    out: dict[Signature, Fraction] = {}
+    for nu, p in chi.weights.items():
+        for lam, c in cotransition_oracle(nu, chi.q).items():
+            out[lam] = out.get(lam, Fraction(0)) + p * c
+    return LevelCharacter(chi.level - 1, chi.q, out)
+
+
+def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
+    """Push a measure down to `level` one `restrict_oracle` step at a time.
+
+    The independent cross-check for the one-pass walker behind `restrict`
+    and `extreme_character`.
     """
     while chi.level > level:
-        chi = restrict(chi)
+        chi = restrict_oracle(chi)
     return chi
 
 

@@ -11,7 +11,6 @@ from qchar import (
     ak_on_measure,
     ak_on_theta,
     cauchy_gap,
-    cotransition,
     extreme_character,
     first_discrepancy,
     indecomposable,
@@ -20,9 +19,9 @@ from qchar import (
     tensor,
     verify_corollary,
 )
-from qchar.boundary import _pushdown
+from qchar.characters import _push
 
-from helpers import iterated_restrict, random_character
+from helpers import cotransition_oracle, iterated_restrict, random_character
 
 HALF = Fraction(1, 2)
 QS = (HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100))
@@ -95,7 +94,7 @@ class TestPushdownOracle:
                 nu = Signature(tuple(parts))
                 level = rng.randint(1, big - 1)
                 want = iterated_restrict(indecomposable(nu, q), level).weights
-                assert _pushdown(nu, level, q) == want, (nu, level, q)
+                assert _push({nu: Fraction(1)}, level, q) == want, (nu, level, q)
 
     def test_long_pinned_run(self):
         # at L = 30 the walk carries only the parts after the pinned tail value
@@ -115,7 +114,7 @@ class TestPushdownOracle:
         for q in QS:
             for theta in (BoundaryParam((-3, -1, 0), 2), BoundaryParam((-1,), 4)):
                 for level in range(1, 5):
-                    row = cotransition(theta.signature_at(level + 1), q)
+                    row = cotransition_oracle(theta.signature_at(level + 1), q)
                     assert extreme_character(theta, level, level + 1, q).measure.weights == row
 
     def test_negative_parts(self):

@@ -19,18 +19,22 @@ from qchar import (
     sgf_eval_torus,
     tensor,
     total_variation,
-    wq,
 )
+from qchar.characters import _push
 
 from helpers import (
     check_product,
+    cotransition_oracle,
+    iterated_restrict,
     path_expectation,
     random_character,
     random_points,
+    restrict_oracle,
     sgf_eval_oracle,
     sgf_eval_torus_oracle,
     tensor_oracle,
     total_variation_oracle,
+    wq,
 )
 
 HALF = Fraction(1, 2)
@@ -177,6 +181,105 @@ class TestCoherence:
     def test_q_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CoherentFamily(HALF, (indecomposable(sig(0), Fraction(2, 3)),))
+
+
+def shared_run_character(level, q, rng):
+    """A random measure whose signatures all start with the same part, in
+    leading runs of different lengths, with negative parts below them."""
+    first = rng.randint(-1, 3)
+    support = set()
+    for _ in range(rng.randint(1, 6)):
+        run = rng.randint(1, level)
+        rest = sorted((rng.randint(-3, first - 1) for _ in range(level - run)), reverse=True)
+        support.add(Signature((first,) * run + tuple(rest)))
+    support = sorted(support, key=lambda s: s.parts)
+    raw = [Fraction(rng.randint(1, 9)) for _ in support]
+    return LevelCharacter(level, q, {s: w / sum(raw) for s, w in zip(support, raw)})
+
+
+class TestKernelWalker:
+    """`cotransition`, `restrict` and the many-level pushdown are one integer
+    walker; each is checked exactly against the per-entry Fraction oracles,
+    key order included, since the CLI prints rows in dict order."""
+
+    def test_cotransition_rows(self):
+        rng = random.Random(3)
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(12):
+                    parts = sorted((rng.randint(-3, 3) for _ in range(level)), reverse=True)
+                    nu = Signature(tuple(parts))
+                    got, want = cotransition(nu, q), cotransition_oracle(nu, q)
+                    assert list(got.items()) == list(want.items()), (nu, q)
+                    assert all(type(p) is Fraction for p in got.values())
+
+    def test_restrict_on_mixed_leading_parts(self):
+        rng = random.Random(5)
+        mixed = 0
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(10):
+                    chi = random_character(level, q, rng, max_support=12, lo=-3, hi=3)
+                    got, want = restrict(chi), restrict_oracle(chi)
+                    assert got == want, chi
+                    assert list(got.weights) == list(want.weights)
+                    mixed += len({nu.parts[0] for nu in chi.weights}) > 1
+        assert mixed >= 50
+
+    def test_restrict_on_shared_leading_runs(self):
+        rng = random.Random(7)
+        for q in QS:
+            for level in range(1, 5):
+                for _ in range(10):
+                    chi = shared_run_character(level, q, rng)
+                    got, want = restrict(chi), restrict_oracle(chi)
+                    assert got == want, chi
+                    assert list(got.weights) == list(want.weights)
+
+    def test_many_levels_at_once(self):
+        rng = random.Random(9)
+        for q in QS:
+            for _ in range(8):
+                big = rng.randint(2, 6)
+                if rng.random() < 0.5:
+                    chi = shared_run_character(big, q, rng)
+                else:
+                    chi = random_character(big, q, rng, max_support=6, lo=-3, hi=3)
+                level = rng.randint(0, big - 1)
+                want = iterated_restrict(chi, level).weights
+                got = _push(chi.weights, level, q)
+                assert list(got.items()) == list(want.items()), (chi, level)
+
+    def test_level_zero_errors_are_unchanged(self):
+        with pytest.raises(ValueError, match=r"^need a signature of level >= 1$"):
+            cotransition(EMPTY, HALF)
+        with pytest.raises(ValueError, match=r"^cannot restrict below level 0$"):
+            restrict(indecomposable(EMPTY, HALF))
+
+    def test_coherence_of_families_built_both_ways(self):
+        rng = random.Random(13)
+        broken_checked = 0
+        for q in QS:
+            for top in (
+                shared_run_character(4, q, rng),
+                random_character(4, q, rng, max_support=6, lo=-3, hi=3),
+            ):
+                for step in (restrict, restrict_oracle):
+                    levels = [top]
+                    while levels[0].level > 1:
+                        levels.insert(0, step(levels[0]))
+                    assert is_coherent(CoherentFamily(q, tuple(levels))).ok
+                    # move the mass of the lex-first signature at level 2 onto
+                    # a lex-larger one
+                    a = levels[1].support()[0]
+                    b = Signature((a.parts[0] + 1, a.parts[1]))
+                    moved = dict(levels[1].weights)
+                    moved[b] = moved.get(b, 0) + moved.pop(a)
+                    levels[1] = LevelCharacter(2, q, moved)
+                    report = is_coherent(CoherentFamily(q, tuple(levels)))
+                    assert (report.ok, report.level, report.sig) == (False, 2, a)
+                    broken_checked += 1
+        assert broken_checked == 16
 
 
 class TestTensor:

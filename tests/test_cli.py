@@ -16,7 +16,7 @@ from qchar import (
     random_block_element,
     scaling,
 )
-from qchar import jsonio
+from qchar import cli, jsonio
 from qchar.cli import main
 from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
@@ -72,16 +72,6 @@ MALFORMED = {
     "output-is-a-directory": ["qdim", "--q", "1/2", "--sig", "[1, 0]", "--output", "."],
 }
 
-# a valid request whose pattern enumeration recurses once per level, deeper
-# than Python's default limit; it exits 2 with a JSON error
-TOO_DEEP = {
-    "decompose-1200-levels": [
-        "decompose",
-        "--densities",
-        '{"level": 1200, "q": "99/100", "blocks": [{"sig": %s, "matrix": [["1"]]}]}'
-        % ([0] * 1200),
-    ],
-}
 CHAR_1200 = '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
 POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
 
@@ -239,12 +229,18 @@ class TestFreshProcess:
                 "qchar", "qchar.cli", "qchar.combinatorics", "qchar.jsonio", "qchar.schur"
             ]
 
-    @pytest.mark.parametrize("argv", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
-    def test_recursion_depth_exits_two(self, argv):
-        proc = run_fresh("-m", "qchar.cli", *argv, timeout=60)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "recursion" in json.loads(proc.stdout)["error"]
+    def test_decompose_at_1200_levels(self):
+        # the patterns of [0]*1200 are enumerated in a loop, not a call per level
+        proc = run_fresh(
+            "-m", "qchar.cli", "decompose", "--densities",
+            '{"level": 1200, "q": "99/100", "blocks": [{"sig": %s, "matrix": [["1"]]}]}'
+            % ([0] * 1200),
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "accepted": True, "coefficients": [{"sig": [0] * 1200, "coeff": "1"}]
+        }
 
     def test_torus_pairing_at_1200_levels(self):
         # the coefficients are pushed down the 1200 levels in a loop, not a call per level
@@ -529,6 +525,16 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    def test_recursion_error_exits_two(self, capsys, monkeypatch):
+        # no request is known to recurse this deep; the handler stays as a guard
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_cmd_qdim", too_deep)
+        code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", "[1,0]")
+        assert code == 2
+        assert json.loads(out) == {"error": "input too large: maximum recursion depth exceeded"}
 
     @pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=list(MALFORMED))
     def test_malformed_document_exits_two(self, capsys, argv):

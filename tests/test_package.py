@@ -20,7 +20,7 @@ ORIGIN = {
         "schur": "check_q lr_coefficients principal_specialization qbracket qdim schur_eval",
         "characters": "CoherenceReport CoherentFamily LevelCharacter cotransition"
         " first_discrepancy indecomposable is_coherent restrict sgf_eval sgf_eval_torus"
-        " tensor total_variation wq",
+        " tensor total_variation",
         "boundary": "CorollaryReport ExtremeApproximant ak_on_measure ak_on_theta cauchy_gap"
         " extreme_character verify_corollary",
         "blocks": "BlockElement DecomposeReport FCompatReport FSpectrum char_state_eval"
@@ -33,7 +33,7 @@ SUBMODULES = ("combinatorics", "schur", "characters", "boundary", "blocks")
 
 
 def test_the_pinned_surface():
-    assert len(ORIGIN) == 51
+    assert len(ORIGIN) == 50
     assert sorted(qchar.__all__) == sorted([*ORIGIN, *SUBMODULES])
     assert qchar.__version__ == "0.1.0"
 
