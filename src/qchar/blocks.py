@@ -555,21 +555,26 @@ def decompose_state(
             raise ValueError(f"density at {sig} must have exact (int or Fraction) entries")
         mats[sig] = rows
 
+    traces = {}
     for sig, rows in mats.items():
         n = len(rows)
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError(f"density at {sig} is not symmetric")
         if not _ldl_psd(rows):
             raise ValueError(f"density at {sig} is not positive semidefinite")
+        traces[sig] = sum(rows[i][i] for i in range(n))
 
-    total = sum(sum(rows[i][i] for i in range(len(rows))) for rows in mats.values())
+    total = sum(traces.values())
     if total != 1:
         raise ValueError(f"density traces must sum to 1, got {total}")
 
+    # with q = a/b, d_i / q^e_i == d_0 / q^e_0 iff
+    # d_i a^(e_0 - m) b^(e_i - m) == d_0 a^(e_i - m) b^(e_0 - m), m = min e,
+    # compared in integers over the entries' own denominators
+    a, b = q.numerator, q.denominator
     coeffs = {}
     for sig, rows in sorted(mats.items(), key=lambda kv: kv[0].parts):
         n = len(rows)
-        exps = f_spectrum(sig).exponents
         for i in range(n):
             for j in range(n):
                 if i != j and rows[i][j] != 0:
@@ -577,10 +582,16 @@ def decompose_state(
                         False,
                         reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]",
                     )
-        ratios = [rows[i][i] / q ** exps[i] for i in range(n)]
-        base = ratios[0]
-        for i, r in enumerate(ratios[1:], start=1):
-            if r != base:
+        exps = f_spectrum(sig).exponents
+        m = min(exps)
+        powers = {e: (a ** (e - m), b ** (e - m)) for e in set(exps)}
+        pa, pb = powers[exps[0]]
+        first = rows[0][0]
+        left, right = first.denominator * pa, first.numerator * pb
+        for i in range(1, n):
+            d = rows[i][i]
+            pa, pb = powers[exps[i]]
+            if d.numerator * pb * left != d.denominator * pa * right:
                 return DecomposeReport(
                     False,
                     reason=(
@@ -588,5 +599,5 @@ def decompose_state(
                         f" eigenvalues (pattern {i})"
                     ),
                 )
-        coeffs[sig] = sum(rows[i][i] for i in range(n))
+        coeffs[sig] = traces[sig]
     return DecomposeReport(True, coefficients=coeffs)

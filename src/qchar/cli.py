@@ -12,7 +12,10 @@ Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
 
 Each handler imports the layer (characters, boundary or blocks) it calls,
-so a request loads only what its subcommand uses.
+so a request loads only what its subcommand uses.  Likewise a request
+builds only the parser of the subcommand it names; `qchar`, `qchar --help`
+and an unknown subcommand go through the parser of all 16 subcommands, and
+every usage line, the narrowed parser's included, lists all 16.
 """
 
 from __future__ import annotations
@@ -301,98 +304,115 @@ def _cmd_embed(args):
     return 0, jsonio.block_to_json(blocks.embed(x, targets))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand once: name -> (help, {flag: keyword arguments of
+# add_argument}).  Every subcommand also takes --output, first.  The handler
+# of a subcommand is `_cmd_` followed by its name with "-" as "_", looked up
+# when the request is dispatched.
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_COMMANDS = {
+    "qdim": ("quantum dimension of a signature", {"--q": _REQUIRED, "--sig": _REQUIRED}),
+    "schur-eval": ("exact Schur evaluation", {"--sig": _REQUIRED, "--points": _REQUIRED}),
+    "lr": (
+        "Littlewood-Richardson expansion of a product",
+        {"--left": _REQUIRED, "--right": _REQUIRED},
+    ),
+    "cotransition": ("stochastic cotransition row", {"--q": _REQUIRED, "--sig": _REQUIRED}),
+    "restrict": ("push a character one level down", {"--char": _REQUIRED}),
+    "tensor": ("tensor product of two characters", {"--left": _REQUIRED, "--right": _REQUIRED}),
+    "sgf-eval": ("exact generating-function value", {"--char": _REQUIRED, "--points": _REQUIRED}),
+    "sgf-torus": (
+        "generating function on the torus",
+        {
+            "--char": _REQUIRED,
+            "--z": {"required": True, "help": "JSON array of [re, im] unit-modulus pairs"},
+            "--precision": {"type": float, "help": "unit-modulus tolerance, in [0, 1e-12]"},
+        },
+    ),
+    "coherent-check": ("verify a coherent family", {"--family": _REQUIRED}),
+    "extreme": (
+        "finite-level extreme-character approximant",
+        {
+            "--q": _REQUIRED,
+            "--theta": _REQUIRED,
+            "--level": _REQUIRED_INT,
+            "--trunc": _REQUIRED_INT,
+        },
+    ),
+    "ak": (
+        "shift a boundary parameter or pushforward a measure",
+        {"--k": _REQUIRED_INT, "--theta": {}, "--char": {}},
+    ),
+    "verify-corollary": (
+        "determinant absorption check",
+        {
+            "--q": _REQUIRED,
+            "--theta": _REQUIRED,
+            "--k": _REQUIRED_INT,
+            "--level": _REQUIRED_INT,
+            "--trunc": _REQUIRED_INT,
+        },
+    ),
+    "kms-check": (
+        "twisted-trace KMS identity check",
+        {
+            "--state": _REQUIRED,
+            "--x": {},
+            "--y": {},
+            "--trials": {"type": int, "default": 50},
+            "--seed": {"type": int, "default": 0},
+        },
+    ),
+    "f-compat": ("F restriction versus cotransition power", {"--q": _REQUIRED, "--sig": _REQUIRED}),
+    "decompose": (
+        "classify a blockwise density",
+        {"--densities": {"required": True, "help": "block-element JSON carrying the densities"}},
+    ),
+    "embed": (
+        "embed a block element one level up",
+        {
+            "--block": _REQUIRED,
+            "--targets": {"required": True, "help": "JSON array of target signatures"},
+        },
+    ),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The qchar parser with every subcommand, or with only the one named.
+
+    A parser narrowed to `only` still names all 16 subcommands in its usage
+    line, so an "unrecognized arguments" error reads as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="qchar",
         description="Exact finite-level calculus of quantized characters.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    if only is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    for name in _COMMANDS if only is None else (only,):
+        help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the JSON result to this path")
-        return p
-
-    p = add("qdim", _cmd_qdim, "quantum dimension of a signature")
-    p.add_argument("--q", required=True)
-    p.add_argument("--sig", required=True)
-
-    p = add("schur-eval", _cmd_schur_eval, "exact Schur evaluation")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--points", required=True)
-
-    p = add("lr", _cmd_lr, "Littlewood-Richardson expansion of a product")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = add("cotransition", _cmd_cotransition, "stochastic cotransition row")
-    p.add_argument("--q", required=True)
-    p.add_argument("--sig", required=True)
-
-    p = add("restrict", _cmd_restrict, "push a character one level down")
-    p.add_argument("--char", required=True)
-
-    p = add("tensor", _cmd_tensor, "tensor product of two characters")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = add("sgf-eval", _cmd_sgf_eval, "exact generating-function value")
-    p.add_argument("--char", required=True)
-    p.add_argument("--points", required=True)
-
-    p = add("sgf-torus", _cmd_sgf_torus, "generating function on the torus")
-    p.add_argument("--char", required=True)
-    p.add_argument("--z", required=True, help="JSON array of [re, im] unit-modulus pairs")
-    p.add_argument("--precision", type=float, help="unit-modulus tolerance, in [0, 1e-12]")
-
-    p = add("coherent-check", _cmd_coherent_check, "verify a coherent family")
-    p.add_argument("--family", required=True)
-
-    p = add("extreme", _cmd_extreme, "finite-level extreme-character approximant")
-    p.add_argument("--q", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
-
-    p = add("ak", _cmd_ak, "shift a boundary parameter or pushforward a measure")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta")
-    p.add_argument("--char")
-
-    p = add("verify-corollary", _cmd_verify_corollary, "determinant absorption check")
-    p.add_argument("--q", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
-
-    p = add("kms-check", _cmd_kms_check, "twisted-trace KMS identity check")
-    p.add_argument("--state", required=True)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("f-compat", _cmd_f_compat, "F restriction versus cotransition power")
-    p.add_argument("--q", required=True)
-    p.add_argument("--sig", required=True)
-
-    p = add("decompose", _cmd_decompose, "classify a blockwise density")
-    p.add_argument("--densities", required=True, help="block-element JSON carrying the densities")
-
-    p = add("embed", _cmd_embed, "embed a block element one level up")
-    p.add_argument("--block", required=True)
-    p.add_argument("--targets", required=True, help="JSON array of target signatures")
-
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request builds only the subparser it names; no arguments, --help and
+    # an unknown name go through the full parser
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(named).parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code, payload = args.handler(args)
+        code, payload = handler(args)
         _emit(jsonio.dumps(payload), args.output)
     except OverflowError as exc:
         _emit(jsonio.dumps({"error": f"floating-point overflow: {exc}"}), None)

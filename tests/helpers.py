@@ -31,7 +31,7 @@ from qchar import (
     sgf_eval,
     weight,
 )
-from qchar.blocks import FCompatReport, pattern_groups
+from qchar.blocks import DecomposeReport, FCompatReport, pattern_groups
 
 
 def run_fresh(*argv, timeout):
@@ -481,3 +481,31 @@ def check_f_compatibility_oracle(nu: Signature, q: Fraction) -> FCompatReport:
             if q ** big[offset + i] != factor * q ** small[i]:
                 return FCompatReport(False, lam, i)
     return FCompatReport(True)
+
+
+def decompose_by_ratios(densities, q: Fraction) -> DecomposeReport:
+    """Reference classification of a valid density (symmetric, PSD, traces
+    summing to 1): zero off-diagonals, then d_i / q**e_i equal to d_0 / q**e_0
+    at every pattern i, each ratio a `Fraction`."""
+    coeffs = {}
+    for sig, rows in sorted(densities.items(), key=lambda kv: kv[0].parts):
+        n = len(rows)
+        for i in range(n):
+            for j in range(n):
+                if i != j and rows[i][j] != 0:
+                    return DecomposeReport(
+                        False, reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]"
+                    )
+        exps = f_spectrum(sig).exponents
+        ratios = [rows[i][i] / q ** exps[i] for i in range(n)]
+        for i in range(1, n):
+            if ratios[i] != ratios[0]:
+                return DecomposeReport(
+                    False,
+                    reason=(
+                        f"diagonal of {sig} is not proportional to the F"
+                        f" eigenvalues (pattern {i})"
+                    ),
+                )
+        coeffs[sig] = sum(rows[i][i] for i in range(n))
+    return DecomposeReport(True, coefficients=coeffs)

@@ -31,6 +31,7 @@ from helpers import (
     char_state_eval_oracle,
     charpoly_psd,
     check_f_compatibility_oracle,
+    decompose_by_ratios,
     kms_sides_oracle,
     random_character,
     scaling_oracle,
@@ -687,6 +688,44 @@ class TestDecomposeState:
         lam = sig(1, 0)
         with pytest.raises(ValueError):
             decompose_state({lam: ((HALF, 0), (0, 0))}, HALF)
+
+    @pytest.mark.parametrize("kind", ["accept", "off-diagonal", "not proportional"])
+    def test_matches_the_ratio_formulation(self, kind):
+        # seeded mixtures of F-densities over 1-3 blocks, then one defect
+        rng = random.Random(f"decompose:{kind}")
+        sigs = [s for level in (1, 2, 3) for s in iter_signatures(level, -1, 2)]
+        for _ in range(25):
+            q = rng.choice([HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)])
+            level = rng.randint(1, 3)
+            labels = rng.sample([s for s in sigs if s.level == level], rng.randint(1, 3))
+            masses = [rng.randint(1, 5) for _ in labels]
+            dens = {
+                lam: [[v * Fraction(m, sum(masses)) for v in row] for row in f_density(lam, q)]
+                for lam, m in zip(labels, masses)
+            }
+            wide = [lam for lam in labels if dimension(lam) > 1]
+            if kind != "accept" and not wide:
+                continue
+            if kind == "off-diagonal":
+                rows = dens[rng.choice(wide)]
+                i, j = rng.sample(range(len(rows)), 2)
+                rows[i][j] = rows[j][i] = min(rows[i][i], rows[j][j]) / 2
+            elif kind == "not proportional":
+                lam = rng.choice(wide)
+                i = rng.randrange(dimension(lam))
+                dens[lam][i][i] *= rng.choice([0, Fraction(1, 2), 3])
+                total = sum(rows[k][k] for rows in dens.values() for k in range(len(rows)))
+                dens = {s: [[v / total for v in row] for row in rows] for s, rows in dens.items()}
+            # exact integers where a Fraction is whole, as a caller may pass them
+            dens = {
+                s: [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+                for s, rows in dens.items()
+            }
+            report = decompose_state(dens, q)
+            assert report == decompose_by_ratios(dens, q)
+            assert report.ok == (kind == "accept")
+            if not report.ok:
+                assert kind in report.reason
 
     @pytest.mark.parametrize("kind", [float, complex])
     def test_inexact_entries_raise(self, kind):

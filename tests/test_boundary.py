@@ -19,7 +19,9 @@ from qchar import (
     tensor,
     verify_corollary,
 )
-from qchar.characters import _push
+from qchar import boundary
+from qchar.boundary import CorollaryReport
+from qchar.characters import _push, total_variation
 
 from helpers import cotransition_oracle, iterated_restrict, random_character
 
@@ -29,6 +31,30 @@ QS = (HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100))
 
 def sig(*parts):
     return Signature(parts)
+
+
+def random_theta(rng):
+    head = sorted(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+    return BoundaryParam(tuple(head), rng.randint(head[-1] if head else -3, 3))
+
+
+def corollary_with_full_scans(theta, k, level, trunc, q):
+    """`verify_corollary` with both discrepancy scans and the total variation
+    always taken; the tensor is looked up in `boundary`, as there."""
+    base = extreme_character(theta, level, trunc, q).measure
+    tensored = boundary.tensor(base, indecomposable(Signature((k,) * level), q))
+    pushed = ak_on_measure(base, k)
+    direct = extreme_character(ak_on_theta(theta, k), level, trunc, q).measure
+    bad = first_discrepancy(tensored, direct)
+    if bad is None:
+        bad = first_discrepancy(tensored, pushed)
+    return CorollaryReport(
+        tensored.weights == pushed.weights == direct.weights,
+        tensored,
+        direct,
+        total_variation(tensored, direct),
+        bad,
+    )
 
 
 class TestExtremeCharacter:
@@ -194,3 +220,43 @@ class TestVerifyCorollary:
         rhs = ak_on_measure(base, 1)
         bad = first_discrepancy(lhs, rhs)
         assert bad is not None
+
+    def test_equals_the_full_scans_on_seeded_theta(self):
+        rng = random.Random(23)
+        for _ in range(12):
+            theta, q = random_theta(rng), rng.choice(QS)
+            k, level = rng.randint(-2, 2), rng.randint(1, 3)
+            trunc = level + rng.randint(0, 3)
+            report = verify_corollary(theta, k, level, trunc, q)
+            assert report.ok
+            assert report == corollary_with_full_scans(theta, k, level, trunc, q)
+            assert type(report.gap) is Fraction
+
+    def test_perturbed_tensor_names_the_first_discrepancy_and_the_gap(self, monkeypatch):
+        # move a share of the first support point's mass to a point just above
+        # it: the first discrepancy is that point and the gap is the share moved
+        last = []
+
+        def perturbed(a, b):
+            chi = tensor(a, b)
+            first = chi.support()[0]
+            above = Signature((first.parts[0] + 1,) + first.parts[1:])
+            weights = dict(chi.weights)
+            moved = weights[first] / 3
+            weights[first] -= moved
+            weights[above] = weights.get(above, Fraction(0)) + moved
+            last[:] = [first, moved]
+            return LevelCharacter(chi.level, chi.q, weights)
+
+        monkeypatch.setattr(boundary, "tensor", perturbed)
+        rng = random.Random(29)
+        for _ in range(8):
+            theta, q = random_theta(rng), rng.choice(QS)
+            k, level = rng.randint(-2, 2), rng.randint(1, 3)
+            trunc = level + rng.randint(0, 3)
+            report = verify_corollary(theta, k, level, trunc, q)
+            first, moved = last
+            assert not report.ok
+            assert report.discrepancy == first
+            assert report.gap == moved
+            assert report == corollary_with_full_scans(theta, k, level, trunc, q)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -549,6 +550,87 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "--trials" in json.loads(out)["error"]
+
+
+class TestNarrowedParser:
+    """A request builds only the subparser it names; everything it prints,
+    and its exit code, must be what the parser with all 16 subcommands gives."""
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    def full_outcome(self, argv):
+        # the same `main`, with `build_parser` always building every subcommand
+        full = cli.build_parser
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "build_parser", lambda only=None: full())
+            return self.outcome(argv)
+
+    def assert_same(self, argv):
+        got = self.outcome(argv)
+        assert got == self.full_outcome(argv)
+        return got
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_valid_request(self, name):
+        code, out, err = self.assert_same(LAZY[name][0])
+        assert code in (0, 1) and json.loads(out) and err == ""
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_missing_value(self, name):
+        # the last flag loses its value: an error of the subcommand's parser
+        code, out, err = self.assert_same(LAZY[name][0][:-1])
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: qchar {name} ")
+        assert "expected one argument" in err
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_trailing_argument(self, name):
+        code, out, err = self.assert_same(LAZY[name][0] + ["extra"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qchar [-h]")
+        assert "{%s}" % ",".join(LAZY) in err
+        assert "unrecognized arguments: extra" in err
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_subcommand_help(self, name):
+        code, out, err = self.assert_same([name, "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: qchar {name} [-h] [--output OUTPUT]")
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["no-such-command"]])
+    def test_top_level_lists_every_subcommand(self, argv):
+        code, out, err = self.assert_same(argv)
+        assert code == (0 if argv[:1] in (["--help"], ["-h"]) else 2)
+        assert "{%s}" % ",".join(LAZY) in out + err
+
+    def test_malformed_document_is_not_an_argparse_error(self):
+        # a JSON error is the handler's, reported on stdout as before
+        code, out, err = self.assert_same(MALFORMED["bool-parts"])
+        assert code == 2 and "error" in json.loads(out) and err == ""
+
+    def test_a_request_builds_two_parsers(self, monkeypatch, capsys):
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", "[2, 1, 0]")
+        assert code == 0
+        assert inits == ["qchar", "qchar qdim"]
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert list(cli._COMMANDS) == list(LAZY)
 
 
 class TestInputLimit:
