@@ -22,8 +22,6 @@ _EXPORTS = {
         "dimension",
         "enumerate_down",
         "enumerate_gt_patterns",
-        "interlaces",
-        "iter_signatures",
         "shift",
         "weight",
     ),
@@ -31,7 +29,6 @@ _EXPORTS = {
         "check_q",
         "lr_coefficients",
         "principal_specialization",
-        "qbracket",
         "qdim",
         "schur_eval",
     ),

@@ -13,16 +13,11 @@ the kernel by one integer walker, `_push`.
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm, log2
+from operator import truediv
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
-from .schur import (
-    _evaluator,
-    check_q,
-    lr_coefficients,
-    principal_specialization,
-    qdim,
-)
+from .schur import _evaluator, _lr_terms, _principal_pair, _qdim_pair, check_q
 
 
 class LevelCharacter(_Frozen):
@@ -131,9 +126,9 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     least = min([nu.size for nu in sigs])
     nums, dens = [], []
     for nu, p in weights.items():
-        d, e = qdim(nu, q), (big - 1) * (nu.size - least)
-        nums.append(p.numerator * d.denominator * qd ** e)
-        dens.append(p.denominator * d.numerator * qn ** e)
+        (dn, dd), e = _qdim_pair(nu.parts, qn, qd), (big - 1) * (nu.size - least)
+        nums.append(p.numerator * dd * qd ** e)
+        dens.append(p.denominator * dn * qn ** e)
     common = lcm(*dens)
     starts = [m * (common // d) for m, d in zip(nums, dens)]
     g = gcd(*starts)
@@ -169,12 +164,12 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     lead = (first,) * pinned
     out = {}
     for lam, c in below.items():
-        sig = Signature(lead + lam)
-        d = qdim(sig, q)
+        parts = lead + lam
+        dn, dd = _qdim_pair(parts, qn, qd)
         # q^e with e = (N+1)|lam|: each power goes where it is positive
-        e = (n + 1) * sig.size
+        e = (n + 1) * sum(parts)
         up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
-        out[sig] = Fraction(sn * c * d.numerator * up, sd * d.denominator * down)
+        out[Signature(parts)] = Fraction(sn * c * dn * up, sd * dd * down)
     return out
 
 
@@ -224,28 +219,34 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     On point masses the output weight of nu is
     c^nu_{lam,mu} * qdim(nu) / (qdim(lam) * qdim(mu)), extended bilinearly;
     the weights again sum to exactly 1.  Each term
-    p1 * p2 * c * qdim(nu) / (qdim(lam) * qdim(mu)) is built as one Fraction
-    from the integer numerators and denominators of its factors, and terms
-    that land on the same nu are added as Fractions.
+    p1 * p2 * c * qdim(nu) / (qdim(lam) * qdim(mu)) is an integer pair made
+    of the integer parts of its factors, terms that land on the same nu are
+    folded over the lcm of their denominators, and each output weight is one
+    Fraction.
     """
     if chi1.level != chi2.level:
         raise ValueError(f"levels must agree: {chi1.level} != {chi2.level}")
     if chi1.q != chi2.q:
         raise ValueError("q must agree")
     q = chi1.q
-    out: dict[Signature, Fraction] = {}
+    qn, qd = q.numerator, q.denominator
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
     for lam, p1 in chi1.weights.items():
-        d1 = qdim(lam, q)
-        num1, den1 = p1.numerator * d1.denominator, p1.denominator * d1.numerator
+        n1, d1 = _qdim_pair(lam.parts, qn, qd)
+        num1, den1 = p1.numerator * d1, p1.denominator * n1
         for mu, p2 in chi2.weights.items():
-            d2 = qdim(mu, q)
-            num = num1 * p2.numerator * d2.denominator
-            den = den1 * p2.denominator * d2.numerator
-            for nu, c in lr_coefficients(lam, mu).items():
-                d = qdim(nu, q)
-                term = Fraction(num * c * d.numerator, den * d.denominator)
-                out[nu] = out[nu] + term if nu in out else term
-    return LevelCharacter(chi1.level, q, out)
+            n2, d2 = _qdim_pair(mu.parts, qn, qd)
+            num, den = num1 * p2.numerator * d2, den1 * p2.denominator * n2
+            for nu, c in _lr_terms(lam.parts, mu.parts):
+                dn, dd = _qdim_pair(nu, qn, qd)
+                tn, td = num * c * dn, den * dd
+                if nu in out:
+                    an, ad = out[nu]
+                    g = gcd(ad, td)
+                    tn, td = an * (td // g) + tn * (ad // g), ad * (td // g)
+                out[nu] = tn, td
+    weights = {Signature(nu): Fraction(tn, td) for nu, (tn, td) in out.items()}
+    return LevelCharacter(chi1.level, q, weights)
 
 
 def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
@@ -261,13 +262,13 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
     if len(points) != chi.level:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
     s = _evaluator(chi.level, points)
-    q = chi.q
+    qn, qd = chi.q.numerator, chi.q.denominator
     num, den = 0, 1
     for lam, p in chi.weights.items():
         sn, sd = s(lam)
-        ps = principal_specialization(lam, q)
-        n = p.numerator * sn * ps.denominator
-        d = p.denominator * sd * ps.numerator
+        pn, pd = _principal_pair(lam.parts, qn, qd)
+        n = p.numerator * sn * pd
+        d = p.denominator * sd * pn
         g = gcd(den, d)
         num, den = num * (d // g) + n * (den // g), den * (d // g)
     return Fraction(num, den)
@@ -305,10 +306,12 @@ def sgf_eval_torus(
     # written so that a NaN or infinite coordinate fails the comparison
     if not all(abs(abs(v) - 1.0) <= precision for v in zs):
         raise ValueError("torus points must have unit modulus")
-    q, qf = chi.q, float(chi.q)
-    # (parts, |parts|, coefficient) for each state of the current level
+    qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
+    # (parts, |parts|, coefficient) for each state of the current level; int
+    # division is correctly rounded, reduced pair or not, and raises
+    # OverflowError past the float range
     states = [
-        (lam.parts, lam.size, float(p) / float(principal_specialization(lam, q)))
+        (lam.parts, lam.size, float(p) / truediv(*_principal_pair(lam.parts, qn, qd)))
         for lam, p in chi.weights.items()
     ]
     for k in range(chi.level, 0, -1):

@@ -167,19 +167,6 @@ def _interlaces_parts(lower: tuple[int, ...], upper: tuple[int, ...]) -> bool:
     )
 
 
-def interlaces(lower: Signature, upper: Signature) -> bool:
-    """Whether ``upper[k] >= lower[k] >= upper[k+1]`` holds for all k.
-
-    The levels must differ by exactly one; the empty signature interlaces
-    below every level-1 signature.
-    """
-    if upper.level != lower.level + 1:
-        raise ValueError(
-            f"levels must differ by 1: got {lower.level} and {upper.level}"
-        )
-    return _interlaces_parts(lower.parts, upper.parts)
-
-
 @lru_cache(maxsize=None)
 def enumerate_down(upper: Signature) -> tuple[Signature, ...]:
     """All signatures one level below `upper` that interlace it, ascending lex.
@@ -257,12 +244,3 @@ def dimension(lam: Signature) -> int:
                 den *= j - i
     return num // den
 
-
-def iter_signatures(level: int, lo: int, hi: int) -> Iterator[Signature]:
-    """All signatures of the given level with parts in [lo, hi], ascending lex."""
-    if level == 0:
-        yield EMPTY
-        return
-    for parts in product(range(lo, hi + 1), repeat=level):
-        if all(parts[i] >= parts[i + 1] for i in range(level - 1)):
-            yield Signature(parts)

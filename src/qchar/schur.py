@@ -1,4 +1,4 @@
-"""Exact Schur Laurent polynomials, q-brackets, quantum dimensions and
+"""Exact Schur Laurent polynomials, quantum dimensions and
 Littlewood-Richardson coefficients.
 
 All values are ``fractions.Fraction``; the deformation parameter q is a
@@ -9,9 +9,12 @@ exact Schur evaluator and ``qdim`` work in Python integers: the points are
 put over one common denominator, and each Schur value is a Jacobi-Trudi
 determinant of complete homogeneous values, taken fraction-free (Bareiss)
 at every point set and handed back as an integer numerator and
-denominator, which `schur_eval` wraps in one Fraction.
+denominator, which `schur_eval` wraps in one Fraction.  Quantum
+dimensions are cached on integers, as an unreduced integer pair per part
+tuple and q = a/b, which the other layers multiply into their own integer
+sums; `qdim` and `principal_specialization` wrap the pair in one Fraction.
 Littlewood-Richardson coefficients come from the row (horizontal-strip)
-form of the tableau rule.
+form of the tableau rule, on bare part tuples.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .combinatorics import Signature, shift
+from .combinatorics import Signature
 
 
 def check_q(q: Fraction) -> Fraction:
@@ -33,14 +36,6 @@ def check_q(q: Fraction) -> Fraction:
     if not 0 < q.numerator < q.denominator:
         raise ValueError(f"q must lie strictly between 0 and 1: {q}")
     return q
-
-
-def qbracket(n: int, q: Fraction) -> Fraction:
-    """The quantum integer (q^n - q^-n) / (q - q^-1); odd in n, [1] = 1."""
-    q = check_q(q)
-    if n == 0:
-        return Fraction(0)
-    return (q ** n - q ** (-n)) / (q - q ** (-1))
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -139,36 +134,22 @@ def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
-    """s_lam at (1, q^-2, ..., q^(-2(N-1))); strictly positive.
+def _qdim_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    """qdim of the signature with these parts at q = a/b (0 < a < b), as a
+    positive integer pair (numerator, denominator), not reduced.
 
-    Equals qdim(lam, q) / q^((N-1)|lam|).
+    The one cache of quantum dimensions, keyed on integers: the callers
+    multiply the pair into their own integer arithmetic.
     """
-    q = check_q(q)
-    return qdim(lam, q) / q ** ((lam.level - 1) * lam.size)
-
-
-@lru_cache(maxsize=None)
-def qdim(lam: Signature, q: Fraction) -> Fraction:
-    """Quantum dimension: product of [lam_i - lam_j + j - i] / [j - i].
-
-    Equals s_lam evaluated at (q^(N-1), q^(N-3), ..., q^(1-N)), and
-    q^((N-1)|lam|) times the principal specialization; it is invariant
-    under q <-> 1/q and under shifting all parts.  The bracket convention
-    is pinned by exactly these identities, which the test suite checks.
-    """
-    q = check_q(q)
-    # in integers, one Fraction at the end: with q = a/b and m >= 1,
-    # [m] = (b^2m - a^2m) / ((ab)^(m-1) (b^2 - a^2)).  A pair of equal parts
-    # has m == d and cancels, and in a long run of equal parts nearly every
-    # pair does, so only the net power of each bracket is multiplied out.
-    # Numerator and denominator hold equally many brackets, so the
-    # (b^2 - a^2) cancel and (ab) is left to the power
+    # with m >= 1, [m] = (b^2m - a^2m) / ((ab)^(m-1) (b^2 - a^2)).  A pair of
+    # equal parts has m == d and cancels, and in a long run of equal parts
+    # nearly every pair does, so only the net power of each bracket is
+    # multiplied out.  Numerator and denominator hold equally many brackets,
+    # so the (b^2 - a^2) cancel and (ab) is left to the power
     # sum of (m - d) = sum over i < j of (lam_i - lam_j).
-    a, b = q.numerator, q.denominator
     power: dict[int, int] = {}
     spread = 0
-    parts, n = lam.parts, lam.level
+    n = len(parts)
     for i in range(n):
         for j in range(i + 1, n):
             gap = parts[i] - parts[j]
@@ -183,7 +164,37 @@ def qdim(lam: Signature, q: Fraction) -> Fraction:
             num *= (b ** (2 * m) - a ** (2 * m)) ** e
         elif e < 0:
             den *= (b ** (2 * m) - a ** (2 * m)) ** -e
-    return Fraction(num, den)
+    return num, den
+
+
+def _principal_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    """The principal specialization at q = a/b as a positive integer pair,
+    not reduced: the qdim pair over q^((N-1)|lam|)."""
+    num, den = _qdim_pair(parts, a, b)
+    e = (len(parts) - 1) * sum(parts)
+    return (num * b ** e, den * a ** e) if e >= 0 else (num * a ** -e, den * b ** -e)
+
+
+def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
+    """s_lam at (1, q^-2, ..., q^(-2(N-1))); strictly positive.
+
+    Equals qdim(lam, q) / q^((N-1)|lam|).
+    """
+    q = check_q(q)
+    return Fraction(*_principal_pair(lam.parts, q.numerator, q.denominator))
+
+
+@lru_cache(maxsize=None)
+def qdim(lam: Signature, q: Fraction) -> Fraction:
+    """Quantum dimension: product of [lam_i - lam_j + j - i] / [j - i].
+
+    Equals s_lam evaluated at (q^(N-1), q^(N-3), ..., q^(1-N)), and
+    q^((N-1)|lam|) times the principal specialization; it is invariant
+    under q <-> 1/q and under shifting all parts.  The bracket convention
+    is pinned by exactly these identities, which the test suite checks.
+    """
+    q = check_q(q)
+    return Fraction(*_qdim_pair(lam.parts, q.numerator, q.denominator))
 
 
 @lru_cache(maxsize=None)
@@ -228,23 +239,28 @@ def _lr_partitions(
     return tuple(sorted(out.items()))
 
 
-def lr_coefficients(lam: Signature, mu: Signature) -> dict[Signature, int]:
-    """Structure constants of s_lam * s_mu in level-many variables.
+def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """LR expansion of s_lam * s_mu for part tuples of one length N, as
+    (parts, coefficient) pairs in ascending order.
 
     Both labels are normalized to partitions by shifting away their
     smallest parts (the coefficients are shift-equivariant), the row form
     of the tableau rule is applied without recursion, and the keys are
-    shifted back, in ascending order.  Keys are signatures of the common
-    level; terms whose partition would need more rows are identically zero
-    in that many variables and never appear.
+    shifted back.  Terms whose partition would need more than N rows are
+    identically zero in N variables and never appear.
     """
+    n = len(lam)
+    if n == 0:
+        return [((), 1)]
+    a, b = lam[-1], mu[-1]
+    raw = _lr_partitions(tuple([p - a for p in lam]), tuple([p - b for p in mu if p > b]), n)
+    k = a + b
+    return [(tuple([p + k for p in nu]), c) for nu, c in raw]
+
+
+def lr_coefficients(lam: Signature, mu: Signature) -> dict[Signature, int]:
+    """Structure constants of s_lam * s_mu in level-many variables, keyed by
+    signatures of the common level in ascending order (see `_lr_terms`)."""
     if lam.level != mu.level:
         raise ValueError(f"levels must agree: {lam.level} != {mu.level}")
-    n = lam.level
-    if n == 0:
-        return {lam: 1}
-    a, b = lam.parts[-1], mu.parts[-1]
-    lam0 = tuple(p - a for p in lam.parts)
-    mu0 = tuple(p - b for p in mu.parts if p > b)
-    raw = _lr_partitions(lam0, mu0, n)
-    return {shift(Signature(nu), a + b): c for nu, c in raw}
+    return {Signature(nu): c for nu, c in _lr_terms(lam.parts, mu.parts)}

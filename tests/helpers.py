@@ -13,9 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 import qchar
 from qchar import (
+    EMPTY,
     BlockElement,
     LevelCharacter,
     Signature,
@@ -23,7 +25,6 @@ from qchar import (
     enumerate_down,
     enumerate_gt_patterns,
     f_spectrum,
-    interlaces,
     lr_coefficients,
     principal_specialization,
     qdim,
@@ -45,6 +46,38 @@ def run_fresh(*argv, timeout):
         timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def qbracket(n: int, q: Fraction) -> Fraction:
+    """The quantum integer (q^n - q^-n) / (q - q^-1); odd in n, [1] = 1."""
+    q = check_q(q)
+    if n == 0:
+        return Fraction(0)
+    return (q ** n - q ** (-n)) / (q - q ** (-1))
+
+
+def interlaces(lower: Signature, upper: Signature) -> bool:
+    """Whether ``upper[k] >= lower[k] >= upper[k+1]`` holds for all k.
+
+    The levels must differ by exactly one; the empty signature interlaces
+    below every level-1 signature.
+    """
+    if upper.level != lower.level + 1:
+        raise ValueError(
+            f"levels must differ by 1: got {lower.level} and {upper.level}"
+        )
+    u, low = upper.parts, lower.parts
+    return all(u[k] >= low[k] >= u[k + 1] for k in range(len(low)))
+
+
+def iter_signatures(level: int, lo: int, hi: int) -> Iterator[Signature]:
+    """All signatures of the given level with parts in [lo, hi], ascending lex."""
+    if level == 0:
+        yield EMPTY
+        return
+    for parts in product(range(lo, hi + 1), repeat=level):
+        if all(parts[i] >= parts[i + 1] for i in range(level - 1)):
+            yield Signature(parts)
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:

@@ -22,7 +22,6 @@ from qchar import (
     enumerate_down,
     f_spectrum,
     indecomposable,
-    iter_signatures,
     kms_check,
     lr_coefficients,
     principal_specialization,
@@ -40,6 +39,7 @@ from qchar import (
 from qchar.blocks import BlockElement
 
 from helpers import (
+    iter_signatures,
     lr_by_subtraction,
     random_character,
     random_points,

@@ -16,7 +16,6 @@ from qchar import (
     enumerate_down,
     f_spectrum,
     indecomposable,
-    iter_signatures,
     kms_check,
     qdim,
     random_block_element,
@@ -32,6 +31,7 @@ from helpers import (
     charpoly_psd,
     check_f_compatibility_oracle,
     decompose_by_ratios,
+    iter_signatures,
     kms_sides_oracle,
     random_character,
     scaling_oracle,

@@ -13,7 +13,6 @@ from qchar import (
     Signature,
     char_state_eval,
     dimension,
-    iter_signatures,
     random_block_element,
     scaling,
 )
@@ -21,7 +20,7 @@ from qchar import cli, jsonio
 from qchar.cli import main
 from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
-from helpers import random_character, run_fresh
+from helpers import iter_signatures, random_character, run_fresh
 
 DELTA_10 = '{"level": 2, "q": "1/2", "entries": [{"sig": [1, 0], "prob": "1"}]}'
 CHAR = '{"level": %s, "q": "1/2", "entries": %s}'
@@ -542,6 +541,21 @@ class TestErrorPaths:
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("top", [600, 1000])
+    def test_torus_pairing_past_the_float_range_never_answers_wrong(self, capsys, top):
+        # a valid character whose principal specialization at (top, 0) leaves
+        # the float range at q = 1/2: the pairing either meets its bound at
+        # (1, 1) or exits 2 with one JSON error, never a NaN or a wrong value
+        entries = '[{"sig": [%d, 0], "prob": "1/2"}, {"sig": [0, 0], "prob": "1/2"}]' % top
+        code = main(["sgf-torus", "--char", CHAR % (2, entries), "--z", "[[1, 0], [1, 0]]"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        if code == 0:
+            assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - 1) <= 1e-12
+        else:
+            assert code == 2 and list(doc) == ["error"]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exit_two(self, capsys, trials):

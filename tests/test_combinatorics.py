@@ -9,13 +9,11 @@ from qchar import (
     dimension,
     enumerate_down,
     enumerate_gt_patterns,
-    interlaces,
-    iter_signatures,
     shift,
     weight,
 )
 
-from helpers import count_ssyt
+from helpers import count_ssyt, interlaces, iter_signatures
 
 
 def sig(*parts):

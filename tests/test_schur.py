@@ -11,20 +11,22 @@ from qchar import (
     dimension,
     enumerate_down,
     indecomposable,
-    iter_signatures,
     lr_coefficients,
     principal_specialization,
-    qbracket,
     qdim,
     schur_eval,
     sgf_eval,
     shift,
 )
 
+from qchar import schur
 from qchar.jsonio import MAX_PART
+from qchar.schur import _principal_pair, _qdim_pair
 
 from helpers import (
+    iter_signatures,
     lr_by_subtraction,
+    qbracket,
     random_character,
     random_points,
     schur_eval_bialternant,
@@ -287,6 +289,56 @@ class TestQDim:
                 assert value == bridge * principal_specialization(lam, q)
                 assert value == qdim(shift(lam, 2), q)
                 assert value > 0
+
+
+class TestQDimPair:
+    """The integer pair behind qdim and the principal specialization."""
+
+    QS = [HALF, Fraction(2, 3), Fraction(99, 100)]
+
+    @staticmethod
+    def random_signatures(seed):
+        # a few distinct values, negative ones included, repeated in long
+        # runs, at every level 1..8
+        rng = random.Random(seed)
+        out = []
+        for level in range(1, 9):
+            for _ in range(12):
+                values = rng.sample(range(-6, 7), rng.randint(1, min(level, 4)))
+                parts = sorted(rng.choices(values, k=level), reverse=True)
+                out.append(Signature(parts))
+        out += [sig(*(3,) * 8), sig(5, 2, 2, 2, 2, 2, 2, -4), sig(*(-1,) * 7 + (-6,))]
+        return out
+
+    @pytest.mark.parametrize("q", QS)
+    def test_reduced_pair_is_the_bracket_product(self, q):
+        for lam in self.random_signatures(7):
+            num, den = _qdim_pair(lam.parts, q.numerator, q.denominator)
+            assert type(num) is int and type(den) is int and num > 0 and den > 0
+            p, level = lam.parts, lam.level
+            expected = Fraction(1)
+            for i in range(level):
+                for j in range(i + 1, level):
+                    expected *= qbracket(p[i] - p[j] + j - i, q) / qbracket(j - i, q)
+            assert Fraction(num, den) == expected == qdim(lam, q)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_principal_pair_is_the_schur_value(self, q):
+        for lam in self.random_signatures(11):
+            num, den = _principal_pair(lam.parts, q.numerator, q.denominator)
+            assert num > 0 and den > 0
+            pts = tuple(q ** (-2 * i) for i in range(lam.level))
+            assert Fraction(num, den) == schur_eval(lam, pts)
+            assert Fraction(num, den) == principal_specialization(lam, q)
+
+    def test_public_qdim_keeps_its_cache_info(self):
+        before = schur.qdim.cache_info()
+        value = qdim(sig(2, 1, 0), Fraction(1, 3))
+        assert qdim(sig(2, 1, 0), Fraction(1, 3)) is value
+        after = schur.qdim.cache_info()
+        assert after.hits >= before.hits + 1
+        assert after.currsize >= 1
+        assert type(value) is Fraction
 
 
 class TestLRCoefficients:
