@@ -65,10 +65,10 @@ _EXPORTS = {
         "decompose_state",
         "embed",
         "f_spectrum",
+        "flow_coefficients",
         "kms_check",
         "random_block_element",
         "scaling",
-        "scaling_unitary",
         "state_of_product",
     ),
 }

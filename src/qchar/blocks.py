@@ -19,10 +19,12 @@ Laurent polynomial in q.  The pairings below gather each block's entry
 products by F exponent and evaluate the sum in integers over one common
 denominator, building one `Fraction` per block instead of a q-power per
 entry; the exact flow multiplies integer numerators and denominators, and
-the F-compatibility check compares exponents.
+the F-compatibility check compares exponents.  The real-time flow is kept
+exact too: `flow_coefficients` returns chi(sigma_t(x) y) as the Laurent
+coefficients of a polynomial in w = q^(it), and evaluating it in floats
+is left to the caller.
 """
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -119,10 +121,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _freeze(out)
 
 
-def _conj(x):
-    return x.conjugate() if isinstance(x, complex) else x
-
-
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
@@ -130,9 +128,9 @@ def _is_exact(x) -> bool:
 class BlockElement(_Frozen):
     """Finitely supported signature -> square matrix map at one level.
 
-    Matrix entries are exact (int or Fraction) or complex floats; each
-    block is square with side equal to its signature's dimension, rows and
-    columns indexed by patterns in canonical order.  Absent blocks are zero.
+    Matrix entries are exact (int or Fraction); each block is square with
+    side equal to its signature's dimension, rows and columns indexed by
+    patterns in canonical order.  Absent blocks are zero.
     """
 
     __slots__ = ("level", "q", "blocks")
@@ -192,7 +190,7 @@ class BlockElement(_Frozen):
         for sig, rows in self.blocks.items():
             d = len(rows)
             blocks[sig] = tuple(
-                tuple(_conj(rows[j][i]) for j in range(d)) for i in range(d)
+                tuple(rows[j][i] for j in range(d)) for i in range(d)
             )
         return BlockElement(self.level, self.q, blocks)
 
@@ -203,8 +201,6 @@ def random_block_element(
     sigs: Iterable[Signature],
     rng,
     density: float = 0.4,
-    lo: int = -3,
-    hi: int = 3,
 ) -> BlockElement:
     """Seeded random element: sparse integer matrices on the given blocks."""
     blocks = {}
@@ -214,7 +210,7 @@ def random_block_element(
         for i in range(d):
             for j in range(d):
                 if rng.random() < density:
-                    v = rng.randint(lo, hi)
+                    v = rng.randint(-3, 3)
                     if v:
                         rows[i][j] = v
         blocks[sig] = _freeze(rows)
@@ -231,15 +227,13 @@ def _require_state_compatible(chi: LevelCharacter, x: BlockElement) -> None:
 def _laurent_value(terms: Mapping[int, object], q: Fraction):
     """sum_e c_e q^e over an exponent -> coefficient map.
 
-    Exact coefficients are brought over their common denominator D; with
+    The coefficients are brought over their common denominator D; with
     q = a/b and lo <= e <= hi the sum is
     (sum_e D c_e a^(e-lo) b^(hi-e)) a^lo / (D b^hi), one `Fraction` built
-    from integers.  Complex-float coefficients are summed term by term.
+    from integers.
     """
     if not terms:
         return 0
-    if not all(_is_exact(c) for c in terms.values()):
-        return sum(c * q ** e for e, c in terms.items())
     a, b = q.numerator, q.denominator
     lo, hi = min(terms), max(terms)
     den = math.lcm(*(c.denominator for c in terms.values()))
@@ -283,26 +277,63 @@ def char_state_eval(chi: LevelCharacter, x: BlockElement):
     return total
 
 
+def _shared_blocks(chi: LevelCharacter, x: BlockElement, y: BlockElement):
+    """(sig, x's block, y's block, F exponents) for each label of chi's
+    support at which both x and y have a block, after the level and q
+    checks of `x @ y` and of evaluating chi on it."""
+    x._require_compatible(y)
+    _require_state_compatible(chi, x)
+    for sig in chi.weights:
+        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+        if xs is not None and ys is not None:
+            yield sig, xs, ys, f_spectrum(sig).exponents
+
+
 def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
     """chi(x @ y) without forming the product, O(d^2) per block:
     sum over lam of weight(lam) / qdim(lam) * sum_p q^(e_p) sum_r x_pr y_rp.
 
     Only the diagonal of each block product is built, with the same terms
     in the same order as `@`, and it is gathered by F exponent exactly as
-    in `char_state_eval`, so the value is identical for exact and for
-    complex-float entries alike; the level and q checks are those of the
-    two.
+    in `char_state_eval`, so the value is identical; the level and q
+    checks are those of the two.
     """
-    x._require_compatible(y)
-    _require_state_compatible(chi, x)
     total = 0
-    for sig in chi.weights:
-        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
-        if xs is None or ys is None:
-            continue
-        terms = _product_terms(xs, ys, f_spectrum(sig).exponents)
+    for sig, xs, ys, exps in _shared_blocks(chi, x, y):
+        terms = _product_terms(xs, ys, exps)
         total = total + _block_share(chi, sig, terms)
     return total
+
+
+def flow_coefficients(
+    chi: LevelCharacter, x: BlockElement, y: BlockElement
+) -> dict[int, Fraction]:
+    """chi(sigma_t(x) @ y) as {k: c_k}, the nonzero coefficients, in
+    increasing k, of its Laurent polynomial sum_k c_k w^k in w = q^(it).
+
+    The flow sigma_t = Ad F^(it) multiplies entry (p, r) of a block by
+    w^(e_p - e_r), so c_k = sum over lam of weight(lam) / qdim(lam) *
+    sum over e_p - e_r = k of q^(e_p) x_pr y_rp, each block's share
+    gathered by F exponent as in `state_of_product`.  Exactly, the value
+    at w = 1 is state_of_product(chi, x, y), and at w = q^s it is
+    chi(scaling(x, s) @ y).  At real time t the value is the float sum
+    sum_k float(c_k) e^(ikt ln q), left to the caller; with n terms and
+    u = 2^-53 its rounding error is, to first order, at most
+    (n + 3 + max_k |k t| (1 + 3 |ln q|)) u sum_k |c_k|, the phase error
+    growing with |k t| from the rounding of q and of its logarithm.
+    """
+    coeffs = {}
+    for sig, xs, ys, exps in _shared_blocks(chi, x, y):
+        by_gap = {}
+        for p, (row, ep) in enumerate(zip(xs, exps)):
+            for r, (a, er) in enumerate(zip(row, exps)):
+                if a:
+                    b = ys[r][p]
+                    if b:
+                        _add_term(by_gap.setdefault(ep - er, {}), ep, a * b)
+        for k, terms in by_gap.items():
+            coeffs[k] = coeffs.get(k, 0) + _block_share(chi, sig, terms)
+    return {k: c for k, c in sorted(coeffs.items()) if c}
 
 
 def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
@@ -320,13 +351,6 @@ def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
     return terms
 
 
-def _difference_table(x: BlockElement, factor) -> dict:
-    """factor(k) for every difference k = e_p - e_r of two F exponents
-    occurring on x's blocks, each evaluated once."""
-    exps = {e for sig in x.blocks for e in f_spectrum(sig).exponents}
-    return {k: factor(k) for k in {ep - er for ep in exps for er in exps}}
-
-
 def scaling(x: BlockElement, s: int) -> BlockElement:
     """Imaginary-time flow at integer time: entry (p, r) of each block is
     multiplied by q^(s * (exp_p - exp_r)).
@@ -337,8 +361,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     built once per distinct (numerator, denominator, gap e_p - e_r) in a
     memo local to the call, and every later entry with the same key gets
     the same immutable object; equal exact values (True and 1, 2 and
-    Fraction(4, 2)) share a key.  A complex-float entry is multiplied by
-    the factor as a `Fraction`.  s = 1 is the KMS twist y -> F y F^(-1);
+    Fraction(4, 2)) share a key.  s = 1 is the KMS twist y -> F y F^(-1);
     the group law scaling(scaling(x, s), t) = scaling(x, s + t) holds
     exactly.
     """
@@ -348,12 +371,12 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     if s == 0:
         return x
     a, b = x.q.numerator, x.q.denominator
-
-    def factor(k):
+    # the factor pair of every gap k = e_p - e_r on x's blocks, once each
+    exps = {e for sig in x.blocks for e in f_spectrum(sig).exponents}
+    factors = {}
+    for k in {ep - er for ep in exps for er in exps}:
         m = s * k
-        return (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
-
-    factors = _difference_table(x, factor)
+        factors[k] = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
     memo = {}
     blocks = {}
     for sig, rows in x.blocks.items():
@@ -364,35 +387,14 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
             for r, (v, er) in enumerate(zip(row, exps)):
                 if v:
                     k = ep - er
-                    if _is_exact(v):
-                        key = (v.numerator, v.denominator, k)
-                        f = memo.get(key)
-                        if f is None:
-                            n, d = factors[k]
-                            f = memo[key] = Fraction(key[0] * n, key[1] * d)
-                        out[r] = f
-                    else:
+                    key = (v.numerator, v.denominator, k)
+                    f = memo.get(key)
+                    if f is None:
                         n, d = factors[k]
-                        out[r] = v * Fraction(n, d)
+                        f = memo[key] = Fraction(key[0] * n, key[1] * d)
+                    out[r] = f
             scaled.append(tuple(out))
         blocks[sig] = tuple(scaled)
-    return BlockElement(x.level, x.q, blocks)
-
-
-def scaling_unitary(x: BlockElement, t: float) -> BlockElement:
-    """Real-time flow Ad F^(it), numeric mode: unit-modulus entry factors."""
-    lnq = math.log(float(x.q))
-    factors = _difference_table(x, lambda k: cmath.exp(1j * t * lnq * k))
-    blocks = {}
-    for sig, rows in x.blocks.items():
-        exps = f_spectrum(sig).exponents
-        blocks[sig] = tuple(
-            tuple(
-                complex(v) * factors[ep - er] if v else 0j
-                for v, er in zip(row, exps)
-            )
-            for row, ep in zip(rows, exps)
-        )
     return BlockElement(x.level, x.q, blocks)
 
 
@@ -421,14 +423,9 @@ def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]
 
 def _kms_sides(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:
     """chi(x * scaling(y, 1)) and chi(y * x), computed independently."""
-    x._require_compatible(y)
-    _require_state_compatible(chi, x)
     lhs = rhs = 0
-    for sig in chi.weights:
-        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
-        if xs is None or ys is None:
-            continue
-        left, right = _kms_terms(xs, ys, f_spectrum(sig).exponents)
+    for sig, xs, ys, exps in _shared_blocks(chi, x, y):
+        left, right = _kms_terms(xs, ys, exps)
         lhs = lhs + _block_share(chi, sig, left)
         rhs = rhs + _block_share(chi, sig, right)
     return lhs, rhs

@@ -5,6 +5,8 @@ enumeration, leading-term stripping) and independent of the fast paths in
 the package; they are the reference every derived value is checked against.
 """
 
+import cmath
+import math
 import os
 import random
 import subprocess
@@ -501,6 +503,32 @@ def kms_sides_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> t
         state_of_product_oracle(chi, x, scaling_oracle(y, 1)),
         state_of_product_oracle(chi, y, x),
     )
+
+
+def real_time_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement, t: float) -> complex:
+    """Reference chi(sigma_t(x) @ y) at real time t, in floats: each block
+    of x copied into nested lists of complex numbers, entry (p, r) times
+    the unit-modulus factor exp(i t ln q (e_p - e_r)) of Ad F^(it), then
+    sum over lam of weight(lam) / qdim(lam) * sum_p q^(e_p) (sigma_t(x) y)_pp.
+    """
+    lnq = math.log(float(x.q))
+    total = 0j
+    for sig, w in chi.weights.items():
+        xs, ys = x.blocks.get(sig), y.blocks.get(sig)
+        if xs is None or ys is None:
+            continue
+        exps = f_spectrum(sig).exponents
+        d = len(exps)
+        flowed = [
+            [complex(xs[p][r]) * cmath.exp(1j * t * lnq * (exps[p] - exps[r])) for r in range(d)]
+            for p in range(d)
+        ]
+        tr = sum(
+            float(x.q) ** exps[p] * sum(flowed[p][r] * complex(ys[r][p]) for r in range(d))
+            for p in range(d)
+        )
+        total += float(w) * tr / float(qdim(sig, x.q))
+    return total
 
 
 def check_f_compatibility_oracle(nu: Signature, q: Fraction) -> FCompatReport:

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -15,12 +17,12 @@ from qchar import (
     embed,
     enumerate_down,
     f_spectrum,
+    flow_coefficients,
     indecomposable,
     kms_check,
     qdim,
     random_block_element,
     scaling,
-    scaling_unitary,
     state_of_product,
 )
 from qchar import blocks
@@ -34,6 +36,7 @@ from helpers import (
     iter_signatures,
     kms_sides_oracle,
     random_character,
+    real_time_oracle,
     scaling_oracle,
     state_of_product_oracle,
 )
@@ -151,14 +154,6 @@ class TestScaling:
         with pytest.raises(ValueError):
             scaling(x, 0.5)
 
-    def test_unitary_flow_has_unit_modulus_factors(self):
-        e12 = BlockElement.basis_unit(2, HALF, sig(1, 0), 0, 1)
-        rotated = scaling_unitary(e12, 0.7)
-        entry = rotated.blocks[sig(1, 0)][0][1]
-        assert abs(abs(entry) - 1) < 1e-12
-        still = scaling_unitary(e12, 0.0)
-        assert still.blocks[sig(1, 0)][0][1] == 1
-
 
 class TestKms:
     def test_frozen_example(self):
@@ -236,15 +231,6 @@ class TestStateOfProduct:
             for a, b in ((x, y), (y, x), (x, scaling(y, 1)), (x, x.adjoint())):
                 assert state_of_product(chi, a, b) == char_state_eval(chi, a @ b)
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_complex_float_entries_match_exactly(self, level):
-        rng = random.Random(200 + level)
-        for _ in range(10):
-            chi, x, y = self._elements(level, rng)
-            a, b = scaling_unitary(x, 0.3), scaling_unitary(y, -1.7)
-            assert state_of_product(chi, a, b) == char_state_eval(chi, a @ b)
-            assert state_of_product(chi, a, y) == char_state_eval(chi, a @ y)
-
     @pytest.mark.parametrize(
         "chi, x, y",
         [
@@ -268,6 +254,8 @@ class TestStateOfProduct:
             char_state_eval(chi, x @ y)
         with pytest.raises(ValueError, match=str(expected.value)):
             state_of_product(chi, x, y)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            flow_coefficients(chi, x, y)
 
 
 SWEEP_QS = [HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)]
@@ -331,23 +319,6 @@ class TestIntegerPathsAgainstOracle:
     def test_laurent_value_on_every_sign_of_the_exponent_range(self, terms, q):
         assert _laurent_value(terms, q) == sum((c * q ** e for e, c in terms.items()), Fraction(0))
 
-    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_complex_float_entries_through_scaling(self, level, q):
-        rng = random.Random(300 + level)
-        sigs = rng.sample(list(iter_signatures(level, -2, 2)), 3)
-        for _ in range(4):
-            x = scaling_unitary(random_block_element(level, q, sigs, rng, density=0.6), 0.7)
-            # exact and complex entries side by side in one block
-            mixed = {
-                sig: tuple(tuple(v if (i + j) % 2 else rng.randint(-3, 3) for j, v in enumerate(row))
-                           for i, row in enumerate(rows))
-                for sig, rows in x.blocks.items()
-            }
-            for z in (x, BlockElement(level, q, mixed)):
-                for s in range(-3, 4):
-                    assert scaling(z, s) == scaling_oracle(z, s)
-
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_kms_sides_agree_as_laurent_polynomials(self, level):
         # per block, the two sides are the same polynomial in q: an identity
@@ -401,6 +372,52 @@ class TestIntegerPathsAgainstOracle:
             assert char_state_eval(chi, u @ v) != char_state_eval(chi, v @ u)
 
 
+class TestFlowCoefficients:
+    """The real-time flow as exact Laurent coefficients in w = q^(it),
+    against `state_of_product`, the integer flow and the float oracle."""
+
+    @staticmethod
+    def _cases(level, q, rng):
+        yield from TestIntegerPathsAgainstOracle._cases(level, q, rng, 6)
+        # matrix units e_pr, e_rp with e_p != e_r: the flow moves the pair,
+        # so a coefficient at some k != 0 is nonzero (level 1 has none)
+        for lam in iter_signatures(level, -1, 1):
+            exps = f_spectrum(lam).exponents
+            if len(set(exps)) > 1:
+                p, r = exps.index(max(exps)), exps.index(min(exps))
+                u = BlockElement.basis_unit(level, q, lam, p, r)
+                v = BlockElement.basis_unit(level, q, lam, r, p)
+                yield indecomposable(lam, q), u, v
+                return
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_values_at_one_and_at_powers_of_q(self, level, q):
+        rng = random.Random(500 * level + q.denominator)
+        moved = 0
+        for chi, x, y in self._cases(level, q, rng):
+            coeffs = flow_coefficients(chi, x, y)
+            assert list(coeffs) == sorted(coeffs)
+            assert all(type(c) is Fraction and c for c in coeffs.values())
+            assert sum(coeffs.values()) == state_of_product(chi, x, y)
+            for s in range(-3, 4):
+                value = sum((c * q ** (s * k) for k, c in coeffs.items()), Fraction(0))
+                assert value == char_state_eval(chi, scaling(x, s) @ y)
+            moved += any(coeffs)
+        assert moved or level == 1
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_float_sum_matches_the_real_time_oracle(self, level, q):
+        rng = random.Random(600 * level + q.denominator)
+        lnq = math.log(q)
+        for chi, x, y in self._cases(level, q, rng):
+            coeffs = flow_coefficients(chi, x, y)
+            for t in (0, 0.3, -1.7, 12.5):
+                value = sum(float(c) * cmath.exp(1j * k * t * lnq) for k, c in coeffs.items())
+                assert abs(value - real_time_oracle(chi, x, y, t)) <= 1e-12
+
+
 class TestScalingMemo:
     """The per-call memo of exact entry factors in `scaling`."""
 
@@ -409,8 +426,8 @@ class TestScalingMemo:
         # 2, and (1, 0) and (2, 1) the gap -2; at each shared gap an int meets
         # an equal bool or an equal Fraction
         rows = (
-            (True, 2, 0.5 - 1j),
-            (1, 3j, Fraction(4, 2)),
+            (True, 2, Fraction(-1, 2)),
+            (1, -3, Fraction(4, 2)),
             (Fraction(-7, 3), True, 2),
         )
         return BlockElement(2, q, {sig(2, 0): rows})
@@ -421,14 +438,12 @@ class TestScalingMemo:
         for s in range(-3, 4):
             assert scaling(x, s) == scaling_oracle(x, s)
 
-    def test_exact_entries_leave_as_fractions_and_complex_stay_complex(self):
+    def test_exact_entries_leave_as_fractions(self):
         x = self._mixed(HALF)
         assert scaling(x, 0) is x
         for s in (-3, -2, -1, 1, 2, 3):
             out = scaling(x, s).blocks[sig(2, 0)]
-            for row, src in zip(out, x.blocks[sig(2, 0)]):
-                for v, w in zip(row, src):
-                    assert type(v) is (complex if type(w) is complex else Fraction)
+            assert all(type(v) is Fraction for row in out for v in row)
             # equal values at equal gaps: one object, built once
             assert out[0][1] is out[1][2]
             assert out[1][0] is out[2][1]

@@ -24,8 +24,8 @@ ORIGIN = {
         "boundary": "CorollaryReport ExtremeApproximant ak_on_measure ak_on_theta cauchy_gap"
         " extreme_character verify_corollary",
         "blocks": "BlockElement DecomposeReport FCompatReport FSpectrum char_state_eval"
-        " check_f_compatibility decompose_state embed f_spectrum kms_check"
-        " random_block_element scaling scaling_unitary state_of_product",
+        " check_f_compatibility decompose_state embed f_spectrum flow_coefficients kms_check"
+        " random_block_element scaling state_of_product",
     }.items()
     for name in names.split()
 }
@@ -81,3 +81,16 @@ def test_import_loads_only_what_is_asked_for():
     bare, after = json.loads(proc.stdout)
     assert bare == ["qchar"]
     assert after == ["qchar", "qchar.characters", "qchar.combinatorics", "qchar.schur"]
+
+
+def test_blocks_loads_no_float_math_for_the_flow():
+    # the real-time flow is exact coefficients; no block entry is a complex float
+    script = (
+        "import json, sys\n"
+        "bare = set(sys.modules)\n"
+        "import qchar.blocks\n"
+        "print(json.dumps('cmath' in set(sys.modules) - bare))"
+    )
+    proc = run_fresh("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is False
