@@ -59,7 +59,6 @@ _EXPORTS = {
         "BlockElement",
         "DecomposeReport",
         "FCompatReport",
-        "FSpectrum",
         "char_state_eval",
         "check_f_compatibility",
         "decompose_state",

@@ -2,14 +2,15 @@
 
 Elements are finitely supported maps from signatures to square matrices,
 one block per irreducible label, the block side being the classical
-dimension.  The positive operator F attached to a block is modeled as
-diagonal in the pattern basis with eigenvalue q^(sum_i (N+1-2i) w_i) at a
-pattern of weight w.  Three facts lock this model in: the trace of F (and
-of its inverse) is the quantum dimension, restriction of F to the pattern
-group of a lower label equals that label's F up to the cotransition
-q-power, and the twisted trace below satisfies the beta = -1 KMS identity.
-A global q <-> 1/q flip would negate every exponent coherently and is an
-equally valid convention.
+dimension.  The positive operator F attached to a block is diagonal in
+the pattern basis with eigenvalue q^e at a pattern of weight w, where
+e = sum_i (N+1-2i) w_i; `f_spectrum` gives the tuple of these exponents.
+Three facts lock this model in: the trace of F (and of its inverse) is
+the quantum dimension, restriction of F to the pattern group of a lower
+label equals that label's F up to the cotransition q-power, and the
+twisted trace below satisfies the beta = -1 KMS identity.  A global
+q <-> 1/q flip would negate every exponent coherently and is an equally
+valid convention.
 
 States are reused from `characters`: a level character evaluates on a
 block element as sum of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
@@ -38,19 +39,10 @@ from .combinatorics import (
     enumerate_gt_patterns,
     weight,
 )
-from .characters import LevelCharacter
+from .characters import LevelCharacter, _check_operands
 from .schur import check_q, qdim
 
 Matrix = tuple[tuple, ...]
-
-
-class FSpectrum(_Frozen):
-    """Diagonal exponents of F on one block, in canonical pattern order."""
-
-    __slots__ = ("signature", "exponents")
-
-    def __init__(self, signature: Signature, exponents: tuple[int, ...]):
-        self._set(signature, exponents)
 
 
 class FCompatReport(_Frozen):
@@ -68,20 +60,19 @@ class DecomposeReport(_Frozen):
 
 
 @lru_cache(maxsize=None)
-def f_spectrum(lam: Signature) -> FSpectrum:
-    """Exponent sum_i (N+1-2i) w_i for each pattern of lam, in order.
+def f_spectrum(lam: Signature) -> tuple[int, ...]:
+    """The diagonal of F on lam's block: the exponent sum_i (N+1-2i) w_i
+    for each pattern of lam, in canonical pattern order.
 
     Summing q to these exponents, or their negatives, gives the quantum
     dimension either way: the weight multiset is symmetric under reversal.
     """
-    if lam.level < 1:
-        raise ValueError("need a signature of level >= 1")
     n = lam.level
     exps = []
     for pattern in enumerate_gt_patterns(lam):
         w = weight(pattern)
         exps.append(sum((n - 1 - 2 * i) * w[i] for i in range(n)))
-    return FSpectrum(lam, tuple(exps))
+    return tuple(exps)
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +96,14 @@ def _freeze(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def _square(kind: str, sig: Signature, rows) -> Matrix:
+    d = dimension(sig)
+    rows = _freeze(rows)
+    if len(rows) != d or any(len(r) != d for r in rows):
+        raise ValueError(f"{kind} at {sig} must be {d}x{d}")
+    return rows
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     out = _zero_matrix(n)
@@ -119,10 +118,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         oi[j] = oi[j] + x * y
     return _freeze(out)
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 class BlockElement(_Frozen):
@@ -143,11 +138,7 @@ class BlockElement(_Frozen):
         for sig, rows in blocks.items():
             if sig.level != level:
                 raise ValueError(f"{sig} is not a level-{level} signature")
-            d = dimension(sig)
-            rows = _freeze(rows)
-            if len(rows) != d or any(len(r) != d for r in rows):
-                raise ValueError(f"block at {sig} must be {d}x{d}")
-            frozen[sig] = rows
+            frozen[sig] = _square("block", sig, rows)
         self._set(level, q, frozen)
 
     @classmethod
@@ -162,22 +153,16 @@ class BlockElement(_Frozen):
 
     @classmethod
     def basis_unit(
-        cls, level: int, q: Fraction, sig: Signature, row: int, col: int, value=1
+        cls, level: int, q: Fraction, sig: Signature, row: int, col: int
     ) -> "BlockElement":
-        """The matrix unit value * e_{row,col} on a single block, 0-indexed."""
+        """The matrix unit e_{row,col} on a single block, 0-indexed."""
         d = dimension(sig)
         rows = _zero_matrix(d)
-        rows[row][col] = value
-        return cls(level, q, {sig: _freeze(rows)})
-
-    def _require_compatible(self, other: "BlockElement") -> None:
-        if self.level != other.level:
-            raise ValueError(f"levels must agree: {self.level} != {other.level}")
-        if self.q != other.q:
-            raise ValueError("q must agree")
+        rows[row][col] = 1
+        return cls(level, q, {sig: rows})
 
     def __matmul__(self, other: "BlockElement") -> "BlockElement":
-        self._require_compatible(other)
+        _check_operands(self, other)
         blocks = {
             sig: _mat_mul(rows, other.blocks[sig])
             for sig, rows in self.blocks.items()
@@ -215,13 +200,6 @@ def random_block_element(
                         rows[i][j] = v
         blocks[sig] = _freeze(rows)
     return BlockElement(level, q, blocks)
-
-
-def _require_state_compatible(chi: LevelCharacter, x: BlockElement) -> None:
-    if chi.level != x.level:
-        raise ValueError(f"levels must agree: {chi.level} != {x.level}")
-    if chi.q != x.q:
-        raise ValueError("q must agree")
 
 
 def _laurent_value(terms: Mapping[int, object], q: Fraction):
@@ -264,14 +242,14 @@ def char_state_eval(chi: LevelCharacter, x: BlockElement):
     gathered by F exponent into one Laurent polynomial in q per block;
     blocks outside the state's support contribute nothing.
     """
-    _require_state_compatible(chi, x)
+    _check_operands(chi, x)
     total = 0
     for sig in chi.weights:
         rows = x.blocks.get(sig)
         if rows is None:
             continue
         terms = {}
-        for p, e in enumerate(f_spectrum(sig).exponents):
+        for p, e in enumerate(f_spectrum(sig)):
             _add_term(terms, e, rows[p][p])
         total = total + _block_share(chi, sig, terms)
     return total
@@ -281,12 +259,12 @@ def _shared_blocks(chi: LevelCharacter, x: BlockElement, y: BlockElement):
     """(sig, x's block, y's block, F exponents) for each label of chi's
     support at which both x and y have a block, after the level and q
     checks of `x @ y` and of evaluating chi on it."""
-    x._require_compatible(y)
-    _require_state_compatible(chi, x)
+    _check_operands(x, y)
+    _check_operands(chi, x)
     for sig in chi.weights:
         xs, ys = x.blocks.get(sig), y.blocks.get(sig)
         if xs is not None and ys is not None:
-            yield sig, xs, ys, f_spectrum(sig).exponents
+            yield sig, xs, ys, f_spectrum(sig)
 
 
 def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
@@ -372,7 +350,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
         return x
     a, b = x.q.numerator, x.q.denominator
     # the factor pair of every gap k = e_p - e_r on x's blocks, once each
-    exps = {e for sig in x.blocks for e in f_spectrum(sig).exponents}
+    exps = {e for sig in x.blocks for e in f_spectrum(sig)}
     factors = {}
     for k in {ep - er for ep in exps for er in exps}:
         m = s * k
@@ -380,7 +358,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     memo = {}
     blocks = {}
     for sig, rows in x.blocks.items():
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         scaled = []
         for row, ep in zip(rows, exps):
             out = list(row)
@@ -480,11 +458,11 @@ def check_f_compatibility(nu: Signature, q: Fraction) -> FCompatReport:
     if nu.level < 2:
         raise ValueError("need a signature of level >= 2")
     q = check_q(q)
-    big = f_spectrum(nu).exponents
+    big = f_spectrum(nu)
     for lam, offset, size in pattern_groups(nu):
         n = lam.level
         shift = (n + 1) * lam.size - n * nu.size
-        small = f_spectrum(lam).exponents
+        small = f_spectrum(lam)
         for i in range(size):
             if big[offset + i] != shift + small[i]:
                 return FCompatReport(False, lam, i)
@@ -544,11 +522,8 @@ def decompose_state(
     q = check_q(q)
     mats = {}
     for sig, rows in densities.items():
-        d = dimension(sig)
-        rows = _freeze(rows)
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ValueError(f"density at {sig} must be {d}x{d}")
-        if not all(_is_exact(v) for row in rows for v in row):
+        rows = _square("density", sig, rows)
+        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
             raise ValueError(f"density at {sig} must have exact (int or Fraction) entries")
         mats[sig] = rows
 
@@ -579,7 +554,7 @@ def decompose_state(
                         False,
                         reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]",
                     )
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         m = min(exps)
         powers = {e: (a ** (e - m), b ** (e - m)) for e in set(exps)}
         pa, pb = powers[exps[0]]

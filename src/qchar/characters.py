@@ -213,6 +213,15 @@ def is_coherent(family: CoherentFamily) -> CoherenceReport:
     return CoherenceReport(True)
 
 
+def _check_operands(a, b) -> None:
+    """The rule for two operands of one level's algebra, characters or block
+    elements alike: their levels agree, and then their q."""
+    if a.level != b.level:
+        raise ValueError(f"levels must agree: {a.level} != {b.level}")
+    if a.q != b.q:
+        raise ValueError("q must agree")
+
+
 def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     """Fusion of characters; commutative and associative.
 
@@ -224,10 +233,7 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     folded over the lcm of their denominators, and each output weight is one
     Fraction.
     """
-    if chi1.level != chi2.level:
-        raise ValueError(f"levels must agree: {chi1.level} != {chi2.level}")
-    if chi1.q != chi2.q:
-        raise ValueError("q must agree")
+    _check_operands(chi1, chi2)
     q = chi1.q
     qn, qd = q.numerator, q.denominator
     out: dict[tuple[int, ...], tuple[int, int]] = {}

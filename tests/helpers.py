@@ -459,7 +459,7 @@ def char_state_eval_oracle(chi: LevelCharacter, x: BlockElement):
         rows = x.blocks.get(sig)
         if rows is None:
             continue
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         tr = sum(q ** e * rows[p][p] for p, e in enumerate(exps))
         total = total + w * tr / qdim(sig, q)
     return total
@@ -475,7 +475,7 @@ def state_of_product_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElemen
         if xs is None or ys is None:
             continue
         tr = 0
-        for p, (row, e) in enumerate(zip(xs, f_spectrum(sig).exponents)):
+        for p, (row, e) in enumerate(zip(xs, f_spectrum(sig))):
             entry = sum(a * yr[p] for a, yr in zip(row, ys))
             tr = tr + q ** e * entry
         total = total + w * tr / qdim(sig, q)
@@ -488,7 +488,7 @@ def scaling_oracle(x: BlockElement, s: int) -> BlockElement:
     q = x.q
     blocks = {}
     for sig, rows in x.blocks.items():
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         blocks[sig] = tuple(
             tuple(v * q ** (s * (ep - er)) if v else v for v, er in zip(row, exps))
             for row, ep in zip(rows, exps)
@@ -517,7 +517,7 @@ def real_time_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement, t: f
         xs, ys = x.blocks.get(sig), y.blocks.get(sig)
         if xs is None or ys is None:
             continue
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         d = len(exps)
         flowed = [
             [complex(xs[p][r]) * cmath.exp(1j * t * lnq * (exps[p] - exps[r])) for r in range(d)]
@@ -534,10 +534,10 @@ def real_time_oracle(chi: LevelCharacter, x: BlockElement, y: BlockElement, t: f
 def check_f_compatibility_oracle(nu: Signature, q: Fraction) -> FCompatReport:
     """Reference F-compatibility: F on each pattern group of nu against the
     group label's F times wq, compared as `Fraction` eigenvalues."""
-    big = f_spectrum(nu).exponents
+    big = f_spectrum(nu)
     for lam, offset, size in pattern_groups(nu):
         factor = wq(lam, nu, q)
-        small = f_spectrum(lam).exponents
+        small = f_spectrum(lam)
         for i in range(size):
             if q ** big[offset + i] != factor * q ** small[i]:
                 return FCompatReport(False, lam, i)
@@ -557,7 +557,7 @@ def decompose_by_ratios(densities, q: Fraction) -> DecomposeReport:
                     return DecomposeReport(
                         False, reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]"
                     )
-        exps = f_spectrum(sig).exponents
+        exps = f_spectrum(sig)
         ratios = [rows[i][i] / q ** exps[i] for i in range(n)]
         for i in range(1, n):
             if ratios[i] != ratios[0]:

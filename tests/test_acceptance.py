@@ -157,7 +157,7 @@ def test_criterion_07_kms_classification():
                 y = random_block_element(level, HALF, [lam], rng)
                 ok = ok and kms_check(chi, x, y)
 
-            exps = f_spectrum(lam).exponents
+            exps = f_spectrum(lam)
             d = dimension(lam)
             distinct = [(i, j) for i in range(d) for j in range(d)
                         if exps[i] != exps[j]]

@@ -26,7 +26,7 @@ from qchar import (
     state_of_product,
 )
 from qchar import blocks
-from qchar.blocks import FSpectrum, _kms_sides, _kms_terms, _laurent_value, _ldl_psd, pattern_groups
+from qchar.blocks import _kms_sides, _kms_terms, _laurent_value, _ldl_psd, pattern_groups
 
 from helpers import (
     char_state_eval_oracle,
@@ -42,6 +42,7 @@ from helpers import (
 )
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 
 
 def sig(*parts):
@@ -50,7 +51,7 @@ def sig(*parts):
 
 def f_density(lam, q):
     """The diagonal density F / qdim attached to one block."""
-    exps = f_spectrum(lam).exponents
+    exps = f_spectrum(lam)
     d = qdim(lam, q)
     n = len(exps)
     return tuple(
@@ -62,34 +63,43 @@ def f_density(lam, q):
 class TestFSpectrum:
     def test_examples(self):
         # rectangles carry the trivial flow: a single pattern, exponent 0
-        assert f_spectrum(sig(0, 0, 0)).exponents == (0,)
-        assert f_spectrum(sig(1, 0)).exponents == (1, -1)
-        assert f_spectrum(sig(5)).exponents == (0,)
+        assert f_spectrum(sig(0, 0, 0)) == (0,)
+        assert f_spectrum(sig(1, 0)) == (1, -1)
+        assert f_spectrum(sig(5)) == (0,)
+
+    def test_level_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^need a signature of level >= 1$"):
+            f_spectrum(sig())
 
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)])
     def test_trace_identities(self, q):
         # Tr F = Tr F^-1 = quantum dimension, on every block
         for level in (1, 2, 3, 4):
             for lam in iter_signatures(level, -3, 3):
-                exps = f_spectrum(lam).exponents
+                exps = f_spectrum(lam)
                 d = qdim(lam, q)
                 assert sum(q ** e for e in exps) == d
                 assert sum(q ** -e for e in exps) == d
 
     def test_groups_match_the_pattern_order(self):
         nu = sig(2, 0, -1)
-        big = f_spectrum(nu).exponents
+        big = f_spectrum(nu)
         assert sum(size for _, _, size in pattern_groups(nu)) == dimension(nu)
         assert len(big) == dimension(nu)
 
 
 class TestBlockElement:
-    def test_block_shape_enforced(self):
-        with pytest.raises(ValueError):
-            BlockElement(2, HALF, {sig(1, 0): ((1,),)})
+    @pytest.mark.parametrize(
+        "rows",
+        [((1,),), ((1, 0), (0,)), ((1, 0), (0, 1), (0, 0))],
+        ids=["too-small", "ragged", "too-many-rows"],
+    )
+    def test_block_shape_enforced(self, rows):
+        with pytest.raises(ValueError, match=r"^block at \(1,0\) must be 2x2$"):
+            BlockElement(2, HALF, {sig(1, 0): rows})
 
     def test_level_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(1\) is not a level-2 signature$"):
             BlockElement(2, HALF, {sig(1): ((1,),)})
 
     def test_matmul_supports_intersect(self):
@@ -232,30 +242,32 @@ class TestStateOfProduct:
                 assert state_of_product(chi, a, b) == char_state_eval(chi, a @ b)
 
     @pytest.mark.parametrize(
-        "chi, x, y",
+        "chi, x, y, message",
         [
-            (indecomposable(sig(1, 0), HALF),
-             BlockElement.identity(2, HALF, [sig(1, 0)]),
-             BlockElement.identity(3, HALF, [sig(1, 0, 0)])),
-            (indecomposable(sig(1, 0), HALF),
-             BlockElement.identity(2, HALF, [sig(1, 0)]),
-             BlockElement.identity(2, Fraction(1, 3), [sig(1, 0)])),
-            (indecomposable(sig(1, 0), HALF),
-             BlockElement.identity(3, HALF, [sig(1, 0, 0)]),
-             BlockElement.identity(3, HALF, [sig(1, 0, 0)])),
-            (indecomposable(sig(1, 0), Fraction(1, 3)),
-             BlockElement.identity(2, HALF, [sig(1, 0)]),
-             BlockElement.identity(2, HALF, [sig(1, 0)])),
+            ((2, HALF), (2, HALF), (3, HALF), r"^levels must agree: 2 != 3$"),
+            ((2, HALF), (2, HALF), (2, THIRD), r"^q must agree$"),
+            ((2, HALF), (3, HALF), (3, HALF), r"^levels must agree: 2 != 3$"),
+            ((2, THIRD), (2, HALF), (2, HALF), r"^q must agree$"),
+            # levels are checked before q, and x against y before chi against x
+            ((2, HALF), (2, HALF), (3, THIRD), r"^levels must agree: 2 != 3$"),
+            ((2, THIRD), (3, HALF), (3, HALF), r"^levels must agree: 2 != 3$"),
+            ((2, HALF), (3, HALF), (4, HALF), r"^levels must agree: 3 != 4$"),
+            ((2, HALF), (3, HALF), (3, THIRD), r"^q must agree$"),
         ],
-        ids=["xy-level", "xy-q", "state-level", "state-q"],
+        ids=[
+            "xy-level", "xy-q", "state-level", "state-q",
+            "xy-both", "state-both", "xy-before-state", "xy-q-before-state",
+        ],
     )
-    def test_errors_match_the_matmul_path(self, chi, x, y):
-        with pytest.raises(ValueError) as expected:
+    def test_errors_match_the_matmul_path(self, chi, x, y, message):
+        # (level, q) of each operand; the elements are identities on one block
+        chi = indecomposable(Signature((1,) + (0,) * (chi[0] - 1)), chi[1])
+        x, y = (BlockElement.identity(n, q, [Signature((1,) + (0,) * (n - 1))]) for n, q in (x, y))
+        with pytest.raises(ValueError, match=message):
             char_state_eval(chi, x @ y)
-        with pytest.raises(ValueError, match=str(expected.value)):
-            state_of_product(chi, x, y)
-        with pytest.raises(ValueError, match=str(expected.value)):
-            flow_coefficients(chi, x, y)
+        for pairing in (state_of_product, flow_coefficients, kms_check):
+            with pytest.raises(ValueError, match=message):
+                pairing(chi, x, y)
 
 
 SWEEP_QS = [HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100)]
@@ -330,7 +342,7 @@ class TestIntegerPathsAgainstOracle:
                 xs, ys = x.blocks.get(sig), y.blocks.get(sig)
                 if xs is None or ys is None:
                     continue
-                left, right = _kms_terms(xs, ys, f_spectrum(sig).exponents)
+                left, right = _kms_terms(xs, ys, f_spectrum(sig))
                 assert _nonzero(left) == _nonzero(right)
                 twisted += len(_nonzero(left)) > 1
         # level 1 has the trivial flow: every block is a single exponent
@@ -344,10 +356,10 @@ class TestIntegerPathsAgainstOracle:
         true_spectrum = f_spectrum
         for k in range(dimension(nu)):
             def mutated(lam, k=k):
-                exps = list(true_spectrum(lam).exponents)
+                exps = list(true_spectrum(lam))
                 if lam == nu:
                     exps[k] += delta
-                return FSpectrum(lam, tuple(exps))
+                return tuple(exps)
 
             monkeypatch.setattr(blocks, "f_spectrum", mutated)
             report = check_f_compatibility(nu, HALF)
@@ -362,7 +374,7 @@ class TestIntegerPathsAgainstOracle:
         # pair, yet the twisted identity holds
         q = Fraction(2, 3)
         chi = indecomposable(lam, q)
-        exps = f_spectrum(lam).exponents
+        exps = f_spectrum(lam)
         pairs = [(p, r) for p in range(len(exps)) for r in range(len(exps)) if exps[p] != exps[r]]
         assert pairs
         for p, r in pairs:
@@ -382,7 +394,7 @@ class TestFlowCoefficients:
         # matrix units e_pr, e_rp with e_p != e_r: the flow moves the pair,
         # so a coefficient at some k != 0 is nonzero (level 1 has none)
         for lam in iter_signatures(level, -1, 1):
-            exps = f_spectrum(lam).exponents
+            exps = f_spectrum(lam)
             if len(set(exps)) > 1:
                 p, r = exps.index(max(exps)), exps.index(min(exps))
                 u = BlockElement.basis_unit(level, q, lam, p, r)
@@ -747,5 +759,15 @@ class TestDecomposeState:
         # only exact densities are classified; there is no numeric mode
         lam = sig(1, 0)
         rows = [[kind(v) for v in row] for row in f_density(lam, HALF)]
-        with pytest.raises(ValueError, match="exact"):
+        with pytest.raises(
+            ValueError, match=r"^density at \(1,0\) must have exact \(int or Fraction\) entries$"
+        ):
             decompose_state({lam: rows}, HALF)
+
+    @pytest.mark.parametrize(
+        "rows", [((1,),), ((1, 0), (0,)), ((0.5,),)], ids=["too-small", "ragged", "inexact"]
+    )
+    def test_block_shape_enforced(self, rows):
+        # the shape is checked before the entries are
+        with pytest.raises(ValueError, match=r"^density at \(1,0\) must be 2x2$"):
+            decompose_state({sig(1, 0): rows}, HALF)

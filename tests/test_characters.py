@@ -310,9 +310,12 @@ class TestTensor:
         assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
 
     def test_mismatches_rejected(self):
-        with pytest.raises(ValueError):
+        # levels are checked before q
+        with pytest.raises(ValueError, match=r"^levels must agree: 1 != 2$"):
             tensor(delta(HALF, 0), delta(HALF, 0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^levels must agree: 1 != 2$"):
+            tensor(delta(HALF, 0), delta(Fraction(2, 3), 0, 0))
+        with pytest.raises(ValueError, match=r"^q must agree$"):
             tensor(delta(HALF, 0), indecomposable(sig(0), Fraction(2, 3)))
 
     def test_equals_the_fraction_oracle(self):

@@ -23,7 +23,7 @@ ORIGIN = {
         " tensor total_variation",
         "boundary": "CorollaryReport ExtremeApproximant ak_on_measure ak_on_theta cauchy_gap"
         " extreme_character verify_corollary",
-        "blocks": "BlockElement DecomposeReport FCompatReport FSpectrum char_state_eval"
+        "blocks": "BlockElement DecomposeReport FCompatReport char_state_eval"
         " check_f_compatibility decompose_state embed f_spectrum flow_coefficients kms_check"
         " random_block_element scaling state_of_product",
     }.items()
@@ -33,7 +33,7 @@ SUBMODULES = ("combinatorics", "schur", "characters", "boundary", "blocks")
 
 
 def test_the_pinned_surface():
-    assert len(ORIGIN) == 47
+    assert len(ORIGIN) == 46
     assert sorted(qchar.__all__) == sorted([*ORIGIN, *SUBMODULES])
     assert qchar.__version__ == "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Value semantics of the twelve value classes: those of a frozen dataclass.
+"""Value semantics of the eleven value classes: those of a frozen dataclass.
 
 Each case builds one instance from positional and keyword arguments and
 names its fields in order with their expected values, so the defaults are
@@ -20,7 +20,6 @@ from qchar import (
     DecomposeReport,
     ExtremeApproximant,
     FCompatReport,
-    FSpectrum,
     GTPattern,
     LevelCharacter,
     Signature,
@@ -70,10 +69,6 @@ CASES = {
         {"ok": True, "tensored": CHI, "shifted": CHI, "gap": 0, "discrepancy": None},
         f"CorollaryReport(ok=True, tensored={CHI_REPR}, shifted={CHI_REPR}, "
         f"gap=Fraction(0, 1), discrepancy=None)",
-    ),
-    "FSpectrum": (
-        FSpectrum, [TEN, (1, -1)], {}, {"signature": TEN, "exponents": (1, -1)},
-        "FSpectrum(signature=Signature(parts=(1, 0)), exponents=(1, -1))",
     ),
     "FCompatReport": (
         FCompatReport, [True], {}, {"ok": True, "sig": None, "index": None},
