@@ -28,7 +28,6 @@ _EXPORTS = {
     "schur": (
         "check_q",
         "lr_coefficients",
-        "principal_specialization",
         "qdim",
         "schur_eval",
     ),

@@ -43,6 +43,7 @@ from .characters import LevelCharacter, _check_operands
 from .schur import check_q, qdim
 
 Matrix = tuple[tuple, ...]
+_INEXACT = "block entries must be exact (int or Fraction)"
 
 
 class FCompatReport(_Frozen):
@@ -125,7 +126,8 @@ class BlockElement(_Frozen):
 
     Matrix entries are exact (int or Fraction); each block is square with
     side equal to its signature's dimension, rows and columns indexed by
-    patterns in canonical order.  Absent blocks are zero.
+    patterns in canonical order.  Absent blocks are zero.  The first pairing
+    or scaling that reads a non-exact entry refuses it with ValueError.
     """
 
     __slots__ = ("level", "q", "blocks")
@@ -181,20 +183,17 @@ class BlockElement(_Frozen):
 
 
 def random_block_element(
-    level: int,
-    q: Fraction,
-    sigs: Iterable[Signature],
-    rng,
-    density: float = 0.4,
+    level: int, q: Fraction, sigs: Iterable[Signature], rng
 ) -> BlockElement:
-    """Seeded random element: sparse integer matrices on the given blocks."""
+    """Seeded random element: sparse integer matrices on the given blocks,
+    each entry drawn with probability 0.4, uniform on -3..3."""
     blocks = {}
     for sig in sigs:
         d = dimension(sig)
         rows = _zero_matrix(d)
         for i in range(d):
             for j in range(d):
-                if rng.random() < density:
+                if rng.random() < 0.4:
                     v = rng.randint(-3, 3)
                     if v:
                         rows[i][j] = v
@@ -214,11 +213,14 @@ def _laurent_value(terms: Mapping[int, object], q: Fraction):
         return 0
     a, b = q.numerator, q.denominator
     lo, hi = min(terms), max(terms)
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    num = sum(
-        c.numerator * (den // c.denominator) * a ** (e - lo) * b ** (hi - e)
-        for e, c in terms.items()
-    )
+    try:
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        num = sum(
+            c.numerator * (den // c.denominator) * a ** (e - lo) * b ** (hi - e)
+            for e, c in terms.items()
+        )
+    except AttributeError:
+        raise ValueError(_INEXACT) from None
     num, den = (num * a ** lo, den) if lo >= 0 else (num, den * a ** -lo)
     num, den = (num, den * b ** hi) if hi >= 0 else (num * b ** -hi, den)
     return Fraction(num, den)
@@ -357,22 +359,25 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
         factors[k] = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
     memo = {}
     blocks = {}
-    for sig, rows in x.blocks.items():
-        exps = f_spectrum(sig)
-        scaled = []
-        for row, ep in zip(rows, exps):
-            out = list(row)
-            for r, (v, er) in enumerate(zip(row, exps)):
-                if v:
-                    k = ep - er
-                    key = (v.numerator, v.denominator, k)
-                    f = memo.get(key)
-                    if f is None:
-                        n, d = factors[k]
-                        f = memo[key] = Fraction(key[0] * n, key[1] * d)
-                    out[r] = f
-            scaled.append(tuple(out))
-        blocks[sig] = tuple(scaled)
+    try:
+        for sig, rows in x.blocks.items():
+            exps = f_spectrum(sig)
+            scaled = []
+            for row, ep in zip(rows, exps):
+                out = list(row)
+                for r, (v, er) in enumerate(zip(row, exps)):
+                    if v:
+                        k = ep - er
+                        key = (v.numerator, v.denominator, k)
+                        f = memo.get(key)
+                        if f is None:
+                            n, d = factors[k]
+                            f = memo[key] = Fraction(key[0] * n, key[1] * d)
+                        out[r] = f
+                scaled.append(tuple(out))
+            blocks[sig] = tuple(scaled)
+    except AttributeError:
+        raise ValueError(_INEXACT) from None
     return BlockElement(x.level, x.q, blocks)
 
 

@@ -283,43 +283,40 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
 TORUS_PRECISION = 1e-12
 
 
-def sgf_eval_torus(
-    chi: LevelCharacter, z: Sequence[complex], precision: float = TORUS_PRECISION
-) -> complex:
+def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
     """Generating function paired with the torus, in floating point.
 
-    The unit-modulus inputs z are substituted as (z_1, q^-2 z_2, ...,
-    q^(-2(N-1)) z_N), the scaled torus on which the series converges, and
-    the Schur values are never formed: the coefficients P(lam) / s_lam(1,
-    q^-2, ...) are pushed down one level at a time by the branching rule
-    transposed,
+    The inputs z must have unit modulus to within TORUS_PRECISION; they are
+    substituted as (z_1, q^-2 z_2, ..., q^(-2(N-1)) z_N), the scaled torus
+    on which the series converges, and the Schur values are never formed:
+    the coefficients P(lam) / s_lam(1, q^-2, ...) are pushed down one level
+    at a time by the branching rule transposed,
 
         C_(k-1)(mu) = sum over lam at level k above mu of C_k(lam) x_k^(|lam|-|mu|),
 
     and the value is C_0 of the empty signature.  Every term is positive
     when evaluated at the |x_k|, so rounding stays relative to the
     normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12 and
-    |S(1, ..., 1) - 1| <= 1e-12.  `precision`, the unit-modulus tolerance,
-    lies in [0, TORUS_PRECISION]: it can only tighten the test, since
-    points further off the torus void that bound.
+    |S(1, ..., 1) - 1| <= 1e-12.  A principal specialization beyond the
+    float range, above or below, raises OverflowError.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
-    # written so that a NaN precision fails the comparison
-    if not 0 <= precision <= TORUS_PRECISION:
-        raise ValueError(f"precision must lie in [0, {TORUS_PRECISION}], got {precision}")
     zs = [complex(v) for v in z]
     # written so that a NaN or infinite coordinate fails the comparison
-    if not all(abs(abs(v) - 1.0) <= precision for v in zs):
+    if not all(abs(abs(v) - 1.0) <= TORUS_PRECISION for v in zs):
         raise ValueError("torus points must have unit modulus")
     qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
     # (parts, |parts|, coefficient) for each state of the current level; int
-    # division is correctly rounded, reduced pair or not, and raises
-    # OverflowError past the float range
-    states = [
-        (lam.parts, lam.size, float(p) / truediv(*_principal_pair(lam.parts, qn, qd)))
-        for lam, p in chi.weights.items()
-    ]
+    # division is correctly rounded, reduced pair or not, raises
+    # OverflowError past the float range and gives 0.0 below it
+    try:
+        states = [
+            (lam.parts, lam.size, float(p) / truediv(*_principal_pair(lam.parts, qn, qd)))
+            for lam, p in chi.weights.items()
+        ]
+    except ZeroDivisionError:
+        raise OverflowError("principal specialization below the float range") from None
     for k in range(chi.level, 0, -1):
         states = _push_torus(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
     return complex(states[0][2])

@@ -145,9 +145,7 @@ def _cmd_sgf_eval(args):
 def _cmd_sgf_torus(args):
     from . import characters
 
-    # without --precision the function's own default applies
-    tol = {} if args.precision is None else {"precision": args.precision}
-    value = characters.sgf_eval_torus(_char_arg(args.char), _torus_arg(args.z), **tol)
+    value = characters.sgf_eval_torus(_char_arg(args.char), _torus_arg(args.z))
     return 0, {
         "value": {"re": value.real, "im": value.imag},
         "abs": abs(value),
@@ -326,7 +324,6 @@ _COMMANDS = {
         {
             "--char": _REQUIRED,
             "--z": {"required": True, "help": "JSON array of [re, im] unit-modulus pairs"},
-            "--precision": {"type": float, "help": "unit-modulus tolerance, in [0, 1e-12]"},
         },
     ),
     "coherent-check": ("verify a coherent family", {"--family": _REQUIRED}),

@@ -123,10 +123,6 @@ class GTPattern(_Frozen):
                 raise ValueError(f"rows do not interlace: {low} within {up}")
         self._set(rows)
 
-    @property
-    def top(self) -> Signature:
-        return Signature(self.rows[-1])
-
 
 class BoundaryParam(_Frozen):
     """Eventually constant nondecreasing integer sequence.

@@ -101,13 +101,6 @@ def character_from_json(data) -> LevelCharacter:
     return LevelCharacter(level, q, weights)
 
 
-def family_to_json(family: CoherentFamily) -> dict:
-    return {
-        "q": format_scalar(family.q),
-        "levels": [character_to_json(chi) for chi in family.measures],
-    }
-
-
 def family_from_json(data) -> CoherentFamily:
     from .characters import CoherentFamily
 

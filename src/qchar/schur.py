@@ -12,9 +12,10 @@ at every point set and handed back as an integer numerator and
 denominator, which `schur_eval` wraps in one Fraction.  Quantum
 dimensions are cached on integers, as an unreduced integer pair per part
 tuple and q = a/b, which the other layers multiply into their own integer
-sums; `qdim` and `principal_specialization` wrap the pair in one Fraction.
-Littlewood-Richardson coefficients come from the row (horizontal-strip)
-form of the tableau rule, on bare part tuples.
+sums; `qdim` wraps the pair in one Fraction, and `_principal_pair` gives
+the principal specialization s_lam(1, q^-2, ...) as the same pair over a
+power of q.  Littlewood-Richardson coefficients come from the row
+(horizontal-strip) form of the tableau rule, on bare part tuples.
 """
 
 from fractions import Fraction
@@ -173,15 +174,6 @@ def _principal_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
     num, den = _qdim_pair(parts, a, b)
     e = (len(parts) - 1) * sum(parts)
     return (num * b ** e, den * a ** e) if e >= 0 else (num * a ** -e, den * b ** -e)
-
-
-def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
-    """s_lam at (1, q^-2, ..., q^(-2(N-1))); strictly positive.
-
-    Equals qdim(lam, q) / q^((N-1)|lam|).
-    """
-    q = check_q(q)
-    return Fraction(*_principal_pair(lam.parts, q.numerator, q.denominator))
 
 
 @lru_cache(maxsize=None)

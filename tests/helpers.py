@@ -28,13 +28,13 @@ from qchar import (
     enumerate_gt_patterns,
     f_spectrum,
     lr_coefficients,
-    principal_specialization,
     qdim,
     schur_eval,
     sgf_eval,
     weight,
 )
 from qchar.blocks import DecomposeReport, FCompatReport, pattern_groups
+from qchar.jsonio import character_to_json, format_scalar
 
 
 def run_fresh(*argv, timeout):
@@ -48,6 +48,21 @@ def run_fresh(*argv, timeout):
         timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
+    """s_lam at (1, q^-2, ..., q^(-2(N-1))) by `schur_eval`: the oracle for
+    the product formula of `schur._principal_pair`."""
+    q = check_q(q)
+    return schur_eval(lam, [q ** (-2 * i) for i in range(lam.level)])
+
+
+def family_to_json(family) -> dict:
+    """The document `jsonio.family_from_json` reads back."""
+    return {
+        "q": format_scalar(family.q),
+        "levels": [character_to_json(chi) for chi in family.measures],
+    }
 
 
 def qbracket(n: int, q: Fraction) -> Fraction:

@@ -24,7 +24,6 @@ from qchar import (
     indecomposable,
     kms_check,
     lr_coefficients,
-    principal_specialization,
     qdim,
     random_block_element,
     restrict,
@@ -41,6 +40,7 @@ from qchar.blocks import BlockElement
 from helpers import (
     iter_signatures,
     lr_by_subtraction,
+    principal_specialization,
     random_character,
     random_points,
     schur_eval_gt_oracle,

@@ -112,6 +112,23 @@ class TestBlockElement:
         x = random_block_element(2, HALF, [sig(1, 0), sig(2, 0)], rng)
         assert x.adjoint().adjoint() == x
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda chi, x: char_state_eval(chi, x),
+            lambda chi, x: state_of_product(chi, x, x),
+            lambda chi, x: flow_coefficients(chi, x, x),
+            lambda chi, x: kms_check(chi, x, x),
+            lambda chi, x: scaling(x, 1),
+        ],
+        ids=["char_state_eval", "state_of_product", "flow_coefficients", "kms_check", "scaling"],
+    )
+    def test_float_entries_are_refused_where_read(self, call):
+        # built without a per-entry scan, refused by the first exact read
+        x = BlockElement(2, HALF, {sig(1, 0): ((0.5, 0.25), (0, 1.0))})
+        with pytest.raises(ValueError, match=r"^block entries must be exact \(int or Fraction\)$"):
+            call(indecomposable(sig(1, 0), HALF), x)
+
 
 class TestCharStateEval:
     def test_identity_evaluates_to_one(self):
@@ -229,8 +246,8 @@ class TestStateOfProduct:
         chi = random_character(level, HALF, rng, max_support=5)
         sigs = rng.sample(pool, min(6, len(pool)))
         cut = len(sigs) // 2
-        x = random_block_element(level, HALF, sigs[: cut + 1], rng, density=0.6)
-        y = random_block_element(level, HALF, sigs[cut - 1 :], rng, density=0.6)
+        x = random_block_element(level, HALF, sigs[: cut + 1], rng)
+        y = random_block_element(level, HALF, sigs[cut - 1 :], rng)
         return chi, x, y
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -300,8 +317,8 @@ class TestIntegerPathsAgainstOracle:
             chi = LevelCharacter(level, q, {s: Fraction(r, sum(raw)) for s, r in zip(support, raw)})
             # blocks partly outside the support, and one factor missing some
             sigs = support + rng.sample(pool, min(2, len(pool)))
-            x = random_block_element(level, q, sigs, rng, density=0.5)
-            y = random_block_element(level, q, sigs[1:] or sigs, rng, density=0.5)
+            x = random_block_element(level, q, sigs, rng)
+            y = random_block_element(level, q, sigs[1:] or sigs, rng)
             if i % 2:
                 x, y = _with_fraction_entries(x, rng), _with_fraction_entries(y, rng)
             yield chi, x, y
@@ -337,7 +354,9 @@ class TestIntegerPathsAgainstOracle:
         # in q, stronger than agreement of the two values at one q
         rng = random.Random(400 + level)
         twisted = 0
-        for chi, x, y in self._cases(level, HALF, rng, 12):
+        # at the generator's density 0.4 a level-2 block is rarely twisted:
+        # 80 cases give 7 there, where 12 gave 1
+        for chi, x, y in self._cases(level, HALF, rng, 80):
             for sig in chi.weights:
                 xs, ys = x.blocks.get(sig), y.blocks.get(sig)
                 if xs is None or ys is None:
@@ -464,7 +483,7 @@ class TestScalingMemo:
     def test_group_law_on_fraction_entries(self, q):
         rng = random.Random(700 + q.denominator)
         sigs = [sig(2, 0, -1), sig(1, 1, 0)]
-        x = _with_fraction_entries(random_block_element(3, q, sigs, rng, density=0.6), rng)
+        x = _with_fraction_entries(random_block_element(3, q, sigs, rng), rng)
         for s, t in ((2, 3), (-1, 1), (3, -5), (-2, -1)):
             assert scaling(scaling(x, s), t) == scaling(x, s + t)
 

@@ -442,14 +442,11 @@ class TestSgfTorus:
         with pytest.raises(ValueError):
             sgf_eval_torus(delta(HALF, 1, 0), [2, 1])
 
-    @pytest.mark.parametrize("precision", [0.5, 1e-11])
-    def test_precision_can_only_tighten(self, precision):
-        # a looser tolerance would admit points where |S(z)| <= 1 + 1e-12 fails
-        with pytest.raises(ValueError, match="precision"):
-            sgf_eval_torus(delta(HALF, 2), [1.5], precision=precision)
-
-    def test_tighter_precision_accepted(self):
-        assert sgf_eval_torus(delta(HALF, 2), [1], precision=0) == 1
+    def test_points_are_tested_at_the_stated_bound(self):
+        # TORUS_PRECISION = 1e-12: 5e-13 off the circle passes, 2e-12 off does not
+        assert abs(sgf_eval_torus(delta(HALF, 2), [1 + 5e-13]) - 1) < 2e-12
+        with pytest.raises(ValueError, match="^torus points must have unit modulus$"):
+            sgf_eval_torus(delta(HALF, 2), [1 + 2e-12])
 
     def test_modulus_bound(self):
         rng = random.Random(31)

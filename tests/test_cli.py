@@ -20,7 +20,7 @@ from qchar import cli, jsonio
 from qchar.cli import main
 from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
-from helpers import iter_signatures, random_character, run_fresh
+from helpers import iter_signatures, principal_specialization, random_character, run_fresh
 
 DELTA_10 = '{"level": 2, "q": "1/2", "entries": [{"sig": [1, 0], "prob": "1"}]}'
 CHAR = '{"level": %s, "q": "1/2", "entries": %s}'
@@ -52,10 +52,8 @@ MALFORMED = {
     "deeply-nested": EMBED + ["[" * 100000],
     "nan-torus-point": TORUS + ["--z", "[[NaN, 0]]"],
     "infinite-torus-point": TORUS + ["--z", "[[Infinity, 0]]"],
-    "nan-precision": TORUS + ["--z", "[[1, 0]]", "--precision", "nan"],
-    "infinite-precision": TORUS + ["--z", "[[2, 0]]", "--precision", "inf"],
-    "negative-precision": TORUS + ["--z", "[[1, 0]]", "--precision=-1e-3"],
-    "loose-precision": TORUS + ["--z", "[[1.5, 0]]", "--precision", "0.5"],
+    "off-torus-point": TORUS + ["--z", "[[1.5, 0]]"],
+    "far-off-torus-point": TORUS + ["--z", "[[2, 0]]"],
     "torus-overflow": [
         "sgf-torus", "--char", CHAR % (3, '[{"sig": [300, 0, -300], "prob": "1"}]'),
         "--z", "[[1, 0], [1, 0], [1, 0]]",
@@ -139,24 +137,12 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out) == {"value": "5/2"}
 
-    def test_sgf_torus_default_precision_is_the_stated_bound(self, capsys):
-        char = CHAR % (2, '[{"sig": [2, -1], "prob": "1/3"}, {"sig": [0, 0], "prob": "2/3"}]')
-        argv = ["sgf-torus", "--char", char, "--z", "[[0.6, 0.8], [0, -1]]"]
-        default = run_cli(capsys, *argv)
-        assert default[0] == 0
-        assert default == run_cli(capsys, *argv, "--precision", "1e-12")
-        # a point 5e-13 off the torus passes the default test, not a tighter one
-        off = TORUS + ["--z", "[[1.0000000000005, 0]]"]
-        assert run_cli(capsys, *off)[0] == 0
-        assert run_cli(capsys, *off, "--precision", "1e-13")[0] == 2
-
-    def test_sgf_torus_help_states_the_bound_without_a_default(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sgf-torus", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "unit-modulus tolerance, in [0, 1e-12]" in out
-        assert "default" not in out
+    def test_sgf_torus_tests_points_at_the_stated_bound(self, capsys):
+        # 5e-13 off the torus is within 1e-12; 2e-12 off is refused
+        assert run_cli(capsys, *TORUS, "--z", "[[1.0000000000005, 0]]")[0] == 0
+        code, out = run_cli(capsys, *TORUS, "--z", "[[1.000000000002, 0]]")
+        assert code == 2
+        assert json.loads(out) == {"error": "torus points must have unit modulus"}
 
     def test_schur_eval(self, capsys):
         code, out = run_cli(
@@ -308,7 +294,7 @@ class TestFreshProcess:
         lam, half = Signature((1000, 0, -1000)), Fraction(1, 2)
         expected = qchar.schur_eval(lam, (half, half, Fraction(-7, 9)))
         if command == "sgf-eval":
-            expected /= qchar.principal_specialization(lam, half)
+            expected /= principal_specialization(lam, half)
         assert jsonio.parse_scalar(json.loads(proc.stdout)["value"]) == expected
 
 
@@ -451,8 +437,8 @@ class TestVerificationCommands:
         q = Fraction(1, 2)
         chi = random_character(3, q, rng, max_support=4)
         sigs = rng.sample(list(iter_signatures(3, -2, 2)), 6)
-        x = random_block_element(3, q, sigs[:4] + chi.support()[:1], rng, density=0.6)
-        y = random_block_element(3, q, sigs[2:] + chi.support(), rng, density=0.6)
+        x = random_block_element(3, q, sigs[:4] + chi.support()[:1], rng)
+        y = random_block_element(3, q, sigs[2:] + chi.support(), rng)
         lhs = char_state_eval(chi, x @ scaling(y, 1))
         rhs = char_state_eval(chi, y @ x)
         code, out = run_cli(
@@ -542,13 +528,21 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in json.loads(out)
 
-    @pytest.mark.parametrize("top", [600, 1000])
-    def test_torus_pairing_past_the_float_range_never_answers_wrong(self, capsys, top):
-        # a valid character whose principal specialization at (top, 0) leaves
-        # the float range at q = 1/2: the pairing either meets its bound at
-        # (1, 1) or exits 2 with one JSON error, never a NaN or a wrong value
-        entries = '[{"sig": [%d, 0], "prob": "1/2"}, {"sig": [0, 0], "prob": "1/2"}]' % top
-        code = main(["sgf-torus", "--char", CHAR % (2, entries), "--z", "[[1, 0], [1, 0]]"])
+    @pytest.mark.parametrize(
+        "sigs",
+        [[[600, 0], [0, 0]], [[1000, 0], [0, 0]], [[-600] * 2], [[-400] * 3], [[-100] * 5]],
+        ids=["600", "1000", "-600x2", "-400x3", "-100x5"],
+    )
+    def test_torus_pairing_past_the_float_range_never_answers_wrong(self, capsys, sigs):
+        # a valid character whose principal specialization at one signature
+        # leaves the float range at q = 1/2, above or below: the pairing
+        # either meets its bound at (1, ..., 1) or exits 2 with one JSON
+        # error, never a NaN, a traceback or a wrong value
+        prob = format_scalar(Fraction(1, len(sigs)))
+        entries = json.dumps([{"sig": s, "prob": prob} for s in sigs])
+        level = len(sigs[0])
+        z = json.dumps([[1, 0]] * level)
+        code = main(["sgf-torus", "--char", CHAR % (level, entries), "--z", z])
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         if code == 0:
@@ -966,7 +960,6 @@ def torus_doc(level):
     )
 
 
-PRECISION = st.sampled_from(["1e-12", "0", "1e-3", "0.5", "1e300", "nan", "inf", "-inf", "-1"])
 TARGETS_DOC = (
     st.lists(st.lists(PART, min_size=2, max_size=2).map(lambda p: sorted(p, reverse=True)), max_size=3)
     | st.lists(SIG_DOC, max_size=3)
@@ -1011,13 +1004,12 @@ class TestPointsTorusCharFuzz:
         _exit_code(["sgf-eval", f"--char={json.dumps(char)}", f"--points={json.dumps(points)}"])
 
     @FUZZ
-    @given(level=st.integers(1, 3), precision=st.none() | PRECISION, data=st.data())
-    def test_sgf_torus(self, level, precision, data):
+    @given(level=st.integers(1, 3), data=st.data())
+    def test_sgf_torus(self, level, data):
         # mostly valid characters, so that the torus points reach the pairing
         char = data.draw(valid_char_doc(level) | char_doc(level))
         z = data.draw(torus_doc(level))
-        argv = ["sgf-torus", f"--char={json.dumps(char)}", f"--z={json.dumps(z)}"]
-        _exit_code(argv + ([f"--precision={precision}"] if precision else []))
+        _exit_code(["sgf-torus", f"--char={json.dumps(char)}", f"--z={json.dumps(z)}"])
 
     @FUZZ
     @given(level=st.integers(1, 3), data=st.data())

@@ -11,7 +11,6 @@ from qchar.jsonio import (
     character_from_json,
     character_to_json,
     family_from_json,
-    family_to_json,
     format_scalar,
     parse_scalar,
     signature_from_json,
@@ -20,7 +19,7 @@ from qchar.jsonio import (
     theta_to_json,
 )
 
-from helpers import random_character
+from helpers import family_to_json, random_character
 
 HALF = Fraction(1, 2)
 
