@@ -23,12 +23,14 @@ entry; the exact flow multiplies integer numerators and denominators, and
 the F-compatibility check compares exponents.  The real-time flow is kept
 exact too: `flow_coefficients` returns chi(sigma_t(x) y) as the Laurent
 coefficients of a polynomial in w = q^(it), and evaluating it in floats
-is left to the caller.
+is left to the caller.  Rows of int 0s, most of a matrix unit or of an
+embedding that misses a label, are stored once per block side.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -89,27 +91,32 @@ def pattern_groups(nu: Signature) -> tuple[tuple[Signature, int, int], ...]:
     return tuple(groups)
 
 
-def _zero_matrix(n: int) -> list[list]:
-    return [[0] * n for _ in range(n)]
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+@lru_cache(maxsize=None)
+def _zero_row(d: int) -> tuple:
+    return (0,) * d
 
 
 def _square(kind: str, sig: Signature, rows) -> Matrix:
+    """Freeze and shape-check a block.  Each row of int 0s becomes `_zero_row(d)`,
+    one tuple per side; a row that already is that tuple skips the identity scan."""
     d = dimension(sig)
-    rows = _freeze(rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValueError(f"{kind} at {sig} must be {d}x{d}")
-    return rows
+    if all(map(any, rows)):
+        return rows
+    zero = _zero_row(d)
+    return tuple(zero if r is zero or (not any(r) and all(map(is_, r, zero))) else r for r in rows)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def _mat_mul(a: Matrix, b: Matrix) -> list:
     n = len(a)
-    out = _zero_matrix(n)
+    out = [_zero_row(n)] * n
     for i in range(n):
-        ai, oi = a[i], out[i]
+        ai = a[i]
+        if not any(ai):
+            continue
+        oi = out[i] = [0] * n
         for k in range(n):
             x = ai[k]
             if x:
@@ -118,7 +125,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     y = bk[j]
                     if y:
                         oi[j] = oi[j] + x * y
-    return _freeze(out)
+    return out
 
 
 class BlockElement(_Frozen):
@@ -126,7 +133,8 @@ class BlockElement(_Frozen):
 
     Matrix entries are exact (int or Fraction); each block is square with
     side equal to its signature's dimension, rows and columns indexed by
-    patterns in canonical order.  Absent blocks are zero.  The first pairing
+    patterns in canonical order.  Absent blocks are zero, and every row of
+    int 0s is one tuple shared by all blocks of its side.  The first pairing
     or scaling that reads a non-exact entry refuses it with ValueError.
     """
 
@@ -159,7 +167,7 @@ class BlockElement(_Frozen):
     ) -> "BlockElement":
         """The matrix unit e_{row,col} on a single block, 0-indexed."""
         d = dimension(sig)
-        rows = _zero_matrix(d)
+        rows = [[0] * d for _ in range(d)]
         rows[row][col] = 1
         return cls(level, q, {sig: rows})
 
@@ -190,14 +198,14 @@ def random_block_element(
     blocks = {}
     for sig in sigs:
         d = dimension(sig)
-        rows = _zero_matrix(d)
+        rows = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(d):
                 if rng.random() < 0.4:
                     v = rng.randint(-3, 3)
                     if v:
                         rows[i][j] = v
-        blocks[sig] = _freeze(rows)
+        blocks[sig] = rows
     return BlockElement(level, q, blocks)
 
 
@@ -438,7 +446,7 @@ def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
         if nu.level != x.level + 1:
             raise ValueError(f"target {nu} is not one level above {x.level}")
         d = dimension(nu)
-        rows = _zero_matrix(d)
+        rows = [[0] * d for _ in range(d)]
         for lam, offset, size in pattern_groups(nu):
             src = x.blocks.get(lam)
             if src is None:
@@ -447,7 +455,7 @@ def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
                 row = rows[offset + i]
                 for j in range(size):
                     row[offset + j] = src[i][j]
-        blocks[nu] = _freeze(rows)
+        blocks[nu] = rows
     return BlockElement(x.level + 1, x.q, blocks)
 
 

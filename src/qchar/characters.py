@@ -12,7 +12,7 @@ the kernel by one integer walker, `_push`.
 
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, lcm, log2
+from math import gcd, isfinite, lcm, log2
 from operator import truediv
 from typing import Mapping, Sequence
 
@@ -319,7 +319,11 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
         raise OverflowError("principal specialization below the float range") from None
     for k in range(chi.level, 0, -1):
         states = _push_torus(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
-    return complex(states[0][2])
+    value = complex(states[0][2])
+    # P(lam) over a subnormal s_lam is inf, and the walk carries it on as inf or NaN
+    if not (isfinite(value.real) and isfinite(value.imag)):
+        raise OverflowError("principal specialization below the float range")
+    return value
 
 
 # the widest factor |x|^(|lam| - |lam'|), in bits, between two states that

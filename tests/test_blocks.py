@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from qchar import (
     state_of_product,
 )
 from qchar import blocks
+from qchar.jsonio import block_to_json, format_scalar
 from qchar.blocks import _kms_sides, _kms_terms, _laurent_value, _ldl_psd, pattern_groups
 
 from helpers import (
@@ -91,8 +93,8 @@ class TestFSpectrum:
 class TestBlockElement:
     @pytest.mark.parametrize(
         "rows",
-        [((1,),), ((1, 0), (0,)), ((1, 0), (0, 1), (0, 0))],
-        ids=["too-small", "ragged", "too-many-rows"],
+        [((1,),), ((1, 0), (0,)), ((1, 0), (0, 1), (0, 0)), ((0, 0, 0), (1, 0))],
+        ids=["too-small", "ragged", "too-many-rows", "ragged-zero-row"],
     )
     def test_block_shape_enforced(self, rows):
         with pytest.raises(ValueError, match=r"^block at \(1,0\) must be 2x2$"):
@@ -128,6 +130,116 @@ class TestBlockElement:
         x = BlockElement(2, HALF, {sig(1, 0): ((0.5, 0.25), (0, 1.0))})
         with pytest.raises(ValueError, match=r"^block entries must be exact \(int or Fraction\)$"):
             call(indecomposable(sig(1, 0), HALF), x)
+
+
+def typed(rows):
+    """A block's entries with their types: 0, Fraction(0), False and 0.0 differ."""
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def dense(level, q, blocks):
+    """A block element holding exactly the given rows, one tuple per row."""
+    x = BlockElement.__new__(BlockElement)
+    x._set(level, q, {s: tuple(map(tuple, rows)) for s, rows in blocks.items()})
+    return x
+
+
+# a side-7 block at (6,0) whose zero rows are made of each kind of zero
+ZERO_ROWS = [
+    [1, Fraction(1, 2), 0, -2, 0, 3, 0],
+    [0] * 7,
+    [Fraction(0)] * 7,
+    [False] * 7,
+    [0.0] * 7,
+    [0, False, 0, Fraction(0), 0, 0.0, 0],
+    [0] * 7,
+]
+FULL_ROWS = [[(i * 7 + j * 3) % 5 - 2 for j in range(7)] for i in range(7)]
+
+
+class TestZeroRows:
+    """Every row of int zeros is one tuple per block side; every result,
+    entry types included, is what the rows as given produce."""
+
+    def test_basis_unit_shares_its_zero_rows(self):
+        rows = BlockElement.basis_unit(2, HALF, sig(399, 0), 0, 399).blocks[sig(399, 0)]
+        assert len(rows) == 400 and len({id(r) for r in rows}) == 2
+        assert rows[0][399] == 1 and sum(map(sum, rows)) == 1
+
+    def test_shared_row_holds_the_same_zeros(self):
+        x = BlockElement(2, HALF, {sig(6, 0): ZERO_ROWS})
+        rows = x.blocks[sig(6, 0)]
+        assert rows[1] is rows[6]
+        assert all(map(operator.is_, rows[1], [0] * 7))
+        assert len({id(r) for r in rows}) == 6
+
+    def test_products_and_embeddings_share_zero_rows(self):
+        u = BlockElement.basis_unit(2, HALF, sig(5, 0), 2, 4)
+        assert len({id(r) for r in (u @ u.adjoint()).blocks[sig(5, 0)]}) == 2
+        up = embed(u, [sig(5, 0, 0)]).blocks[sig(5, 0, 0)]
+        assert len(up) == 21 and len({id(r) for r in up}) == 2
+
+    def test_blocks_of_one_side_share_one_zero_row(self):
+        # (5,0) and (2,0,0) both have side 6
+        x = BlockElement.basis_unit(2, HALF, sig(5, 0), 0, 0)
+        y = BlockElement.basis_unit(3, THIRD, sig(2, 0, 0), 5, 5)
+        assert x.blocks[sig(5, 0)][1] is y.blocks[sig(2, 0, 0)][0]
+
+    def test_storage_equality_and_json(self):
+        x = BlockElement(2, HALF, {sig(6, 0): ZERO_ROWS})
+        assert typed(x.blocks[sig(6, 0)]) == typed(ZERO_ROWS)
+        assert x == dense(2, HALF, {sig(6, 0): ZERO_ROWS})
+        assert block_to_json(x) == {
+            "level": 2,
+            "q": "1/2",
+            "blocks": [
+                {"sig": [6, 0], "matrix": [[format_scalar(v) for v in row] for row in ZERO_ROWS]}
+            ],
+        }
+
+    @pytest.mark.parametrize("s", [1, -2])
+    def test_scaling(self, s):
+        x = BlockElement(2, HALF, {sig(6, 0): ZERO_ROWS})
+        exps = f_spectrum(sig(6, 0))
+        want = [
+            [v * HALF ** (s * (ep - er)) if v else v for v, er in zip(row, exps)]
+            for row, ep in zip(ZERO_ROWS, exps)
+        ]
+        assert typed(scaling(x, s).blocks[sig(6, 0)]) == typed(want)
+
+    def test_matmul_and_adjoint(self):
+        def mul(a, b):
+            # the order and start value of `@`: int 0 plus each nonzero term
+            cols = list(zip(*b))
+            return [[sum((u * v for u, v in zip(row, col) if u and v), 0) for col in cols] for row in a]
+
+        x = BlockElement(2, HALF, {sig(6, 0): ZERO_ROWS})
+        y = BlockElement(2, HALF, {sig(6, 0): FULL_ROWS})
+        assert typed((x @ y).blocks[sig(6, 0)]) == typed(mul(ZERO_ROWS, FULL_ROWS))
+        assert typed((y @ x).blocks[sig(6, 0)]) == typed(mul(FULL_ROWS, ZERO_ROWS))
+        assert typed(x.adjoint().blocks[sig(6, 0)]) == typed(zip(*ZERO_ROWS))
+
+    def test_embed(self):
+        nu = sig(6, 0, 0)
+        given = {sig(6, 0): ZERO_ROWS, sig(2, 0): [r[:3] for r in FULL_ROWS[:3]]}
+        x = BlockElement(2, HALF, given)
+        want = [[0] * dimension(nu) for _ in range(dimension(nu))]
+        for lam, offset, size in pattern_groups(nu):
+            for i, row in enumerate(given.get(lam, ())):
+                want[offset + i][offset : offset + size] = row
+        assert typed(embed(x, [nu]).blocks[nu]) == typed(want)
+
+    def test_pairings(self):
+        chi = LevelCharacter(2, HALF, {sig(6, 0): Fraction(2, 3), sig(1, 1): Fraction(1, 3)})
+        blocks_x = {sig(6, 0): ZERO_ROWS, sig(1, 1): [[Fraction(0)]]}
+        blocks_y = {sig(6, 0): FULL_ROWS, sig(1, 1): [[0]]}
+        x, y = BlockElement(2, HALF, blocks_x), BlockElement(2, HALF, blocks_y)
+        dx, dy = dense(2, HALF, blocks_x), dense(2, HALF, blocks_y)
+        for a, b, da, db in [(x, y, dx, dy), (y, x, dy, dx)]:
+            got, want = char_state_eval(chi, a), char_state_eval(chi, da)
+            assert (type(got), got) == (type(want), want)
+            assert kms_check(chi, a, b) is kms_check(chi, da, db) is True
+            assert _kms_sides(chi, a, b) == _kms_sides(chi, da, db)
 
 
 class TestCharStateEval:
@@ -783,8 +895,17 @@ class TestDecomposeState:
         ):
             decompose_state({lam: rows}, HALF)
 
+    def test_float_zero_row_is_still_inexact(self):
+        # a row of float zeros is not stored as a row of int zeros
+        with pytest.raises(
+            ValueError, match=r"^density at \(1,0\) must have exact \(int or Fraction\) entries$"
+        ):
+            decompose_state({sig(1, 0): ((0.0, 0.0), (0, 1))}, HALF)
+
     @pytest.mark.parametrize(
-        "rows", [((1,),), ((1, 0), (0,)), ((0.5,),)], ids=["too-small", "ragged", "inexact"]
+        "rows",
+        [((1,),), ((1, 0), (0,)), ((0.5,),), ((0, 0, 0), (1, 0))],
+        ids=["too-small", "ragged", "inexact", "ragged-zero-row"],
     )
     def test_block_shape_enforced(self, rows):
         # the shape is checked before the entries are

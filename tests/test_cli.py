@@ -530,14 +530,23 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "sigs",
-        [[[600, 0], [0, 0]], [[1000, 0], [0, 0]], [[-600] * 2], [[-400] * 3], [[-100] * 5]],
-        ids=["600", "1000", "-600x2", "-400x3", "-100x5"],
+        [
+            [[600, 0], [0, 0]],
+            [[1000, 0], [0, 0]],
+            [[-512] * 2],
+            [[-537] * 2],
+            [[-600] * 2],
+            [[-400] * 3],
+            [[-100] * 5],
+        ],
+        ids=["600", "1000", "-512x2", "-537x2", "-600x2", "-400x3", "-100x5"],
     )
     def test_torus_pairing_past_the_float_range_never_answers_wrong(self, capsys, sigs):
         # a valid character whose principal specialization at one signature
         # leaves the float range at q = 1/2, above or below: the pairing
         # either meets its bound at (1, ..., 1) or exits 2 with one JSON
-        # error, never a NaN, a traceback or a wrong value
+        # overflow error, never a NaN, a traceback or a wrong value; at
+        # [-512, -512] through [-537, -537] s_lam(1, 4) is subnormal
         prob = format_scalar(Fraction(1, len(sigs)))
         entries = json.dumps([{"sig": s, "prob": prob} for s in sigs])
         level = len(sigs[0])
@@ -549,6 +558,7 @@ class TestErrorPaths:
             assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - 1) <= 1e-12
         else:
             assert code == 2 and list(doc) == ["error"]
+            assert doc["error"].startswith("floating-point overflow: ")
         assert captured.err == ""
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
