@@ -63,23 +63,26 @@ def _block_arg(text: str) -> BlockElement:
     return jsonio.block_from_json(_json_arg(text))
 
 
-def _points_arg(text: str) -> tuple:
+def _list_arg(text: str, item, message: str) -> list:
+    """A JSON array read by `item` element by element; `message` if not an array."""
     data = _json_arg(text)
     if not isinstance(data, list):
-        raise ValueError("points are a JSON array of 'p/q' strings")
-    return tuple(jsonio.parse_scalar(p) for p in data)
+        raise ValueError(message)
+    return [item(x) for x in data]
 
 
-def _torus_arg(text: str) -> list[complex]:
-    data = _json_arg(text)
-    if not isinstance(data, list) or not all(
-        isinstance(z, list)
-        and len(z) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in z)
-        for z in data
-    ):
-        raise ValueError("torus points are a JSON array of [re, im] pairs")
-    return [complex(float(z[0]), float(z[1])) for z in data]
+def _points_arg(text: str) -> list:
+    return _list_arg(text, jsonio.parse_scalar, "points are a JSON array of 'p/q' strings")
+
+
+_TORUS_POINTS = "torus points are a JSON array of [re, im] pairs"
+
+
+def _torus_pair(z) -> list:
+    # json.loads gives exact types, so this refuses a bool
+    if isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z):
+        return z
+    raise ValueError(_TORUS_POINTS)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -102,23 +105,14 @@ def _cmd_schur_eval(args):
 
 def _cmd_lr(args):
     coeffs = schur.lr_coefficients(_sig_arg(args.left), _sig_arg(args.right))
-    terms = [
-        {"sig": jsonio.signature_to_json(nu), "coeff": c}
-        for nu, c in sorted(coeffs.items(), key=lambda kv: kv[0].parts)
-    ]
-    return 0, {"terms": terms}
+    return 0, {"terms": jsonio.entries_to_json(coeffs, "coeff", int)}
 
 
 def _cmd_cotransition(args):
     from . import characters
 
     rows = characters.cotransition(_sig_arg(args.sig), _q_arg(args.q))
-    return 0, {
-        "rows": [
-            {"sig": jsonio.signature_to_json(lam), "prob": jsonio.format_scalar(p)}
-            for lam, p in rows.items()
-        ]
-    }
+    return 0, {"rows": jsonio.entries_to_json(rows, "prob")}
 
 
 def _cmd_restrict(args):
@@ -145,7 +139,9 @@ def _cmd_sgf_eval(args):
 def _cmd_sgf_torus(args):
     from . import characters
 
-    value = characters.sgf_eval_torus(_char_arg(args.char), _torus_arg(args.z))
+    chi = _char_arg(args.char)
+    pairs = _list_arg(args.z, _torus_pair, _TORUS_POINTS)  # all checked before any converts
+    value = characters.sgf_eval_torus(chi, [complex(*z) for z in pairs])
     return 0, {
         "value": {"re": value.real, "im": value.imag},
         "abs": abs(value),
@@ -283,10 +279,7 @@ def _cmd_decompose(args):
     carrier = _block_arg(args.densities)
     report = blocks.decompose_state(carrier.blocks, carrier.q)
     if report.ok:
-        coeffs = [
-            {"sig": jsonio.signature_to_json(sig), "coeff": jsonio.format_scalar(c)}
-            for sig, c in report.coefficients.items()
-        ]
+        coeffs = jsonio.entries_to_json(report.coefficients, "coeff")
         return 0, {"accepted": True, "coefficients": coeffs}
     return 1, {"accepted": False, "reason": report.reason}
 
@@ -295,10 +288,9 @@ def _cmd_embed(args):
     from . import blocks
 
     x = _block_arg(args.block)
-    raw = _json_arg(args.targets)
-    if not isinstance(raw, list):
-        raise ValueError("targets are a JSON array of signatures")
-    targets = [jsonio.signature_from_json(t) for t in raw]
+    targets = _list_arg(
+        args.targets, jsonio.signature_from_json, "targets are a JSON array of signatures"
+    )
     return 0, jsonio.block_to_json(blocks.embed(x, targets))
 
 

@@ -4,6 +4,9 @@ Everything in this module is a pure function on immutable values; the
 enumeration orders are fixed and documented so that downstream output
 (generating-function sums, matrix blocks, JSON) is deterministic.
 
+Parts, pattern rows and boundary entries are read with `operator.index`,
+so a float, str or Fraction raises TypeError instead of being truncated.
+
 `_Frozen` is the base of every value class in the package (signatures,
 patterns, boundary parameters, characters, reports, block elements): a
 slotted class with the equality, hash, repr and immutability of a frozen
@@ -12,6 +15,7 @@ dataclass, without importing `dataclasses`.
 
 from functools import lru_cache
 from itertools import product
+from operator import index
 from typing import Iterator
 
 
@@ -69,7 +73,7 @@ class Signature(_Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(index, parts))
         object.__setattr__(self, "parts", parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -112,7 +116,7 @@ class GTPattern(_Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         if not rows:
             raise ValueError("a pattern needs at least one row")
         for k, row in enumerate(rows):
@@ -135,8 +139,8 @@ class BoundaryParam(_Frozen):
     __slots__ = ("head", "tail")
 
     def __init__(self, head: tuple[int, ...], tail: int):
-        head = tuple(int(h) for h in head)
-        tail = int(tail)
+        head = tuple(map(index, head))
+        tail = index(tail)
         for a, b in zip(head, head[1:]):
             if a > b:
                 raise ValueError(f"head must be nondecreasing: {head}")

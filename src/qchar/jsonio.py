@@ -2,7 +2,8 @@
 arrays, characters/block elements as sorted entry lists.
 
 Parsing is strict and raises ValueError with a usable message; emitted
-structures round-trip through the parsers bit for bit.
+structures round-trip through the parsers bit for bit.  `entries_to_json`
+writes and `_document` reads every signature-keyed entry list.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _document(data, what: str, list_key: str, value_key: str) -> tuple:
-    """Level, q and entry list of a character or block-element document;
-    every entry must be an object carrying "sig" and `value_key`."""
+def _document(data, what: str, list_key: str, value_key: str, parse) -> tuple:
+    """Level, q and {Signature: parse(value, sig)} map of a character or
+    block-element document whose entries carry "sig" and `value_key`; a
+    repeated signature is refused after its value parses."""
     if not isinstance(data, dict):
         raise ValueError(f"a {what} is a JSON object")
     try:
@@ -55,7 +57,14 @@ def _document(data, what: str, list_key: str, value_key: str) -> tuple:
         isinstance(e, dict) and "sig" in e and value_key in e for e in entries
     ):
         raise ValueError(f'{what} entries are objects {{"sig": [...], "{value_key}": ...}}')
-    return level, q, entries
+    values = {}
+    for entry in entries:
+        sig = signature_from_json(entry["sig"])
+        value = parse(entry[value_key], sig)
+        if sig in values:
+            raise ValueError(f"{what} entries repeat the signature {signature_to_json(sig)}")
+        values[sig] = value
+    return level, q, values
 
 
 def format_scalar(x: Fraction) -> str:
@@ -78,6 +87,14 @@ def signature_to_json(sig: Signature) -> list[int]:
     return list(sig.parts)
 
 
+def entries_to_json(values, key: str, fmt=format_scalar) -> list[dict]:
+    """[{"sig": [...], key: fmt(value)}, ...] in ascending order of parts."""
+    return [
+        {"sig": signature_to_json(sig), key: fmt(v)}
+        for sig, v in sorted(values.items(), key=lambda kv: kv[0].parts)
+    ]
+
+
 def signature_from_json(data) -> Signature:
     if not isinstance(data, list) or not all(_is_int(p) for p in data):
         raise ValueError(f"a signature is a JSON array of integers, got {data!r}")
@@ -86,19 +103,16 @@ def signature_from_json(data) -> Signature:
 
 
 def character_to_json(chi: LevelCharacter) -> dict:
-    entries = [
-        {"sig": signature_to_json(sig), "prob": format_scalar(chi.weights[sig])}
-        for sig in chi.support()
-    ]
+    entries = entries_to_json(chi.weights, "prob")
     return {"level": chi.level, "q": format_scalar(chi.q), "entries": entries}
 
 
 def character_from_json(data) -> LevelCharacter:
     from .characters import LevelCharacter
 
-    level, q, entries = _document(data, "character", "entries", "prob")
-    weights = {signature_from_json(e["sig"]): parse_scalar(e["prob"]) for e in entries}
-    return LevelCharacter(level, q, weights)
+    return LevelCharacter(
+        *_document(data, "character", "entries", "prob", lambda p, sig: parse_scalar(p))
+    )
 
 
 def family_from_json(data) -> CoherentFamily:
@@ -131,32 +145,22 @@ def theta_from_json(data) -> BoundaryParam:
 
 
 def block_to_json(x: BlockElement) -> dict:
-    blocks = []
-    for sig in sorted(x.blocks, key=lambda s: s.parts):
-        rows = x.blocks[sig]
-        blocks.append(
-            {
-                "sig": signature_to_json(sig),
-                "matrix": [[format_scalar(v) for v in row] for row in rows],
-            }
-        )
+    blocks = entries_to_json(
+        x.blocks, "matrix", lambda rows: [[format_scalar(v) for v in row] for row in rows]
+    )
     return {"level": x.level, "q": format_scalar(x.q), "blocks": blocks}
 
 
 def block_from_json(data) -> BlockElement:
     from .blocks import BlockElement
 
-    level, q, entries = _document(data, "block element", "blocks", "matrix")
-    blocks = {}
-    for entry in entries:
-        sig = signature_from_json(entry["sig"])
-        matrix = entry["matrix"]
-        if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
-            raise ValueError(f"the matrix at {list(sig.parts)} is a JSON array of rows")
-        blocks[sig] = tuple(
-            tuple(parse_scalar(v) for v in row) for row in matrix
-        )
-    return BlockElement(level, q, blocks)
+    return BlockElement(*_document(data, "block element", "blocks", "matrix", _matrix))
+
+
+def _matrix(matrix, sig: Signature) -> tuple:
+    if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+        raise ValueError(f"the matrix at {list(sig.parts)} is a JSON array of rows")
+    return tuple(tuple(parse_scalar(v) for v in row) for row in matrix)
 
 
 def approximant_to_json(approx: ExtremeApproximant) -> dict:

@@ -126,6 +126,37 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qchar")),
 """
 
 
+# a second entry for one signature, in each kind of document a command reads
+REPEAT_CHAR = CHAR % (1, '[{"sig": [0], "prob": "1/2"}, {"sig": [0], "prob": "1"}]')
+REPEAT_BLOCK = BLOCK % (1, '[{"sig": [0], "matrix": [["1/2"]]}, {"sig": [0], "matrix": [["1"]]}]')
+REPEATS = {
+    "restrict-char": (["restrict", "--char", REPEAT_CHAR], "character", [0]),
+    "tensor-left": (
+        ["tensor", "--left", CHAR % (1, '[{"sig": [0], "prob": "3"}, {"sig": [0], "prob": "1"}]'),
+         "--right", CHAR % (1, ONE)],
+        "character", [0],
+    ),
+    "sgf-eval-char": (["sgf-eval", "--char", REPEAT_CHAR, "--points", '["1/2"]'], "character", [0]),
+    "kms-check-state": (["kms-check", "--state", REPEAT_CHAR, "--trials", "1"], "character", [0]),
+    "kms-check-x": (
+        ["kms-check", "--state", CHAR % (1, ONE), "--x", REPEAT_BLOCK,
+         "--y", BLOCK % (1, '[{"sig": [0], "matrix": [["1"]]}]')],
+        "block element", [0],
+    ),
+    "decompose-densities": (["decompose", "--densities", REPEAT_BLOCK], "block element", [0]),
+    "embed-block": (EMBED + [REPEAT_BLOCK], "block element", [0]),
+    "coherent-check-level-2": (
+        ["coherent-check", "--family",
+         '{"q": "1/2", "levels": [%s, %s]}' % (
+             CHAR % (1, ONE),
+             CHAR % (2, '[{"sig": [1, 0], "prob": "1/2"}, {"sig": [0, 0], "prob": "1/4"},'
+                        ' {"sig": [1, 0], "prob": "1/4"}]'),
+         )],
+        "character", [1, 0],
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -527,6 +558,13 @@ class TestErrorPaths:
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("argv, what, sig", list(REPEATS.values()), ids=list(REPEATS))
+    def test_repeated_signature_exits_two(self, capsys, argv, what, sig):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"error": f"{what} entries repeat the signature {sig}"}
 
     @pytest.mark.parametrize(
         "sigs",

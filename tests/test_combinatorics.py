@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,12 @@ class TestSignature:
 
     def test_size(self):
         assert sig(2, 1, -1).size == 2
+
+    @pytest.mark.parametrize("parts", [(1.5, 0.9), ("3", "1"), (Fraction(2), 0), (2.0, 0)])
+    def test_parts_must_be_integers(self, parts):
+        with pytest.raises(TypeError):
+            Signature(parts)
+        assert Signature((True, False)).parts == (1, 0)
 
 
 class TestInterlaces:
@@ -105,6 +113,11 @@ class TestPatterns:
         with pytest.raises(ValueError):
             GTPattern(((1, 0),))
 
+    @pytest.mark.parametrize("rows", [((0.5,),), (("1",), (1, 0)), ((1,), (Fraction(1), 0))])
+    def test_rows_must_be_integers(self, rows):
+        with pytest.raises(TypeError):
+            GTPattern(rows)
+
 
 class TestWeight:
     def test_examples(self):
@@ -153,3 +166,10 @@ class TestBoundaryParam:
             BoundaryParam((1, 0), 2)
         with pytest.raises(ValueError):
             BoundaryParam((3,), 2)
+
+    @pytest.mark.parametrize(
+        "head, tail", [((0.7,), 1.2), ((0,), 1.0), (("0",), 1), ((Fraction(0),), 1)]
+    )
+    def test_entries_must_be_integers(self, head, tail):
+        with pytest.raises(TypeError):
+            BoundaryParam(head, tail)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from qchar.jsonio import (
     block_to_json,
     character_from_json,
     character_to_json,
+    entries_to_json,
     family_from_json,
     format_scalar,
     parse_scalar,
@@ -105,6 +107,60 @@ class TestBlocks:
         x = BlockElement(1, HALF, {Signature((2,)): ((Fraction(1, 3),),)})
         data = block_to_json(x)
         assert data["blocks"][0]["matrix"] == [["1/3"]]
+
+
+class TestEntryLists:
+    def test_ascending_parts_whatever_the_insertion_order(self):
+        values = {Signature((1, -1)): 2, Signature((-1, -1)): 1, Signature((0, -1)): 0}
+        assert entries_to_json(values, "prob") == [
+            {"sig": [-1, -1], "prob": "1"},
+            {"sig": [0, -1], "prob": "0"},
+            {"sig": [1, -1], "prob": "2"},
+        ]
+
+    def test_fmt_is_applied(self):
+        values = {Signature((1,)): Fraction(1, 3), Signature((0,)): 5}
+        assert entries_to_json(values, "coeff", repr) == [
+            {"sig": [0], "coeff": "5"},
+            {"sig": [1], "coeff": "Fraction(1, 3)"},
+        ]
+
+    def test_empty_map(self):
+        assert entries_to_json({}, "prob") == []
+
+    def test_character_round_trip_is_byte_identical(self):
+        text = jsonio.dumps(character_to_json(random_character(3, HALF, random.Random(4))))
+        assert jsonio.dumps(character_to_json(character_from_json(json.loads(text)))) == text
+
+    def test_block_round_trip_is_byte_identical(self):
+        x = BlockElement(
+            2,
+            HALF,
+            {
+                Signature((1, 0)): ((Fraction(1, 2), 0), (3, Fraction(-2, 7))),
+                Signature((0, 0)): ((5,),),
+                Signature((-1, -1)): ((Fraction(-1, 9),),),
+            },
+        )
+        text = jsonio.dumps(block_to_json(x))
+        assert jsonio.dumps(block_to_json(block_from_json(json.loads(text)))) == text
+
+    def test_value_error_comes_before_a_later_signature_error(self):
+        data = {
+            "level": 1,
+            "q": "1/2",
+            "entries": [{"sig": [0], "prob": "x"}, {"sig": "y", "prob": "1"}],
+        }
+        with pytest.raises(ValueError, match="bad exact scalar 'x'"):
+            character_from_json(data)
+
+    def test_repeat_is_refused_after_its_value_parses(self):
+        entries = [{"sig": [0], "matrix": [["1"]]}, {"sig": [0], "matrix": 5}]
+        with pytest.raises(ValueError, match=r"the matrix at \[0\] is a JSON array of rows"):
+            block_from_json({"level": 1, "q": "1/2", "blocks": entries})
+        entries[1]["matrix"] = [["1"]]
+        with pytest.raises(ValueError, match=r"block element entries repeat the signature \[0\]"):
+            block_from_json({"level": 1, "q": "1/2", "blocks": entries})
 
 
 class TestDumps:
