@@ -351,7 +351,8 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     the same immutable object; equal exact values (True and 1, 2 and
     Fraction(4, 2)) share a key.  s = 1 is the KMS twist y -> F y F^(-1);
     the group law scaling(scaling(x, s), t) = scaling(x, s + t) holds
-    exactly.
+    exactly.  The blocks keep x's shapes and x's shared zero rows, so the
+    result is built without `_square`'s re-freeze.
     """
     if s != int(s):
         raise ValueError("imaginary-time scaling is exact only at integer times")
@@ -370,8 +371,12 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     try:
         for sig, rows in x.blocks.items():
             exps = f_spectrum(sig)
+            zero = _zero_row(len(exps))
             scaled = []
             for row, ep in zip(rows, exps):
+                if row is zero:
+                    scaled.append(row)
+                    continue
                 out = list(row)
                 for r, (v, er) in enumerate(zip(row, exps)):
                     if v:
@@ -386,7 +391,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
             blocks[sig] = tuple(scaled)
     except AttributeError:
         raise ValueError(_INEXACT) from None
-    return BlockElement(x.level, x.q, blocks)
+    return BlockElement._trusted(x.level, x.q, blocks)
 
 
 def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]:

@@ -57,7 +57,8 @@ def extreme_character(
     The point mass sits at the signature (theta_L, ..., theta_1) at level
     L = `truncation` and is pushed down to `level` along the composed
     cotransition kernel in one pass (`characters._push`); all arithmetic is
-    exact and the result equals L - `level` successive restrictions.
+    exact and the result equals L - `level` successive restrictions.  The
+    measure is built without re-checking its weights.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -65,7 +66,7 @@ def extreme_character(
         raise ValueError(f"truncation {truncation} must be >= level {level}")
     q = check_q(q)
     weights = _push({theta.signature_at(truncation): Fraction(1)}, level, q)
-    return ExtremeApproximant(theta, level, truncation, LevelCharacter(level, q, weights))
+    return ExtremeApproximant(theta, level, truncation, LevelCharacter._trusted(level, q, weights))
 
 
 def cauchy_gap(
@@ -86,8 +87,9 @@ def ak_on_theta(theta: BoundaryParam, k: int) -> BoundaryParam:
 
 
 def ak_on_measure(chi: LevelCharacter, k: int) -> LevelCharacter:
-    """Pushforward under shifting all signature parts by k; mass preserved."""
-    return LevelCharacter(
+    """Pushforward under shifting all signature parts by k; mass preserved,
+    so the measure is built without re-checking its weights."""
+    return LevelCharacter._trusted(
         chi.level, chi.q, {shift(sig, k): w for sig, w in chi.weights.items()}
     )
 

@@ -7,13 +7,14 @@ cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
 evaluation, exact and on the torus.  A kernel row, `restrict` and the
 extreme-character approximants in `boundary` are each a pushdown along
-the kernel by one integer walker, `_push`.
+the kernel by one integer walker, `_push`, which steps a level by
+running sums over the states that share all parts but the last.
 """
 
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, isfinite, lcm, log2
-from operator import truediv
+from operator import add, mul, truediv
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
@@ -25,6 +26,10 @@ class LevelCharacter(_Frozen):
 
     Weights are strictly positive rationals summing to exactly 1.  The
     unique level-0 character is the point mass at the empty signature.
+    The constructor checks every weight and the sum; the measures that
+    `restrict`, `tensor` and the `boundary` approximants and shifts build
+    are exact by construction and come through `_trusted` unchecked (the
+    tests check them instead).
     """
 
     __slots__ = ("level", "q", "weights")
@@ -84,7 +89,7 @@ def cotransition(nu: Signature, q: Fraction) -> dict[Signature, Fraction]:
         Lambda(nu, lam) = q^((N+1)|lam| - N|nu|) * qdim(lam) / qdim(nu)
 
     for lam interlacing below nu.  Entries are positive and sum to exactly
-    1; keys ascend lexicographically.
+    1; keys ascend lexicographically.  One step of `_push`.
     """
     q = check_q(q)
     if nu.level < 1:
@@ -94,10 +99,13 @@ def cotransition(nu: Signature, q: Fraction) -> dict[Signature, Fraction]:
 
 def restrict(chi: LevelCharacter) -> LevelCharacter:
     """Push the measure one level down along the cotransition kernel:
-    the sum over nu of P(nu) Lambda(nu, .), taken in integers by `_push`."""
+    the sum over nu of P(nu) Lambda(nu, .), taken in integers by `_push`.
+    The weights are keyed in ascending order of parts, whatever the order
+    of chi's; the result is built without re-checking them."""
     if chi.level < 1:
         raise ValueError("cannot restrict below level 0")
-    return LevelCharacter(chi.level - 1, chi.q, _push(chi.weights, chi.level - 1, chi.q))
+    weights = _push(chi.weights, chi.level - 1, chi.q)
+    return LevelCharacter._trusted(chi.level - 1, chi.q, weights)
 
 
 def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dict:
@@ -113,14 +121,24 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     denominator, divided by their gcd.  With q^2 = A/B a mu at level k
     carries A^(|mu|-lo) B^(hi-|mu|), lo and hi the extreme sizes there; the
     rest is one constant, and each output weight one Fraction from integers.
-    Parts pinned to nu[0] in every nu are not carried (a theta prefix walks
-    at most h + 1 parts whatever L is); a single nu whose target parts are
-    all pinned (nu[i+L-N] == nu[i]) is its point mass at once.
+
+    A level is one step over the states grouped by all parts but the last,
+    each group kept as one row of integers indexed by the last part.  The
+    states mu of the group with prefix pre reach exactly the lam in
+    (the interlacing box below pre) x [min mu_last, pre[-1]] with
+    lam_last >= mu_last, so each such lam takes the group's running sum,
+    over mu_last <= lam_last, of the weighted states: for each lam[:-1] in
+    the box, that run of sums is added to the row of lam[:-1] as one slice,
+    not one interlacing edge at a time.  Parts pinned to nu[0] in
+    every nu are not carried (a theta prefix walks at most h + 1 parts
+    whatever L is); a single nu whose target parts are all pinned
+    (nu[i+L-N] == nu[i]), or a push to level 0, is a point mass at once.
+    Keys ascend lexicographically, and the signatures are built unchecked.
     """
     sigs = list(weights)
     n, big, top = level, sigs[0].level, sigs[0].parts
-    if len(sigs) == 1 and all(top[i + big - n] == top[i] for i in range(n)):
-        return {Signature(top[:n]): Fraction(1)}
+    if n == 0 or len(sigs) == 1 and all(top[i + big - n] == top[i] for i in range(n)):
+        return {Signature._trusted(top[:n]): Fraction(1)}
     qn, qd = q.numerator, q.denominator
     a, b = qn * qn, qd * qd
     least = min([nu.size for nu in sigs])
@@ -139,38 +157,77 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     # at level k the first max(0, run - (L - k)) parts of every mu are `first`
     first = top[0]
     pinned = min([nu.parts.count(first) if nu.parts[0] == first else 0 for nu in sigs])
-    sums = {nu.parts[pinned:]: c // g for nu, c in zip(sigs, starts)}
+    # a level's states by all parts but the last: prefix -> [start, values],
+    # values[i] the integer at prefix + (start + i,), 0 where there is none
+    rows: dict[tuple[int, ...], list] = {}
+    for nu, c in zip(sigs, starts):
+        mu = nu.parts[pinned:]
+        _add_run(rows, mu[:-1], mu[-1], [c // g])
+    lo = least
+    weight = [1] * (his[big - 1] - lo + 1)  # the start carries no level weight
     for k in range(big - 1, n - 1, -1):
-        lead = (first,) if pinned else ()
-        pinned = max(pinned - 1, 0)
-        below: dict[tuple[int, ...], int] = {}
         # interlacing on bare part tuples (as in enumerate_down), so the walk
         # builds no Signature and leaves nothing in enumerate_down's cache
-        for mu, c in sums.items():
-            ext = lead + mu
-            for lam in product(*[range(ext[i + 1], ext[i] + 1) for i in range(len(ext) - 1)]):
-                below[lam] = below.get(lam, 0) + c
-        if k == n:
-            break
-        lo, hi = los[k - 1], his[k - 1]
-        weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
+        lead = (first,) if pinned else ()
         offset = pinned * first - lo  # |mu| - lo = sum(mu) + offset
-        sums = {mu: c * weight[sum(mu) + offset] for mu, c in below.items()}
+        pinned = max(pinned - 1, 0)
+        below: dict[tuple[int, ...], list] = {}
+        for key, (start, values) in rows.items():
+            pre = lead + key
+            at = sum(key) + offset + start  # the weight index of key + (start,)
+            run = list(accumulate(map(mul, values, weight[at:at + len(values)])))
+            # lam_last runs on to pre[-1], past the last state of the row
+            run += [run[-1]] * (pre[-1] + 1 - start - len(run))
+            box = [range(pre[i + 1], pre[i] + 1) for i in range(len(pre) - 1)]
+            for prefix in product(*box):
+                _add_run(below, prefix, start, run)
+        rows = below
+        if k > n:
+            lo, hi = los[k - 1], his[k - 1]
+            weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
     # q^(-(L-1)s0) A^(sum lo) / B^(sum hi) over levels N < k < L is qn^x / qd^y
     x = 2 * sum(los[n:big - 1]) - (big - 1) * least
     y = 2 * sum(his[n:big - 1]) - (big - 1) * least
     scale = Fraction(qn) ** x / Fraction(qd) ** y * Fraction(g, common)
     sn, sd = scale.numerator, scale.denominator
     lead = (first,) * pinned
+    powers: dict[int, tuple[int, int]] = {}  # |lam| -> the scale times q^((N+1)|lam|)
     out = {}
-    for lam, c in below.items():
-        parts = lead + lam
-        dn, dd = _qdim_pair(parts, qn, qd)
-        # q^e with e = (N+1)|lam|: each power goes where it is positive
-        e = (n + 1) * sum(parts)
-        up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
-        out[Signature(parts)] = Fraction(sn * c * dn * up, sd * dd * down)
+    for key in sorted(rows):
+        start, values = rows[key]
+        for last, c in enumerate(values, start):
+            if not c:
+                continue
+            parts = lead + key + (last,)
+            size = sum(parts)
+            pair = powers.get(size)
+            if pair is None:
+                # each power of q goes where it is positive
+                e = (n + 1) * size
+                up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+                pair = powers[size] = sn * up, sd * down
+            dn, dd = _qdim_pair(parts, qn, qd)
+            out[Signature._trusted(parts)] = Fraction(pair[0] * c * dn, pair[1] * dd)
     return out
+
+
+def _add_run(rows: dict, prefix: tuple, start: int, run: list) -> None:
+    """Add run[i] to the state prefix + (start + i,) in `rows`, whose entry
+    for a prefix is [start, values] as in `_push`; a row grows at either
+    end to take the run, and the list `run` itself is never kept."""
+    row = rows.get(prefix)
+    if row is None:
+        rows[prefix] = [start, run[:]]
+        return
+    at, values = row
+    if start < at:
+        values[:0] = [0] * (at - start)
+        row[0] = at = start
+    i = start - at
+    j = i + len(run)
+    if j > len(values):
+        values += [0] * (j - len(values))
+    values[i:j] = map(add, values[i:j], run)
 
 
 def first_discrepancy(a: LevelCharacter, b: LevelCharacter) -> Signature | None:
@@ -231,7 +288,7 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     p1 * p2 * c * qdim(nu) / (qdim(lam) * qdim(mu)) is an integer pair made
     of the integer parts of its factors, terms that land on the same nu are
     folded over the lcm of their denominators, and each output weight is one
-    Fraction.
+    Fraction; the measure is built without re-checking them.
     """
     _check_operands(chi1, chi2)
     q = chi1.q
@@ -251,8 +308,8 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
                     g = gcd(ad, td)
                     tn, td = an * (td // g) + tn * (ad // g), ad * (td // g)
                 out[nu] = tn, td
-    weights = {Signature(nu): Fraction(tn, td) for nu, (tn, td) in out.items()}
-    return LevelCharacter(chi1.level, q, weights)
+    weights = {Signature._trusted(nu): Fraction(tn, td) for nu, (tn, td) in out.items()}
+    return LevelCharacter._trusted(chi1.level, q, weights)
 
 
 def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:

@@ -23,7 +23,9 @@ class _Frozen:
     """Immutable value whose fields are the subclass's ``__slots__``, in order.
 
     Each subclass's ``__init__`` validates its arguments and sets every
-    field once, through `_set` or ``object.__setattr__``.  Equality holds
+    field once, through `_set` or ``object.__setattr__``; `_trusted` sets
+    the fields as given, without the checks, for values the library built
+    valid by construction.  Equality holds
     only between instances of the same class with equal field tuples, the
     hash is the hash of the field tuple (a TypeError when a field is a
     dict), the repr is ``Name(field=value, ...)``, assignment and deletion
@@ -36,6 +38,12 @@ class _Frozen:
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -78,6 +86,13 @@ class Signature(_Frozen):
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"signature parts must be nonincreasing: {parts}")
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Signature":
+        # the base class's `_trusted` without its loop over the fields
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     # the package's hottest dict key: the base class's equality and hash
     # values, without its loop over the fields
@@ -222,7 +237,8 @@ def weight(pattern: GTPattern) -> tuple[int, ...]:
 
 def shift(lam: Signature, k: int) -> Signature:
     """Add k to every part; shifting by -k inverts."""
-    return Signature(tuple(p + k for p in lam.parts))
+    k = index(k)
+    return Signature._trusted(tuple([p + k for p in lam.parts]))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,8 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterator
 
@@ -35,6 +36,7 @@ from qchar import (
 )
 from qchar.blocks import DecomposeReport, FCompatReport, pattern_groups
 from qchar.jsonio import character_to_json, format_scalar
+from qchar.schur import _qdim_pair
 
 
 def run_fresh(*argv, timeout):
@@ -459,6 +461,84 @@ def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
     while chi.level > level:
         chi = restrict_oracle(chi)
     return chi
+
+
+def ascending(weights) -> list:
+    """The (signature, weight) entries of a measure in ascending order of parts."""
+    return sorted(weights.items(), key=lambda kv: kv[0].parts)
+
+
+def push_edge_oracle(weights, level: int, q: Fraction) -> dict:
+    """Reference many-level pushdown by interlacing edges: the integer chain
+    sum of `characters._push`, each state adding its value to every lam in
+    its box prod [mu[i+1], mu[i]] one edge at a time, and each level's
+    states then weighted in a dict of their own.  Entries come in the
+    order the edges first reach them.
+
+    The independent cross-check for the prefix-group running sums of the
+    walk behind `restrict` and `extreme_character`.
+    """
+    sigs = list(weights)
+    n, big, top = level, sigs[0].level, sigs[0].parts
+    if len(sigs) == 1 and all(top[i + big - n] == top[i] for i in range(n)):
+        return {Signature(top[:n]): Fraction(1)}
+    qn, qd = q.numerator, q.denominator
+    a, b = qn * qn, qd * qd
+    least = min([nu.size for nu in sigs])
+    nums, dens = [], []
+    for nu, p in weights.items():
+        (dn, dd), e = _qdim_pair(nu.parts, qn, qd), (big - 1) * (nu.size - least)
+        nums.append(p.numerator * dd * qd ** e)
+        dens.append(p.denominator * dn * qn ** e)
+    common = lcm(*dens)
+    starts = [m * (common // d) for m, d in zip(nums, dens)]
+    g = gcd(*starts)
+    los = list(map(min, zip(*[accumulate(reversed(nu.parts)) for nu in sigs])))
+    his = list(map(max, zip(*[accumulate(nu.parts) for nu in sigs])))
+    first = top[0]
+    pinned = min([nu.parts.count(first) if nu.parts[0] == first else 0 for nu in sigs])
+    sums = {nu.parts[pinned:]: c // g for nu, c in zip(sigs, starts)}
+    for k in range(big - 1, n - 1, -1):
+        lead = (first,) if pinned else ()
+        pinned = max(pinned - 1, 0)
+        below: dict[tuple[int, ...], int] = {}
+        for mu, c in sums.items():
+            ext = lead + mu
+            for lam in product(*[range(ext[i + 1], ext[i] + 1) for i in range(len(ext) - 1)]):
+                below[lam] = below.get(lam, 0) + c
+        if k == n:
+            break
+        lo, hi = los[k - 1], his[k - 1]
+        weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
+        offset = pinned * first - lo
+        sums = {mu: c * weight[sum(mu) + offset] for mu, c in below.items()}
+    x = 2 * sum(los[n:big - 1]) - (big - 1) * least
+    y = 2 * sum(his[n:big - 1]) - (big - 1) * least
+    scale = Fraction(qn) ** x / Fraction(qd) ** y * Fraction(g, common)
+    sn, sd = scale.numerator, scale.denominator
+    lead = (first,) * pinned
+    out = {}
+    for lam, c in below.items():
+        parts = lead + lam
+        dn, dd = _qdim_pair(parts, qn, qd)
+        e = (n + 1) * sum(parts)
+        up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        out[Signature(parts)] = Fraction(sn * c * dn * up, sd * dd * down)
+    return out
+
+
+def assert_stochastic(chi: LevelCharacter) -> None:
+    """What `LevelCharacter.__init__` checks, asserted on a measure the
+    library built unchecked: level-N signatures with nonincreasing int parts,
+    positive `Fraction` weights, and a total of exactly 1."""
+    assert type(chi.q) is Fraction and 0 < chi.q < 1, chi.q
+    for lam, w in chi.weights.items():
+        assert type(lam) is Signature and type(lam.parts) is tuple, lam
+        assert lam.level == chi.level, (lam, chi.level)
+        assert all(type(p) is int for p in lam.parts), lam
+        assert all(x >= y for x, y in zip(lam.parts, lam.parts[1:])), lam
+        assert type(w) is Fraction and w > 0, (lam, w)
+    assert sum(chi.weights.values()) == 1
 
 
 def char_state_eval_oracle(chi: LevelCharacter, x: BlockElement):

@@ -207,6 +207,17 @@ class TestZeroRows:
         ]
         assert typed(scaling(x, s).blocks[sig(6, 0)]) == typed(want)
 
+    @pytest.mark.parametrize("s", [1, -2])
+    def test_scaling_keeps_the_shared_zero_rows(self, s):
+        # scaling builds its result without a re-freeze: each zero row of x
+        # must still be the one shared tuple, and every other row a tuple
+        x = BlockElement(2, HALF, {sig(6, 0): ZERO_ROWS, sig(5, 0): [r[:6] for r in FULL_ROWS[:6]]})
+        for lam, rows in scaling(x, s).blocks.items():
+            zero = blocks._zero_row(len(rows))
+            assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+            assert [r is zero for r in rows] == [r is zero for r in x.blocks[lam]]
+        assert scaling(x, s) == BlockElement(2, HALF, scaling(x, s).blocks)
+
     def test_matmul_and_adjoint(self):
         def mul(a, b):
             # the order and start value of `@`: int 0 plus each nonzero term

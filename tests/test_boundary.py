@@ -23,7 +23,14 @@ from qchar import boundary
 from qchar.boundary import CorollaryReport
 from qchar.characters import _push, total_variation
 
-from helpers import cotransition_oracle, iterated_restrict, random_character
+from helpers import (
+    ascending,
+    assert_stochastic,
+    cotransition_oracle,
+    iterated_restrict,
+    push_edge_oracle,
+    random_character,
+)
 
 HALF = Fraction(1, 2)
 QS = (HALF, Fraction(2, 3), Fraction(3, 5), Fraction(99, 100))
@@ -93,11 +100,18 @@ class TestExtremeCharacter:
 
 
 class TestPushdownOracle:
-    """The one-pass pushdown equals restricting one level at a time."""
+    """The one-pass pushdown equals restricting one level at a time, and the
+    edge-loop walk entry for entry, in ascending order of parts."""
 
     @staticmethod
     def oracle(theta, level, trunc, q):
         return iterated_restrict(indecomposable(theta.signature_at(trunc), q), level)
+
+    @staticmethod
+    def assert_edge_loop(theta, level, trunc, q, got):
+        start = {theta.signature_at(trunc): Fraction(1)}
+        want = push_edge_oracle(start, level, q)
+        assert list(got.weights.items()) == ascending(want), (theta, level, trunc, q)
 
     def test_seeded_theta_sweep(self):
         rng = random.Random(2)
@@ -109,6 +123,7 @@ class TestPushdownOracle:
                     trunc = rng.randint(level, 10)
                     got = extreme_character(theta, level, trunc, q).measure
                     assert got == self.oracle(theta, level, trunc, q), (theta, level, trunc, q)
+                    self.assert_edge_loop(theta, level, trunc, q, got)
 
     def test_arbitrary_start_signatures(self):
         # any nu, not only a theta prefix: leading runs of every length
@@ -120,7 +135,10 @@ class TestPushdownOracle:
                 nu = Signature(tuple(parts))
                 level = rng.randint(1, big - 1)
                 want = iterated_restrict(indecomposable(nu, q), level).weights
-                assert _push({nu: Fraction(1)}, level, q) == want, (nu, level, q)
+                got = _push({nu: Fraction(1)}, level, q)
+                assert got == want, (nu, level, q)
+                edges = push_edge_oracle({nu: Fraction(1)}, level, q)
+                assert list(got.items()) == ascending(edges), (nu, level, q)
 
     def test_long_pinned_run(self):
         # at L = 30 the walk carries only the parts after the pinned tail value
@@ -129,6 +147,15 @@ class TestPushdownOracle:
             for level in (1, 2, 3):
                 got = extreme_character(theta, level, 30, q).measure
                 assert got == self.oracle(theta, level, 30, q), (level, q)
+                self.assert_edge_loop(theta, level, 30, q, got)
+
+    @pytest.mark.parametrize("trunc", range(6, 11))
+    def test_wide_theta_at_level_three(self, trunc):
+        # theta = (-10, -5, 0, 5 | 10): interlacing boxes up to 21 wide
+        theta = BoundaryParam((-10, -5, 0, 5), 10)
+        for q in (HALF, Fraction(9, 10)):
+            got = extreme_character(theta, 3, trunc, q).measure
+            self.assert_edge_loop(theta, 3, trunc, q, got)
 
     def test_truncation_equal_to_level_is_the_point_mass(self):
         theta = BoundaryParam((-2, 0), 3)
@@ -150,6 +177,18 @@ class TestPushdownOracle:
                     got = extreme_character(theta, level, trunc, q).measure
                     assert got == self.oracle(theta, level, trunc, q)
                     assert all(max(s.parts) < 0 for s in got.weights)
+                    self.assert_edge_loop(theta, level, trunc, q, got)
+
+    def test_built_measures_are_stochastic(self):
+        # extreme_character and ak_on_measure build their measures unchecked
+        rng = random.Random(31)
+        for q in QS:
+            for level in range(1, 4):
+                for _ in range(4):
+                    theta = random_theta(rng)
+                    chi = extreme_character(theta, level, rng.randint(level, 8), q).measure
+                    assert_stochastic(chi)
+                    assert_stochastic(ak_on_measure(chi, rng.randint(-3, 3)))
 
     def test_pinned_parts_give_the_point_mass(self):
         # nu[i + L - N] == nu[i] for every target part: a constant prefix

@@ -22,11 +22,14 @@ from qchar import (
 from qchar.characters import _push
 
 from helpers import (
+    ascending,
+    assert_stochastic,
     check_product,
     cotransition_oracle,
     iter_signatures,
     iterated_restrict,
     path_expectation,
+    push_edge_oracle,
     random_character,
     random_points,
     restrict_oracle,
@@ -199,8 +202,9 @@ def shared_run_character(level, q, rng):
 
 class TestKernelWalker:
     """`cotransition`, `restrict` and the many-level pushdown are one integer
-    walker; each is checked exactly against the per-entry Fraction oracles,
-    key order included, since the CLI prints rows in dict order."""
+    walker; each is checked exactly against the per-entry Fraction oracles
+    and, entry for entry, against the edge-loop walk, keys in ascending
+    order of parts."""
 
     def test_cotransition_rows(self):
         rng = random.Random(3)
@@ -211,6 +215,8 @@ class TestKernelWalker:
                     nu = Signature(tuple(parts))
                     got, want = cotransition(nu, q), cotransition_oracle(nu, q)
                     assert list(got.items()) == list(want.items()), (nu, q)
+                    edges = push_edge_oracle({nu: Fraction(1)}, level - 1, q)
+                    assert list(got.items()) == ascending(edges), (nu, q)
                     assert all(type(p) is Fraction for p in got.values())
 
     def test_restrict_on_mixed_leading_parts(self):
@@ -222,7 +228,9 @@ class TestKernelWalker:
                     chi = random_character(level, q, rng, max_support=12, lo=-3, hi=3)
                     got, want = restrict(chi), restrict_oracle(chi)
                     assert got == want, chi
-                    assert list(got.weights) == list(want.weights)
+                    assert list(got.weights.items()) == ascending(want.weights)
+                    edges = push_edge_oracle(chi.weights, level - 1, q)
+                    assert list(got.weights.items()) == ascending(edges)
                     mixed += len({nu.parts[0] for nu in chi.weights}) > 1
         assert mixed >= 50
 
@@ -234,7 +242,9 @@ class TestKernelWalker:
                     chi = shared_run_character(level, q, rng)
                     got, want = restrict(chi), restrict_oracle(chi)
                     assert got == want, chi
-                    assert list(got.weights) == list(want.weights)
+                    assert list(got.weights.items()) == ascending(want.weights)
+                    edges = push_edge_oracle(chi.weights, level - 1, q)
+                    assert list(got.weights.items()) == ascending(edges)
 
     def test_many_levels_at_once(self):
         rng = random.Random(9)
@@ -248,7 +258,55 @@ class TestKernelWalker:
                 level = rng.randint(0, big - 1)
                 want = iterated_restrict(chi, level).weights
                 got = _push(chi.weights, level, q)
-                assert list(got.items()) == list(want.items()), (chi, level)
+                assert list(got.items()) == ascending(want), (chi, level)
+                assert list(got.items()) == ascending(push_edge_oracle(chi.weights, level, q))
+
+    def test_edge_loop_on_wide_multi_signature_measures(self):
+        # supports with mixed leading parts and with shared leading runs,
+        # several levels down, where groups hold many states
+        rng = random.Random(19)
+        shared = 0
+        for q in (HALF, Fraction(9, 10)):
+            for big in range(2, 6):
+                for _ in range(6):
+                    if rng.random() < 0.5:
+                        chi = shared_run_character(big, q, rng)
+                        shared += 1
+                    else:
+                        chi = random_character(big, q, rng, max_support=15, lo=-4, hi=4)
+                    for level in range(big):
+                        got = _push(chi.weights, level, q)
+                        want = push_edge_oracle(chi.weights, level, q)
+                        assert list(got.items()) == ascending(want), (chi, level)
+        assert shared >= 10
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [(0, 0), (5, 5)],
+            [(4, 4, 4), (0, 0, 0), (2, 2, -3)],
+            [(3, -3, -3), (3, 3, 3), (-2, -2, -2)],
+            [(0, 0, 0, 0), (6, 1, 0, -4), (6, 6, -1, -1)],
+        ],
+    )
+    def test_edge_loop_on_supports_with_gaps(self, support):
+        # runs of sums that leave gaps in a row, or start below or end past
+        # the part of the row already filled
+        for q in (HALF, Fraction(9, 10)):
+            weights = {Signature(p): Fraction(1, len(support)) for p in support}
+            for level in range(len(support[0])):
+                got = _push(weights, level, q)
+                assert list(got.items()) == ascending(push_edge_oracle(weights, level, q))
+
+    def test_built_measures_are_stochastic(self):
+        # restrict and tensor build their measures unchecked; check them here
+        rng = random.Random(29)
+        for q in QS:
+            for level in range(1, 4):
+                for _ in range(4):
+                    chi = random_character(level, q, rng, max_support=8, lo=-3, hi=3)
+                    assert_stochastic(restrict(chi))
+                    assert_stochastic(tensor(chi, random_character(level, q, rng)))
 
     def test_level_zero_errors_are_unchanged(self):
         with pytest.raises(ValueError, match=r"^need a signature of level >= 1$"):

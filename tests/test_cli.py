@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -723,6 +724,29 @@ class TestInputLimit:
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert "limit" in json.loads(out)["error"]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-str digits"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qdim", "--q", "1/2", "--sig", "[1000, 600, 200, -200, -600, -1000]"],
+            ["extreme", "--q", "1/2", "--theta", '{"head": [-3, -1, 0, 2], "tail": 3}',
+             "--level", "3", "--trunc", "1000"],
+        ],
+        ids=["qdim-level-6", "extreme-trunc-1000"],
+    )
+    def test_past_the_digit_limit_exits_two(self, argv):
+        # valid requests whose exact answer has an integer of more than
+        # 4300 decimal digits: Python refuses to print it, and the request
+        # exits 2 with that message as its one JSON error
+        proc = run_fresh("-m", "qchar.cli", *argv, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["error"]
+        assert doc["error"].startswith("Exceeds the limit (4300 digits) for integer string conversion")
 
     def test_requests_at_the_limit_finish(self, capsys):
         m = MAX_PART
