@@ -17,19 +17,23 @@ block element as sum of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
 
 With q = a/b every eigenvalue of F is a^e/b^e, so a twisted trace is a
 Laurent polynomial in q.  The pairings below gather each block's entry
-products by F exponent and evaluate the sum in integers over one common
-denominator, building one `Fraction` per block instead of a q-power per
-entry; the exact flow multiplies integer numerators and denominators, and
-the F-compatibility check compares exponents.  The real-time flow is kept
-exact too: `flow_coefficients` returns chi(sigma_t(x) y) as the Laurent
-coefficients of a polynomial in w = q^(it), and evaluating it in floats
-is left to the caller.  Rows of int 0s, most of a matrix unit or of an
-embedding that misses a label, are stored once per block side.
+products by F exponent, make each block's share an unreduced integer pair
+over the integer quantum dimension, and fold the shares over the lcm of
+their denominators, building one `Fraction` per returned value instead of
+a q-power per entry or a quotient per block; the loops visit only the
+nonzero entries of each stored row.  The exact flow multiplies integer
+numerators and denominators, and the F-compatibility check compares
+exponents.  The real-time flow is kept exact too: `flow_coefficients`
+returns chi(sigma_t(x) y) as the Laurent coefficients of a polynomial in
+w = q^(it), and evaluating it in floats is left to the caller.  Rows of
+int 0s, most of a matrix unit or of an embedding that misses a label, are
+stored once per block side.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import gcd, lcm
 from operator import is_
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +46,7 @@ from .combinatorics import (
     weight,
 )
 from .characters import LevelCharacter, _check_operands
-from .schur import check_q, qdim
+from .schur import _qdim_pair, check_q
 
 Matrix = tuple[tuple, ...]
 _INEXACT = "block entries must be exact (int or Fraction)"
@@ -167,8 +171,10 @@ class BlockElement(_Frozen):
     ) -> "BlockElement":
         """The matrix unit e_{row,col} on a single block, 0-indexed."""
         d = dimension(sig)
-        rows = [[0] * d for _ in range(d)]
-        rows[row][col] = 1
+        rows = [_zero_row(d)] * d
+        unit = [0] * d
+        unit[col] = 1
+        rows[row] = unit
         return cls(level, q, {sig: rows})
 
     def __matmul__(self, other: "BlockElement") -> "BlockElement":
@@ -181,12 +187,7 @@ class BlockElement(_Frozen):
         return BlockElement(self.level, self.q, blocks)
 
     def adjoint(self) -> "BlockElement":
-        blocks = {}
-        for sig, rows in self.blocks.items():
-            d = len(rows)
-            blocks[sig] = tuple(
-                tuple(rows[j][i] for j in range(d)) for i in range(d)
-            )
+        blocks = {sig: tuple(zip(*rows)) for sig, rows in self.blocks.items()}
         return BlockElement(self.level, self.q, blocks)
 
 
@@ -209,20 +210,21 @@ def random_block_element(
     return BlockElement(level, q, blocks)
 
 
-def _laurent_value(terms: Mapping[int, object], q: Fraction):
-    """sum_e c_e q^e over an exponent -> coefficient map.
+def _laurent_value(terms: Mapping[int, object], q: Fraction) -> tuple[int, int]:
+    """sum_e c_e q^e over an exponent -> coefficient map, as an integer pair
+    (numerator, denominator), not reduced.
 
     The coefficients are brought over their common denominator D; with
     q = a/b and lo <= e <= hi the sum is
-    (sum_e D c_e a^(e-lo) b^(hi-e)) a^lo / (D b^hi), one `Fraction` built
-    from integers.
+    (sum_e D c_e a^(e-lo) b^(hi-e)) a^lo / (D b^hi).  A coefficient
+    without integer parts is refused with ValueError.
     """
     if not terms:
-        return 0
+        return 0, 1
     a, b = q.numerator, q.denominator
     lo, hi = min(terms), max(terms)
     try:
-        den = math.lcm(*(c.denominator for c in terms.values()))
+        den = lcm(*(c.denominator for c in terms.values()))
         num = sum(
             c.numerator * (den // c.denominator) * a ** (e - lo) * b ** (hi - e)
             for e, c in terms.items()
@@ -230,8 +232,7 @@ def _laurent_value(terms: Mapping[int, object], q: Fraction):
     except AttributeError:
         raise ValueError(_INEXACT) from None
     num, den = (num * a ** lo, den) if lo >= 0 else (num, den * a ** -lo)
-    num, den = (num, den * b ** hi) if hi >= 0 else (num * b ** -hi, den)
-    return Fraction(num, den)
+    return (num, den * b ** hi) if hi >= 0 else (num * b ** -hi, den)
 
 
 def _add_term(terms: dict, e: int, c) -> None:
@@ -239,10 +240,33 @@ def _add_term(terms: dict, e: int, c) -> None:
         terms[e] = terms.get(e, 0) + c
 
 
-def _block_share(chi: LevelCharacter, sig: Signature, terms: Mapping[int, object]):
-    """weight(sig) * P(q) / qdim(sig) for the exponent -> coefficient map
-    of a twisted trace P on the block at sig."""
-    return chi.weights[sig] * _laurent_value(terms, chi.q) / qdim(sig, chi.q)
+def _block_share(
+    chi: LevelCharacter, sig: Signature, terms: Mapping[int, object]
+) -> tuple[int, int]:
+    """weight(sig) * P(q) / qdim(sig) as an integer pair, not reduced, for
+    the exponent -> coefficient map of a twisted trace P on the block at
+    sig; qdim is the integer pair of `_qdim_pair`."""
+    q, w = chi.q, chi.weights[sig]
+    pn, pd = _laurent_value(terms, q)
+    dn, dd = _qdim_pair(sig.parts, q.numerator, q.denominator)
+    return w.numerator * pn * dd, w.denominator * pd * dn
+
+
+def _fold(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of integer pairs over the lcm of their denominators: the
+    running denominator grows only by the factors a share does not share
+    with it."""
+    num, den = 0, 1
+    for n, d in shares:
+        if n:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return num, den
+
+
+def _total(shares: list):
+    """The folded shares as one `Fraction`, or int 0 when there are none."""
+    return Fraction(*_fold(shares)) if shares else 0
 
 
 def char_state_eval(chi: LevelCharacter, x: BlockElement):
@@ -250,10 +274,12 @@ def char_state_eval(chi: LevelCharacter, x: BlockElement):
 
     F is diagonal, so the twisted trace needs only x's diagonal entries,
     gathered by F exponent into one Laurent polynomial in q per block;
-    blocks outside the state's support contribute nothing.
+    blocks outside the state's support contribute nothing.  Each block's
+    share is an integer pair, and the shares are folded into one
+    `Fraction`; the value is int 0 when x has no block in the support.
     """
     _check_operands(chi, x)
-    total = 0
+    shares = []
     for sig in chi.weights:
         rows = x.blocks.get(sig)
         if rows is None:
@@ -261,8 +287,8 @@ def char_state_eval(chi: LevelCharacter, x: BlockElement):
         terms = {}
         for p, e in enumerate(f_spectrum(sig)):
             _add_term(terms, e, rows[p][p])
-        total = total + _block_share(chi, sig, terms)
-    return total
+        shares.append(_block_share(chi, sig, terms))
+    return _total(shares)
 
 
 def _shared_blocks(chi: LevelCharacter, x: BlockElement, y: BlockElement):
@@ -281,16 +307,15 @@ def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
     """chi(x @ y) without forming the product, O(d^2) per block:
     sum over lam of weight(lam) / qdim(lam) * sum_p q^(e_p) sum_r x_pr y_rp.
 
-    Only the diagonal of each block product is built, with the same terms
-    in the same order as `@`, and it is gathered by F exponent exactly as
-    in `char_state_eval`, so the value is identical; the level and q
-    checks are those of the two.
+    Only the diagonal of each block product is built, from the nonzero
+    entries of x's stored rows, and it is gathered by F exponent and
+    folded exactly as in `char_state_eval`, so the value is identical,
+    one `Fraction` or int 0; the level and q checks are those of the two.
     """
-    total = 0
-    for sig, xs, ys, exps in _shared_blocks(chi, x, y):
-        terms = _product_terms(xs, ys, exps)
-        total = total + _block_share(chi, sig, terms)
-    return total
+    return _total([
+        _block_share(chi, sig, _product_terms(xs, ys, exps))
+        for sig, xs, ys, exps in _shared_blocks(chi, x, y)
+    ])
 
 
 def flow_coefficients(
@@ -302,40 +327,54 @@ def flow_coefficients(
     The flow sigma_t = Ad F^(it) multiplies entry (p, r) of a block by
     w^(e_p - e_r), so c_k = sum over lam of weight(lam) / qdim(lam) *
     sum over e_p - e_r = k of q^(e_p) x_pr y_rp, each block's share
-    gathered by F exponent as in `state_of_product`.  Exactly, the value
-    at w = 1 is state_of_product(chi, x, y), and at w = q^s it is
+    gathered by F exponent as in `state_of_product`, over the nonzero
+    entries of x's stored rows.  The shares at each k are folded as
+    integer pairs, and each returned c_k is one `Fraction`; a k whose
+    shares cancel is left out.  Exactly, the value at w = 1 is
+    state_of_product(chi, x, y), and at w = q^s it is
     chi(scaling(x, s) @ y).  At real time t the value is the float sum
     sum_k float(c_k) e^(ikt ln q), left to the caller; with n terms and
     u = 2^-53 its rounding error is, to first order, at most
     (n + 3 + max_k |k t| (1 + 3 |ln q|)) u sum_k |c_k|, the phase error
     growing with |k t| from the rounding of q and of its logarithm.
     """
-    coeffs = {}
+    shares = {}
     for sig, xs, ys, exps in _shared_blocks(chi, x, y):
+        zero, cols = _zero_row(len(exps)), range(len(exps))
         by_gap = {}
-        for p, (row, ep) in enumerate(zip(xs, exps)):
-            for r, (a, er) in enumerate(zip(row, exps)):
-                if a:
-                    b = ys[r][p]
-                    if b:
-                        _add_term(by_gap.setdefault(ep - er, {}), ep, a * b)
+        for p, row in enumerate(xs):
+            if row is zero:
+                continue
+            ep = exps[p]
+            for r in compress(cols, row):
+                b = ys[r][p]
+                if b:
+                    _add_term(by_gap.setdefault(ep - exps[r], {}), ep, row[r] * b)
         for k, terms in by_gap.items():
-            coeffs[k] = coeffs.get(k, 0) + _block_share(chi, sig, terms)
-    return {k: c for k, c in sorted(coeffs.items()) if c}
+            shares.setdefault(k, []).append(_block_share(chi, sig, terms))
+    coeffs = {}
+    for k in sorted(shares):
+        num, den = _fold(shares[k])
+        if num:
+            coeffs[k] = Fraction(num, den)
+    return coeffs
 
 
 def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
     """Tr(F x y) on one block as an exponent -> coefficient map: the
-    diagonal entry p of x @ y, summed in the order `@` uses, at e_p."""
+    diagonal entry p of x @ y, summed in the order `@` uses, at e_p,
+    over the nonzero entries of x's rows; a shared zero row adds nothing."""
+    zero, cols = _zero_row(len(exps)), range(len(exps))
     terms = {}
-    for p, (row, e) in enumerate(zip(xs, exps)):
+    for p, row in enumerate(xs):
+        if row is zero:
+            continue
         entry = 0
-        for a, yr in zip(row, ys):
-            if a:
-                b = yr[p]
-                if b:
-                    entry = entry + a * b
-        _add_term(terms, e, entry)
+        for r in compress(cols, row):
+            b = ys[r][p]
+            if b:
+                entry = entry + row[r] * b
+        _add_term(terms, exps[p], entry)
     return terms
 
 
@@ -344,15 +383,17 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     multiplied by q^(s * (exp_p - exp_r)).
 
     With q = a/b the factor q^m is the integer pair (a^m, b^m), or
-    (b^-m, a^-m) for m < 0, so an exact entry v becomes
+    (b^-m, a^-m) for m < 0, computed the first time its gap e_p - e_r is
+    met, so an exact entry v becomes
     Fraction(v.numerator * a^m, v.denominator * b^m).  That `Fraction` is
     built once per distinct (numerator, denominator, gap e_p - e_r) in a
     memo local to the call, and every later entry with the same key gets
     the same immutable object; equal exact values (True and 1, 2 and
-    Fraction(4, 2)) share a key.  s = 1 is the KMS twist y -> F y F^(-1);
-    the group law scaling(scaling(x, s), t) = scaling(x, s + t) holds
-    exactly.  The blocks keep x's shapes and x's shared zero rows, so the
-    result is built without `_square`'s re-freeze.
+    Fraction(4, 2)) share a key.  Only the nonzero entries of each stored
+    row are visited, and zeros are kept as they are.  s = 1 is the KMS
+    twist y -> F y F^(-1); the group law scaling(scaling(x, s), t) =
+    scaling(x, s + t) holds exactly.  The blocks keep x's shapes and x's
+    shared zero rows, so the result is built without `_square`'s re-freeze.
     """
     if s != int(s):
         raise ValueError("imaginary-time scaling is exact only at integer times")
@@ -360,33 +401,31 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     if s == 0:
         return x
     a, b = x.q.numerator, x.q.denominator
-    # the factor pair of every gap k = e_p - e_r on x's blocks, once each
-    exps = {e for sig in x.blocks for e in f_spectrum(sig)}
     factors = {}
-    for k in {ep - er for ep in exps for er in exps}:
-        m = s * k
-        factors[k] = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
     memo = {}
     blocks = {}
     try:
         for sig, rows in x.blocks.items():
             exps = f_spectrum(sig)
-            zero = _zero_row(len(exps))
+            zero, cols = _zero_row(len(exps)), range(len(exps))
             scaled = []
             for row, ep in zip(rows, exps):
                 if row is zero:
                     scaled.append(row)
                     continue
                 out = list(row)
-                for r, (v, er) in enumerate(zip(row, exps)):
-                    if v:
-                        k = ep - er
-                        key = (v.numerator, v.denominator, k)
-                        f = memo.get(key)
-                        if f is None:
-                            n, d = factors[k]
-                            f = memo[key] = Fraction(key[0] * n, key[1] * d)
-                        out[r] = f
+                for r in compress(cols, row):
+                    v = row[r]
+                    k = ep - exps[r]
+                    key = (v.numerator, v.denominator, k)
+                    f = memo.get(key)
+                    if f is None:
+                        pair = factors.get(k)
+                        if pair is None:
+                            m = s * k
+                            pair = factors[k] = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
+                        f = memo[key] = Fraction(key[0] * pair[0], key[1] * pair[1])
+                    out[r] = f
                 scaled.append(tuple(out))
             blocks[sig] = tuple(scaled)
     except AttributeError:
@@ -400,31 +439,36 @@ def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]
 
     Left, Tr(F x sigma(y)): x_pr y_rp carries q^(e_p) from F and
     q^(e_r - e_p) from the flow, so it is added at e_p + (e_r - e_p) = e_r,
-    column by column over x's rows; sigma(y) is never built.  Right,
-    Tr(F y x): `state_of_product`'s block terms with x and y swapped.
+    column by column over the nonzero entries of x's rows; sigma(y) is
+    never built.  Right, Tr(F y x): `state_of_product`'s block terms with
+    x and y swapped.
     """
     d = len(exps)
-    cols = [0] * d
+    zero, cols = _zero_row(d), range(d)
+    sums = [0] * d
     for p, row in enumerate(xs):
-        for r, a in enumerate(row):
-            if a:
-                b = ys[r][p]
-                if b:
-                    cols[r] = cols[r] + a * b
+        if row is zero:
+            continue
+        for r in compress(cols, row):
+            b = ys[r][p]
+            if b:
+                sums[r] = sums[r] + row[r] * b
     lhs = {}
-    for r in range(d):
-        _add_term(lhs, exps[r], cols[r])
+    for e, c in zip(exps, sums):
+        _add_term(lhs, e, c)
     return lhs, _product_terms(ys, xs, exps)
 
 
 def _kms_sides(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:
-    """chi(x * scaling(y, 1)) and chi(y * x), computed independently."""
-    lhs = rhs = 0
+    """chi(x * scaling(y, 1)) and chi(y * x), computed independently, each
+    folded over its blocks into one `Fraction` (int 0 when x and y share
+    no block in chi's support)."""
+    left, right = [], []
     for sig, xs, ys, exps in _shared_blocks(chi, x, y):
-        left, right = _kms_terms(xs, ys, exps)
-        lhs = lhs + _block_share(chi, sig, left)
-        rhs = rhs + _block_share(chi, sig, right)
-    return lhs, rhs
+        lt, rt = _kms_terms(xs, ys, exps)
+        left.append(_block_share(chi, sig, lt))
+        right.append(_block_share(chi, sig, rt))
+    return _total(left), _total(right)
 
 
 def kms_check(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> bool:
@@ -432,7 +476,8 @@ def kms_check(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> bool:
     chi(x * scaling(y, 1)) equals chi(y * x).
 
     Both sides are computed, each block's as a separate integer Laurent
-    sum in q, and compared; neither product nor scaling(y, 1) is formed.
+    sum in q, folded as integer pairs into one `Fraction` per side, and
+    compared; neither product nor scaling(y, 1) is formed.
     """
     lhs, rhs = _kms_sides(chi, x, y)
     return lhs == rhs
@@ -443,23 +488,26 @@ def embed(x: BlockElement, targets: Iterable[Signature]) -> BlockElement:
 
     Each target block is the direct sum, in canonical group order, of the
     source blocks at the labels interlacing below it; missing source
-    labels contribute zero sub-blocks.  On a common truncation the map is
-    unital, multiplicative and star-preserving.
+    labels contribute zero sub-blocks.  Each nonzero source row is copied
+    with one slice assignment, and a source's shared zero rows stay the
+    target's.  On a common truncation the map is unital, multiplicative
+    and star-preserving.
     """
     blocks = {}
     for nu in targets:
         if nu.level != x.level + 1:
             raise ValueError(f"target {nu} is not one level above {x.level}")
         d = dimension(nu)
-        rows = [[0] * d for _ in range(d)]
+        rows = [_zero_row(d)] * d
         for lam, offset, size in pattern_groups(nu):
             src = x.blocks.get(lam)
             if src is None:
                 continue
-            for i in range(size):
-                row = rows[offset + i]
-                for j in range(size):
-                    row[offset + j] = src[i][j]
+            src_zero = _zero_row(size)
+            for i, part in enumerate(src, offset):
+                if part is not src_zero:
+                    row = rows[i] = [0] * d
+                    row[offset : offset + size] = part
         blocks[nu] = rows
     return BlockElement(x.level + 1, x.q, blocks)
 
@@ -497,9 +545,11 @@ def _ldl_psd(rows: Matrix) -> bool:
     submatrix is PSD iff it is zero.  A diagonal entry changes only when
     its row is updated, so signs are checked once up front and then once
     per updated row.  Elimination works on the entries as given (int or
-    Fraction), with no copy into `Fraction`s; the pivot is made a
-    `Fraction`, so every multiplier and every updated entry is exact and
-    no int / int division yields a float.
+    Fraction), with no copy into `Fraction`s, and touches only the live
+    rows with a nonzero entry in the pivot column.  When there are any,
+    the pivot is made a `Fraction`, so every multiplier and every updated
+    entry is exact and no int / int division yields a float; when there
+    are none, nothing is built and the next pivot is taken.
     """
     a = [list(row) for row in rows]
     live = list(range(len(a)))
@@ -511,16 +561,17 @@ def _ldl_psd(rows: Matrix) -> bool:
             return not any(a[i][j] for i in live for j in live)
         live.remove(pivot)
         prow = a[pivot]
+        hits = [i for i in live if prow[i]]
+        if not hits:
+            continue
         d = Fraction(prow[pivot])
-        for i in live:
-            if prow[i]:
-                m = prow[i] / d
-                ai = a[i]
-                for j in live:
-                    if prow[j]:
-                        ai[j] -= m * prow[j]
-                if ai[i] < 0:
-                    return False
+        for i in hits:
+            m = prow[i] / d
+            ai = a[i]
+            for j in hits:
+                ai[j] -= m * prow[j]
+            if ai[i] < 0:
+                return False
     return True
 
 

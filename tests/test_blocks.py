@@ -469,7 +469,9 @@ class TestIntegerPathsAgainstOracle:
     )
     @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
     def test_laurent_value_on_every_sign_of_the_exponent_range(self, terms, q):
-        assert _laurent_value(terms, q) == sum((c * q ** e for e, c in terms.items()), Fraction(0))
+        num, den = _laurent_value(terms, q)
+        assert den > 0
+        assert Fraction(num, den) == sum((c * q ** e for e, c in terms.items()), Fraction(0))
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_kms_sides_agree_as_laurent_polynomials(self, level):
@@ -570,6 +572,120 @@ class TestFlowCoefficients:
             for t in (0, 0.3, -1.7, 12.5):
                 value = sum(float(c) * cmath.exp(1j * k * t * lnq) for k, c in coeffs.items())
                 assert abs(value - real_time_oracle(chi, x, y, t)) <= 1e-12
+
+
+def _sparse(level, q, cells):
+    """A block element from {sig: {(row, col): value}}, zero elsewhere."""
+    blocks = {}
+    for s, entries in cells.items():
+        d = dimension(s)
+        rows = [[0] * d for _ in range(d)]
+        for (p, r), v in entries.items():
+            rows[p][r] = v
+        blocks[s] = rows
+    return BlockElement(level, q, blocks)
+
+
+class TestSharesFold:
+    """Each pairing folds its blocks' shares as integer pairs over the lcm
+    of their denominators and builds one `Fraction` per returned value."""
+
+    Q = Fraction(2, 3)
+    LAM, MU = sig(1, 0), sig(2, 0)  # F exponents (1, -1) and (2, 0, -2)
+
+    def _cancelling(self):
+        """A state on two blocks, and the entry c of mu's block that makes
+        x_01 y_10 = 1 at lam and x_01 y_10 = c at mu cancel in the state:
+        both pairs sit at the same exponents' gap e_0 - e_1 = 2."""
+        q, lam, mu = self.Q, self.LAM, self.MU
+        chi = LevelCharacter(2, q, {lam: Fraction(1, 3), mu: Fraction(2, 3)})
+        el, em = f_spectrum(lam), f_spectrum(mu)
+        assert el[0] - el[1] == em[0] - em[1] == 2
+        share = lambda s, e: chi.weights[s] * q ** e / qdim(s, q)
+        return chi, -share(lam, el[0]) / share(mu, em[0])
+
+    def test_totals_cancel_across_blocks(self):
+        chi, c = self._cancelling()
+        q, lam, mu = self.Q, self.LAM, self.MU
+        x = _sparse(2, q, {lam: {(0, 1): 1}, mu: {(0, 1): c}})
+        y = _sparse(2, q, {lam: {(1, 0): 1}, mu: {(1, 0): 1}})
+        xy = x @ y
+        pairs = [
+            (char_state_eval(chi, xy), char_state_eval_oracle(chi, xy)),
+            (state_of_product(chi, x, y), state_of_product_oracle(chi, x, y)),
+            *zip(_kms_sides(chi, x, y), kms_sides_oracle(chi, x, y)),
+        ]
+        for got, want in pairs:
+            assert type(got) is Fraction and got == want == 0
+        # each block's share alone is not zero
+        for s in (lam, mu):
+            alone = indecomposable(s, q)
+            assert char_state_eval(alone, xy) and all(_kms_sides(alone, x, y))
+
+    def test_a_cancelled_gap_is_left_out(self):
+        chi, c = self._cancelling()
+        q, lam, mu = self.Q, self.LAM, self.MU
+        # the cancelling pair at k = 2, plus one product entry at k = 0 on
+        # lam and one at k = e_0 - e_2 = 4 on mu
+        x = _sparse(2, q, {lam: {(0, 1): 1, (0, 0): 1}, mu: {(0, 1): c, (0, 2): 1}})
+        y = _sparse(2, q, {lam: {(1, 0): 1, (0, 0): 1}, mu: {(1, 0): 1, (2, 0): 1}})
+        coeffs = flow_coefficients(chi, x, y)
+        assert list(coeffs) == [0, 4]
+        assert all(type(v) is Fraction and v for v in coeffs.values())
+        for s in range(-2, 3):
+            value = sum((v * q ** (s * k) for k, v in coeffs.items()), Fraction(0))
+            assert value == char_state_eval_oracle(chi, scaling_oracle(x, s) @ y)
+        for s in (lam, mu):
+            assert 2 in flow_coefficients(indecomposable(s, q), x, y)
+
+    @pytest.mark.parametrize(
+        "sigs",
+        [[sig(2, 0)], [sig(1, 0), sig(2, 0)], [sig(1, 0), sig(2, 0), sig(1, -1), sig(3, 0)]],
+        ids=["one", "two", "four"],
+    )
+    def test_one_fraction_per_returned_value(self, sigs, monkeypatch):
+        q = self.Q
+        rng = random.Random(len(sigs))
+        chi = LevelCharacter(2, q, {s: Fraction(1, len(sigs)) for s in sigs})
+        # int entries: entry products build no `Fraction`
+        x, y = random_block_element(2, q, sigs, rng), random_block_element(2, q, sigs, rng)
+        wants = [
+            char_state_eval_oracle(chi, x),
+            state_of_product_oracle(chi, x, y),
+            kms_sides_oracle(chi, x, y),
+            state_of_product_oracle(chi, x, y),
+        ]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        # newer Pythons build arithmetic results without calling __new__
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, *args):
+                built.append(args)
+                return coprime(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        got, counts = [], []
+        for call in (
+            lambda: char_state_eval(chi, x),
+            lambda: state_of_product(chi, x, y),
+            lambda: _kms_sides(chi, x, y),
+            lambda: flow_coefficients(chi, x, y),
+        ):
+            del built[:]
+            got.append(call())
+            counts.append(len(built))
+        monkeypatch.undo()
+        coeffs = got.pop()
+        assert coeffs and counts == [1, 1, 2, len(coeffs)]
+        assert got[:3] == wants[:3] and sum(coeffs.values()) == wants[3]
 
 
 class TestScalingMemo:
