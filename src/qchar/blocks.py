@@ -33,7 +33,7 @@ stored once per block side.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from operator import is_
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +46,7 @@ from .combinatorics import (
     weight,
 )
 from .characters import LevelCharacter, _check_operands
-from .schur import _qdim_pair, check_q
+from .schur import _fold, _qdim_pair, _qpow, check_q
 
 Matrix = tuple[tuple, ...]
 _INEXACT = "block entries must be exact (int or Fraction)"
@@ -231,8 +231,8 @@ def _laurent_value(terms: Mapping[int, object], q: Fraction) -> tuple[int, int]:
         )
     except AttributeError:
         raise ValueError(_INEXACT) from None
-    num, den = (num * a ** lo, den) if lo >= 0 else (num, den * a ** -lo)
-    return (num, den * b ** hi) if hi >= 0 else (num * b ** -hi, den)
+    (an, ad), (bn, bd) = _qpow(a, 1, lo), _qpow(1, b, hi)
+    return num * an * bn, den * ad * bd
 
 
 def _add_term(terms: dict, e: int, c) -> None:
@@ -250,18 +250,6 @@ def _block_share(
     pn, pd = _laurent_value(terms, q)
     dn, dd = _qdim_pair(sig.parts, q.numerator, q.denominator)
     return w.numerator * pn * dd, w.denominator * pd * dn
-
-
-def _fold(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of integer pairs over the lcm of their denominators: the
-    running denominator grows only by the factors a share does not share
-    with it."""
-    num, den = 0, 1
-    for n, d in shares:
-        if n:
-            g = gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den * (d // g)
-    return num, den
 
 
 def _total(shares: list):
@@ -422,8 +410,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
                     if f is None:
                         pair = factors.get(k)
                         if pair is None:
-                            m = s * k
-                            pair = factors[k] = (a ** m, b ** m) if m >= 0 else (b ** -m, a ** -m)
+                            pair = factors[k] = _qpow(a, b, s * k)
                         f = memo[key] = Fraction(key[0] * pair[0], key[1] * pair[1])
                     out[r] = f
                 scaled.append(tuple(out))
@@ -584,9 +571,10 @@ def decompose_state(
     diagonal F matrix (zero off-diagonals, diagonal proportional to the
     F eigenvalues); the returned coefficient at lam is that block's trace.
     Densities must have exact (int or Fraction) entries, be positive
-    semidefinite and have traces summing to 1.  Every comparison is exact,
-    and the PSD test is exact LDL^T elimination, O(d^3) per block and
-    O(d^2) on a diagonal one.
+    semidefinite and have traces summing to 1.  Every comparison is exact:
+    the traces and their total are integer pairs folded by `_fold`, with
+    one `Fraction` per coefficient, and the PSD test is exact LDL^T
+    elimination, O(d^3) per block and O(d^2) on a diagonal one.
     """
     q = check_q(q)
     mats = {}
@@ -603,11 +591,11 @@ def decompose_state(
             raise ValueError(f"density at {sig} is not symmetric")
         if not _ldl_psd(rows):
             raise ValueError(f"density at {sig} is not positive semidefinite")
-        traces[sig] = sum(rows[i][i] for i in range(n))
+        traces[sig] = _fold((rows[i][i].numerator, rows[i][i].denominator) for i in range(n))
 
-    total = sum(traces.values())
-    if total != 1:
-        raise ValueError(f"density traces must sum to 1, got {total}")
+    total = _fold(traces.values())
+    if total[0] != total[1]:
+        raise ValueError(f"density traces must sum to 1, got {Fraction(*total)}")
 
     # with q = a/b, d_i / q^e_i == d_0 / q^e_0 iff
     # d_i a^(e_0 - m) b^(e_i - m) == d_0 a^(e_i - m) b^(e_0 - m), m = min e,
@@ -640,5 +628,5 @@ def decompose_state(
                         f" eigenvalues (pattern {i})"
                     ),
                 )
-        coeffs[sig] = traces[sig]
+        coeffs[sig] = Fraction(*traces[sig])
     return DecomposeReport(True, coefficients=coeffs)

@@ -5,10 +5,11 @@ combination of the indecomposable ones, so it is stored losslessly as a
 finitely supported probability measure.  This module provides the
 cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
-evaluation, exact and on the torus.  A kernel row, `restrict` and the
-extreme-character approximants in `boundary` are each a pushdown along
-the kernel by one integer walker, `_push`, which steps a level by
-running sums over the states that share all parts but the last.
+evaluation, exact and on the torus.  Both walks down the levels share one
+step, `_step`, which moves a level by running sums over the states that
+share all parts but the last: in integers in `_push`, behind a kernel
+row, `restrict` and the extreme-character approximants in `boundary`,
+and in floats with powers of the torus point in `sgf_eval_torus`.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from operator import add, mul, truediv
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
-from .schur import _evaluator, _lr_terms, _principal_pair, _qdim_pair, check_q
+from .schur import _evaluator, _fold, _lr_terms, _principal_pair, _qdim_pair, _qpow, check_q
 
 
 class LevelCharacter(_Frozen):
@@ -122,14 +123,9 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     carries A^(|mu|-lo) B^(hi-|mu|), lo and hi the extreme sizes there; the
     rest is one constant, and each output weight one Fraction from integers.
 
-    A level is one step over the states grouped by all parts but the last,
-    each group kept as one row of integers indexed by the last part.  The
-    states mu of the group with prefix pre reach exactly the lam in
-    (the interlacing box below pre) x [min mu_last, pre[-1]] with
-    lam_last >= mu_last, so each such lam takes the group's running sum,
-    over mu_last <= lam_last, of the weighted states: for each lam[:-1] in
-    the box, that run of sums is added to the row of lam[:-1] as one slice,
-    not one interlacing edge at a time.  Parts pinned to nu[0] in
+    A level is one `_step` over the states grouped by all parts but the
+    last, each group kept as one row of integers indexed by the last part
+    and weighted by that level's table.  Parts pinned to nu[0] in
     every nu are not carried (a theta prefix walks at most h + 1 parts
     whatever L is); a single nu whose target parts are all pinned
     (nu[i+L-N] == nu[i]), or a push to level 0, is a point mass at once.
@@ -166,22 +162,9 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     lo = least
     weight = [1] * (his[big - 1] - lo + 1)  # the start carries no level weight
     for k in range(big - 1, n - 1, -1):
-        # interlacing on bare part tuples (as in enumerate_down), so the walk
-        # builds no Signature and leaves nothing in enumerate_down's cache
-        lead = (first,) if pinned else ()
-        offset = pinned * first - lo  # |mu| - lo = sum(mu) + offset
+        # |mu| - lo = sum(mu) + pinned * first - lo over the carried parts mu
+        rows = _step(rows, (first,) if pinned else (), pinned * first - lo, weight)
         pinned = max(pinned - 1, 0)
-        below: dict[tuple[int, ...], list] = {}
-        for key, (start, values) in rows.items():
-            pre = lead + key
-            at = sum(key) + offset + start  # the weight index of key + (start,)
-            run = list(accumulate(map(mul, values, weight[at:at + len(values)])))
-            # lam_last runs on to pre[-1], past the last state of the row
-            run += [run[-1]] * (pre[-1] + 1 - start - len(run))
-            box = [range(pre[i + 1], pre[i] + 1) for i in range(len(pre) - 1)]
-            for prefix in product(*box):
-                _add_run(below, prefix, start, run)
-        rows = below
         if k > n:
             lo, hi = los[k - 1], his[k - 1]
             weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
@@ -202,13 +185,36 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
             size = sum(parts)
             pair = powers.get(size)
             if pair is None:
-                # each power of q goes where it is positive
-                e = (n + 1) * size
-                up, down = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+                up, down = _qpow(qn, qd, (n + 1) * size)
                 pair = powers[size] = sn * up, sd * down
             dn, dd = _qdim_pair(parts, qn, qd)
             out[Signature._trusted(parts)] = Fraction(pair[0] * c * dn, pair[1] * dd)
     return out
+
+
+def _step(rows: dict, lead: tuple, offset: int, weight: list) -> dict:
+    """One level down, on rows of states keyed by all parts but the last
+    (prefix -> [start, values], as in `_add_run`): each lam gets the sum
+    over the mu above it of weight[sum(mu) + offset] times mu's value, the
+    part `lead` (or none) standing before every key in the interlacing.
+
+    The row with prefix pre = lead + key reaches exactly the lam in (the
+    box below pre) x [start, pre[-1]] with lam_last >= mu_last, so its
+    running sum of weighted states is added to the row of each lam[:-1] in
+    the box as one slice, not one edge at a time.  The walk is on bare
+    part tuples, so it builds no Signature.
+    """
+    below: dict[tuple[int, ...], list] = {}
+    for key, (start, values) in rows.items():
+        pre = lead + key
+        at = sum(key) + offset + start  # the weight index of key + (start,)
+        run = list(accumulate(map(mul, values, weight[at:at + len(values)])))
+        # lam_last runs on to pre[-1], past the last state of the row
+        run += [run[-1]] * (pre[-1] + 1 - start - len(run))
+        box = [range(pre[i + 1], pre[i] + 1) for i in range(len(pre) - 1)]
+        for prefix in product(*box):
+            _add_run(below, prefix, start, run)
+    return below
 
 
 def _add_run(rows: dict, prefix: tuple, start: int, run: list) -> None:
@@ -293,7 +299,7 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
     _check_operands(chi1, chi2)
     q = chi1.q
     qn, qd = q.numerator, q.denominator
-    out: dict[tuple[int, ...], tuple[int, int]] = {}
+    out: dict[tuple[int, ...], list] = {}
     for lam, p1 in chi1.weights.items():
         n1, d1 = _qdim_pair(lam.parts, qn, qd)
         num1, den1 = p1.numerator * d1, p1.denominator * n1
@@ -302,13 +308,8 @@ def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:
             num, den = num1 * p2.numerator * d2, den1 * p2.denominator * n2
             for nu, c in _lr_terms(lam.parts, mu.parts):
                 dn, dd = _qdim_pair(nu, qn, qd)
-                tn, td = num * c * dn, den * dd
-                if nu in out:
-                    an, ad = out[nu]
-                    g = gcd(ad, td)
-                    tn, td = an * (td // g) + tn * (ad // g), ad * (td // g)
-                out[nu] = tn, td
-    weights = {Signature._trusted(nu): Fraction(tn, td) for nu, (tn, td) in out.items()}
+                out.setdefault(nu, []).append((num * c * dn, den * dd))
+    weights = {Signature._trusted(nu): Fraction(*_fold(terms)) for nu, terms in out.items()}
     return LevelCharacter._trusted(chi1.level, q, weights)
 
 
@@ -326,15 +327,12 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
     s = _evaluator(chi.level, points)
     qn, qd = chi.q.numerator, chi.q.denominator
-    num, den = 0, 1
+    terms = []
     for lam, p in chi.weights.items():
         sn, sd = s(lam)
         pn, pd = _principal_pair(lam.parts, qn, qd)
-        n = p.numerator * sn * pd
-        d = p.denominator * sd * pn
-        g = gcd(den, d)
-        num, den = num * (d // g) + n * (den // g), den * (d // g)
-    return Fraction(num, den)
+        terms.append((p.numerator * sn * pd, p.denominator * sd * pn))
+    return Fraction(*_fold(terms))
 
 
 TORUS_PRECISION = 1e-12
@@ -351,11 +349,12 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
 
         C_(k-1)(mu) = sum over lam at level k above mu of C_k(lam) x_k^(|lam|-|mu|),
 
-    and the value is C_0 of the empty signature.  Every term is positive
-    when evaluated at the |x_k|, so rounding stays relative to the
-    normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12 and
-    |S(1, ..., 1) - 1| <= 1e-12.  A principal specialization beyond the
-    float range, above or below, raises OverflowError.
+    each level one `_step` on the rows of `_push` (see `_torus_step`), and
+    the value is the sum over the level-1 states of C_1(lam) z_1^lam_1.
+    Every term is positive when evaluated at the |x_k|, so rounding stays
+    relative to the normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12
+    and |S(1, ..., 1) - 1| <= 1e-12.  A principal specialization beyond
+    the float range, above or below, raises OverflowError.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
@@ -364,19 +363,22 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
     if not all(abs(abs(v) - 1.0) <= TORUS_PRECISION for v in zs):
         raise ValueError("torus points must have unit modulus")
     qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
-    # (parts, |parts|, coefficient) for each state of the current level; int
-    # division is correctly rounded, reduced pair or not, raises
-    # OverflowError past the float range and gives 0.0 below it
+    if not chi.level:
+        return 1 + 0j  # the point mass at the empty signature
+    # the coefficient of each state; int division is correctly rounded,
+    # reduced pair or not, raises OverflowError past the float range and
+    # gives 0.0 below it
+    rows: dict[tuple[int, ...], list] = {}
     try:
-        states = [
-            (lam.parts, lam.size, float(p) / truediv(*_principal_pair(lam.parts, qn, qd)))
-            for lam, p in chi.weights.items()
-        ]
+        for lam, p in chi.weights.items():
+            c = float(p) / truediv(*_principal_pair(lam.parts, qn, qd))
+            _add_run(rows, lam.parts[:-1], lam.parts[-1], [c])
     except ZeroDivisionError:
         raise OverflowError("principal specialization below the float range") from None
-    for k in range(chi.level, 0, -1):
-        states = _push_torus(states, k - 1, qf ** (-2 * (k - 1)) * zs[k - 1])
-    value = complex(states[0][2])
+    for k in range(chi.level, 1, -1):
+        rows = _torus_step(rows, qf ** (-2 * (k - 1)) * zs[k - 1])
+    (start, values), = rows.values()
+    value = sum(c * zs[0] ** last for last, c in enumerate(values, start))
     # P(lam) over a subnormal s_lam is inf, and the walk carries it on as inf or NaN
     if not (isfinite(value.real) and isfinite(value.imag)):
         raise OverflowError("principal specialization below the float range")
@@ -388,54 +390,43 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
 _TABLE_BITS = 256
 
 
-def _push_torus(states: list, level: int, x: complex) -> list:
-    """The states one level down: C(mu) = sum over lam above mu of
-    C(lam) x^(|lam|-|mu|), each state a tuple (parts, size, coefficient).
-
-    States whose sizes lie far apart, so that |x|^(|lam| - |lam'|) reaches
-    2^_TABLE_BITS, are pushed in separate groups: one table of powers of x
-    anchored at one size would leave the float range at the others.
+def _torus_step(rows: dict, x: complex) -> dict:
+    """C(mu) = sum over lam above mu of C(lam) x^(|lam|-|mu|), as one `_step`
+    whose table of x^(|lam|-lo) weights each state it reads, and then
+    x^(lo-|mu|) on each state it builds.  Sizes so far apart that
+    |x|^(|lam| - |lam'|) reaches 2^_TABLE_BITS would leave one table's
+    float range, so each row is cut into its slices in each band of sizes
+    (a row's sizes are consecutive), each band is stepped with lo its
+    least size, and the bands are merged by `_add_run`.
     """
-    sizes = [size for _, size, _ in states]
-    lo, top = min(sizes), max(sizes)
-    bits = max(log2(abs(x)), 0.0)
-    if (top - lo) * bits < _TABLE_BITS:
-        return _push_torus_close(states, lo, top, level, x)
-    groups: dict[int, list] = {}
-    for state in states:
-        groups.setdefault(int((state[1] - lo) * bits) // _TABLE_BITS, []).append(state)
-    merged: dict[tuple[int, ...], complex] = {}
-    for group in groups.values():
-        sizes = [size for _, size, _ in group]
-        for mu, _, v in _push_torus_close(group, min(sizes), max(sizes), level, x):
-            merged[mu] = merged.get(mu, 0) + v
-    return [(mu, sum(mu), v) for mu, v in merged.items()]
-
-
-def _push_torus_close(states: list, lo: int, top: int, level: int, x: complex) -> list:
-    """`_push_torus` for states whose sizes lie in [lo, top], with one table of
-    powers of x.
-
-    x^(|lam|-|mu|) = x^(|lam|-lo) x^(lo-|mu|): one power per state on either
-    side of the interlacing product.  Below lam, |mu| runs from |lam| - lam_1
-    to |lam| - lam_N.
-    """
-    least = min(0, lo - max([size - lam[-1] for lam, size, _ in states]))
-    most = max(top - lo, lo - min([size - lam[0] for lam, size, _ in states]))
-    powers = _powers(x, least, most)  # x^e at index e - least
-    below: dict[tuple[int, ...], complex] = {}
-    for lam, size, c in states:
-        v = c * powers[size - lo - least]
-        for mu in product(*[range(lam[i + 1], lam[i] + 1) for i in range(level)]):
-            below[mu] = below.get(mu, 0) + v
-    return [(mu, size := sum(mu), v * powers[lo - size - least]) for mu, v in below.items()]
-
-
-def _powers(x: complex, least: int, most: int) -> list[complex]:
-    """x^least, ..., x^most (least <= 0) by repeated multiplication from x^0."""
-    up, down = [1 + 0j], [1 + 0j]
-    for _ in range(most):
-        up.append(up[-1] * x)
-    for _ in range(-least):
-        down.append(down[-1] / x)
-    return down[:0:-1] + up
+    firsts = [sum(key) + start for key, (start, _) in rows.items()]
+    lo = min(firsts)
+    span = max([s + len(row[1]) for s, row in zip(firsts, rows.values())]) - lo
+    bits = log2(abs(x))
+    if (span - 1) * bits < _TABLE_BITS:
+        width, bands = span, {0: rows}
+    else:
+        width, bands = max(int(_TABLE_BITS / bits), 1), {}
+        for first, (key, (start, values)) in zip(firsts, rows.items()):
+            i = 0
+            while i < len(values):
+                band, at = divmod(first + i - lo, width)
+                bands.setdefault(band, {})[key] = [start + i, values[i:i + width - at]]
+                i += width - at
+    table, y = [x ** e for e in range(width)], 1 / x
+    below = None
+    for band, part in bands.items():
+        low = lo + band * width
+        out = _step(part, (), -low, table)
+        for key, row in out.items():
+            # from x^(low - |mu|) at the row's first state down by powers of
+            # 1/x, which underflow to 0 where those of x would overflow to inf
+            e = low - sum(key) - row[0]
+            powers = accumulate([y] * (len(row[1]) - 1), mul, initial=x ** e if e >= 0 else y ** -e)
+            row[1] = list(map(mul, row[1], powers))
+        if below is None:
+            below = out
+        else:
+            for key, (start, values) in out.items():
+                _add_run(below, key, start, values)
+    return below

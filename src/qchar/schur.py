@@ -20,8 +20,8 @@ power of q.  Littlewood-Richardson coefficients come from the row
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from typing import Callable, Sequence
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Sequence
 
 from .combinatorics import Signature
 
@@ -172,8 +172,26 @@ def _principal_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
     """The principal specialization at q = a/b as a positive integer pair,
     not reduced: the qdim pair over q^((N-1)|lam|)."""
     num, den = _qdim_pair(parts, a, b)
-    e = (len(parts) - 1) * sum(parts)
-    return (num * b ** e, den * a ** e) if e >= 0 else (num * a ** -e, den * b ** -e)
+    pn, pd = _qpow(b, a, (len(parts) - 1) * sum(parts))
+    return num * pn, den * pd
+
+
+def _qpow(a: int, b: int, e: int) -> tuple[int, int]:
+    """(a/b)^e for positive integers a, b as an integer pair, each power
+    placed where it is positive."""
+    return (a ** e, b ** e) if e >= 0 else (b ** -e, a ** -e)
+
+
+def _fold(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of integer pairs over the lcm of their denominators: the
+    running denominator grows only by the factors a share does not share
+    with it."""
+    num, den = 0, 1
+    for n, d in shares:
+        if n:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return num, den
 
 
 @lru_cache(maxsize=None)

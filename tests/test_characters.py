@@ -34,6 +34,7 @@ from helpers import (
     random_points,
     restrict_oracle,
     sgf_eval_oracle,
+    sgf_eval_torus_edge_oracle,
     sgf_eval_torus_oracle,
     tensor_oracle,
     total_variation_oracle,
@@ -485,6 +486,9 @@ class TestSgfTorus:
     def test_counit_point(self):
         chi = delta(HALF, 2, 1, 0)
         assert abs(sgf_eval_torus(chi, [1, 1, 1]) - 1) < 1e-12
+        # the level-0 point mass at the empty signature pairs to 1 exactly
+        assert sgf_eval_torus(delta(HALF), []) == 1
+        assert sgf_eval(delta(HALF), []) == 1
 
     def test_rectangle_is_a_phase(self):
         chi = delta(HALF, 2, 2)
@@ -517,14 +521,48 @@ class TestSgfTorus:
 
     def test_sizes_far_apart(self):
         # |x_3|^40 = 10^320 at q = 1/100: one table of powers of x_3 anchored at
-        # either size would overflow at the other, so each point mass gets its own
+        # either size would overflow at the other, so each point mass gets its own;
+        # in the second character the prefix row (0, 0) at level 3 holds the
+        # sizes 0, -20 and -40, and is cut into three bands
         import cmath
 
-        chi = LevelCharacter(3, Fraction(1, 100), {sig(0, 0, 0): HALF, sig(0, 0, -40): HALF})
-        rng = random.Random(37)
-        zs = [[cmath.exp(2j * cmath.pi * rng.random()) for _ in range(3)] for _ in range(3)]
-        for z in [[1, 1, 1]] + zs:
-            assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
+        third = Fraction(1, 3)
+        for chi in [
+            LevelCharacter(3, Fraction(1, 100), {sig(0, 0, 0): HALF, sig(0, 0, -40): HALF}),
+            LevelCharacter(
+                3, Fraction(1, 100),
+                {sig(0, 0, 0): third, sig(0, 0, -20): third, sig(0, 0, -40): third},
+            ),
+        ]:
+            rng = random.Random(37)
+            zs = [[cmath.exp(2j * cmath.pi * rng.random()) for _ in range(3)] for _ in range(3)]
+            for z in [[1, 1, 1]] + zs:
+                assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
+
+    def test_one_row_cut_into_bands_where_every_state_counts(self):
+        # the level-2 row (0,) spans sizes 0 down to -900, and 900 * log2(|x_2|)
+        # > 256 at q = 9/10, so it is stepped in two bands; unlike at q = 1/100,
+        # no state is negligible, so a state lost or counted twice at the cut shows
+        import cmath
+
+        chi = LevelCharacter(2, Fraction(9, 10), {sig(0, -j): Fraction(1, 901) for j in range(901)})
+        rng = random.Random(41)
+        for z in ([1, 1], [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]):
+            assert abs(sgf_eval_torus(chi, z) - sgf_eval_torus_edge_oracle(chi, z)) <= 1e-13
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_prefix_rows_agree_with_the_edge_walk(self, level, q):
+        # the running sums over prefix rows against the walk that adds each
+        # state along every interlacing edge, at (1, ..., 1) and on the torus
+        import cmath
+
+        rng = random.Random(700 + 10 * level + q.denominator)
+        for _ in range(8):
+            chi = random_character(level, q, rng, lo=-3, hi=3)
+            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(level)]
+            for pts in ([1] * level, z):
+                assert abs(sgf_eval_torus(chi, pts) - sgf_eval_torus_edge_oracle(chi, pts)) <= 1e-13
 
     # points of the unit circle with rational coordinates, from Pythagorean triples
     PYTHAGOREAN = [

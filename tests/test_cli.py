@@ -217,6 +217,13 @@ class TestBasicCommands:
         assert abs(payload["value"]["re"] - (-0.6)) < 1e-12
         assert abs(payload["value"]["im"]) < 1e-12
 
+    def test_sgf_torus_at_level_zero(self, capsys):
+        # the point mass at the empty signature pairs to 1 with no torus points
+        empty = CHAR % (0, '[{"sig": [], "prob": "1"}]')
+        code, out = run_cli(capsys, "sgf-torus", "--char", empty, "--z", "[]")
+        assert code == 0
+        assert json.loads(out) == {"abs": 1.0, "value": {"im": 0.0, "re": 1.0}}
+
     def test_determinism(self, capsys):
         _, first = run_cli(capsys, "qdim", "--q", "2/3", "--sig", "[2,1,0]")
         _, second = run_cli(capsys, "qdim", "--q", "2/3", "--sig", "[2,1,0]")
