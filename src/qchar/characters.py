@@ -5,17 +5,18 @@ combination of the indecomposable ones, so it is stored losslessly as a
 finitely supported probability measure.  This module provides the
 cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
-evaluation, exact and on the torus.  Both walks down the levels share one
-step, `_step`, which moves a level by running sums over the states that
-share all parts but the last: in integers in `_push`, behind a kernel
-row, `restrict` and the extreme-character approximants in `boundary`,
-and in floats with powers of the torus point in `sgf_eval_torus`.
+evaluation, exact and on the torus.  Both walks down the levels keep a
+level's states in rows by all parts but the last (`_add_run`) and move a
+level by running sums along those rows: in integers by `_step` in `_push`,
+behind a kernel row, `restrict` and the extreme-character approximants in
+`boundary`, and in floats by `_torus_step` in `sgf_eval_torus`, on states
+scaled by their dominant monomials so that no factor exceeds 1 in modulus.
 """
 
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd, isfinite, lcm, log2
-from operator import add, mul, truediv
+from math import gcd, lcm
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
@@ -193,8 +194,8 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
 
 
 def _step(rows: dict, lead: tuple, offset: int, weight: list) -> dict:
-    """One level down, on rows of states keyed by all parts but the last
-    (prefix -> [start, values], as in `_add_run`): each lam gets the sum
+    """One level of `_push`, on rows of states keyed by all parts but the
+    last (prefix -> [start, values], as in `_add_run`): each lam gets the sum
     over the mu above it of weight[sum(mu) + offset] times mu's value, the
     part `lead` (or none) standing before every key in the interlacing.
 
@@ -344,17 +345,21 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
     The inputs z must have unit modulus to within TORUS_PRECISION; they are
     substituted as (z_1, q^-2 z_2, ..., q^(-2(N-1)) z_N), the scaled torus
     on which the series converges, and the Schur values are never formed:
-    the coefficients P(lam) / s_lam(1, q^-2, ...) are pushed down one level
-    at a time by the branching rule transposed,
+    the coefficients C(lam) = P(lam) / s_lam(1, q^-2, ...) are pushed down
+    one level at a time by the branching rule transposed, each level-k
+    state carried scaled by its dominant monomial,
+    W(lam) = C(lam) q^(-2 sum_i (k-i) lam_i).  The walk starts from
+    P(lam) / s'(lam), s'(lam) = qdim(lam) q^(sum_i (N+1-2i) lam_i) in
+    [1, dim lam], and with t = q^2 each level is one `_torus_step`,
 
-        C_(k-1)(mu) = sum over lam at level k above mu of C_k(lam) x_k^(|lam|-|mu|),
+        W(mu) = sum over lam above mu of W(lam) z_k^(|lam|-|mu|)
+                * prod_i t^(i (mu_i - lam_(i+1))),
 
-    each level one `_step` on the rows of `_push` (see `_torus_step`), and
-    the value is the sum over the level-1 states of C_1(lam) z_1^lam_1.
-    Every term is positive when evaluated at the |x_k|, so rounding stays
-    relative to the normaliser: for every 0 < q < 1, |S(z)| <= 1 + 1e-12
-    and |S(1, ..., 1) - 1| <= 1e-12.  A principal specialization beyond
-    the float range, above or below, raises OverflowError.
+    whose factors all have modulus at most 1; the value is the sum over the
+    level-1 states of W(lam) z_1^lam_1.  Every term is positive at
+    z = (1, ..., 1), so rounding stays relative to the normaliser, and no
+    state leaves the float range: for every 0 < q < 1 and every valid
+    character, |S(z)| <= 1 + 1e-12 and |S(1, ..., 1) - 1| <= 1e-12.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
@@ -362,71 +367,50 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
     # written so that a NaN or infinite coordinate fails the comparison
     if not all(abs(abs(v) - 1.0) <= TORUS_PRECISION for v in zs):
         raise ValueError("torus points must have unit modulus")
-    qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
-    if not chi.level:
+    n, qn, qd = chi.level, chi.q.numerator, chi.q.denominator
+    if not n:
         return 1 + 0j  # the point mass at the empty signature
-    # the coefficient of each state; int division is correctly rounded,
-    # reduced pair or not, raises OverflowError past the float range and
-    # gives 0.0 below it
+    # P(lam) / s'(lam) <= 1 as one int quotient, which is correctly rounded
     rows: dict[tuple[int, ...], list] = {}
-    try:
-        for lam, p in chi.weights.items():
-            c = float(p) / truediv(*_principal_pair(lam.parts, qn, qd))
-            _add_run(rows, lam.parts[:-1], lam.parts[-1], [c])
-    except ZeroDivisionError:
-        raise OverflowError("principal specialization below the float range") from None
-    for k in range(chi.level, 1, -1):
-        rows = _torus_step(rows, qf ** (-2 * (k - 1)) * zs[k - 1])
+    for lam, p in chi.weights.items():
+        parts = lam.parts
+        dn, dd = _qdim_pair(parts, qn, qd)
+        en, ed = _qpow(qn, qd, sum([(n + 1 - 2 * i) * x for i, x in enumerate(parts, 1)]))
+        _add_run(rows, parts[:-1], parts[-1], [p.numerator * dd * ed / (p.denominator * dn * en)])
+    t = qn * qn / (qd * qd)
+    for k in range(n, 1, -1):
+        rows = _torus_step(rows, zs[k - 1], t, k)
     (start, values), = rows.values()
-    value = sum(c * zs[0] ** last for last, c in enumerate(values, start))
-    # P(lam) over a subnormal s_lam is inf, and the walk carries it on as inf or NaN
-    if not (isfinite(value.real) and isfinite(value.imag)):
-        raise OverflowError("principal specialization below the float range")
-    return value
+    return sum(c * zs[0] ** last for last, c in enumerate(values, start))
 
 
-# the widest factor |x|^(|lam| - |lam'|), in bits, between two states that
-# share one table of powers of x
-_TABLE_BITS = 256
-
-
-def _torus_step(rows: dict, x: complex) -> dict:
-    """C(mu) = sum over lam above mu of C(lam) x^(|lam|-|mu|), as one `_step`
-    whose table of x^(|lam|-lo) weights each state it reads, and then
-    x^(lo-|mu|) on each state it builds.  Sizes so far apart that
-    |x|^(|lam| - |lam'|) reaches 2^_TABLE_BITS would leave one table's
-    float range, so each row is cut into its slices in each band of sizes
-    (a row's sizes are consecutive), each band is stepped with lo its
-    least size, and the bands are merged by `_add_run`.
+def _torus_step(rows: dict, z: complex, t: float, k: int) -> dict:
+    """One level of `sgf_eval_torus`, from k >= 2 to k - 1, on the rows of
+    `_add_run`.  With |lam| - |mu| = lam_1 - sum_i (mu_i - lam_(i+1)) the
+    step's factor is z^lam_1 prod_i (t^i / z)^(mu_i - lam_(i+1)): for
+    i = k - 1 a running sum along each row that decays by c = t^(k-1) / z,
+    and the rest one factor per prefix of the box below the row, by which
+    the run is added there as one slice.  Box coordinates of width 1 add no
+    factor, and each list of powers of t^i / z is built on first use.
     """
-    firsts = [sum(key) + start for key, (start, _) in rows.items()]
-    lo = min(firsts)
-    span = max([s + len(row[1]) for s, row in zip(firsts, rows.values())]) - lo
-    bits = log2(abs(x))
-    if (span - 1) * bits < _TABLE_BITS:
-        width, bands = span, {0: rows}
-    else:
-        width, bands = max(int(_TABLE_BITS / bits), 1), {}
-        for first, (key, (start, values)) in zip(firsts, rows.items()):
-            i = 0
-            while i < len(values):
-                band, at = divmod(first + i - lo, width)
-                bands.setdefault(band, {})[key] = [start + i, values[i:i + width - at]]
-                i += width - at
-    table, y = [x ** e for e in range(width)], 1 / x
-    below = None
-    for band, part in bands.items():
-        low = lo + band * width
-        out = _step(part, (), -low, table)
-        for key, row in out.items():
-            # from x^(low - |mu|) at the row's first state down by powers of
-            # 1/x, which underflow to 0 where those of x would overflow to inf
-            e = low - sum(key) - row[0]
-            powers = accumulate([y] * (len(row[1]) - 1), mul, initial=x ** e if e >= 0 else y ** -e)
-            row[1] = list(map(mul, row[1], powers))
-        if below is None:
-            below = out
-        else:
-            for key, (start, values) in out.items():
-                _add_run(below, key, start, values)
+    c = t ** (k - 1) / z
+    powers: dict[int, list] = {}  # i -> (t^i / z)^d for d = 0, 1, ...
+    below: dict[tuple[int, ...], list] = {}
+    for key, (start, values) in rows.items():
+        run, acc = [], 0
+        # mu_(k-1) runs on to lam_(k-1), past the last state of the row
+        for w in values + [0] * (key[-1] + 1 - start - len(values)):
+            acc = acc * c + w
+            run.append(acc)
+        box = [range(key[i], key[i - 1] + 1) for i in range(1, k - 1)]
+        factors = [z ** key[0]]  # in the order of product(*box)
+        for i, span in enumerate(box, 1):
+            width = len(span)
+            if width > 1:
+                pw = powers.setdefault(i, [1.0])
+                while len(pw) < width:
+                    pw.append(pw[-1] * (t ** i / z))
+                factors = [f * g for f in factors for g in pw[:width]]
+        for prefix, f in zip(product(*box), factors):
+            _add_run(below, prefix, start, [f * v for v in run])
     return below

@@ -359,8 +359,9 @@ def sgf_eval_torus_edge_oracle(chi: LevelCharacter, z) -> complex:
     are pushed in separate groups.
 
     The independent cross-check for the prefix-row running sums of
-    `sgf_eval_torus`; it takes the same points and raises the same errors
-    on a principal specialization outside the float range.
+    `sgf_eval_torus`; it takes the same points, and its unscaled start
+    coefficients raise OverflowError on a principal specialization outside
+    the float range, where `sgf_eval_torus` answers.
     """
     qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
     states = []

@@ -520,10 +520,9 @@ class TestSgfTorus:
             assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
 
     def test_sizes_far_apart(self):
-        # |x_3|^40 = 10^320 at q = 1/100: one table of powers of x_3 anchored at
-        # either size would overflow at the other, so each point mass gets its own;
-        # in the second character the prefix row (0, 0) at level 3 holds the
-        # sizes 0, -20 and -40, and is cut into three bands
+        # |x_3|^40 = 10^320 at q = 1/100: powers of x_3 anchored at either size
+        # would overflow at the other; in the second character the prefix row
+        # (0, 0) at level 3 holds the sizes 0, -20 and -40
         import cmath
 
         third = Fraction(1, 3)
@@ -540,15 +539,50 @@ class TestSgfTorus:
                 assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
 
     def test_one_row_cut_into_bands_where_every_state_counts(self):
-        # the level-2 row (0,) spans sizes 0 down to -900, and 900 * log2(|x_2|)
-        # > 256 at q = 9/10, so it is stepped in two bands; unlike at q = 1/100,
-        # no state is negligible, so a state lost or counted twice at the cut shows
+        # the level-2 row (0,) spans sizes 0 down to -900, and |x_2|^900 > 2^256
+        # at q = 9/10; unlike at q = 1/100, no state is negligible, so a state
+        # lost or counted twice along the row's running sum shows
         import cmath
 
         chi = LevelCharacter(2, Fraction(9, 10), {sig(0, -j): Fraction(1, 901) for j in range(901)})
         rng = random.Random(41)
         for z in ([1, 1], [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]):
             assert abs(sgf_eval_torus(chi, z) - sgf_eval_torus_edge_oracle(chi, z)) <= 1e-13
+
+    @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
+    def test_every_point_mass_of_a_wide_grid_answers(self, q):
+        # every level-2 point mass with parts on the step-100 grid over
+        # [-1000, 1000], and every level-3 one of width <= 200: the principal
+        # specializations of many leave the float range, the scaled states do not
+        import cmath
+
+        grid = range(-1000, 1001, 100)
+        sigs = [sig(a, b) for a in grid for b in grid if a >= b]
+        sigs += [
+            sig(a, b, c) for a in grid for b in grid for c in grid if a >= b >= c and a - c <= 200
+        ]
+        assert len(sigs) == 349
+        rng = random.Random(47)
+        for lam in sigs:
+            chi = indecomposable(lam, q)
+            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(lam.level)]
+            assert abs(sgf_eval_torus(chi, [1] * lam.level) - 1) <= 1e-12, lam
+            assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12, lam
+
+    def test_mixed_support_at_a_small_q(self):
+        # s_lam(1, 10^4) spans 10^320 at [80, 0] down to 10^-320 at [-80, -80]
+        third = Fraction(1, 3)
+        chi = LevelCharacter(
+            2, Fraction(1, 100), {sig(80, 0): third, sig(-80, -80): third, sig(0, 0): third}
+        )
+        for z in (
+            [(1, 0), (1, 0)],
+            [(0, 1), (-1, 0)],
+            [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))],
+        ):
+            re, im = sgf_eval_torus_oracle(chi, z)
+            value = sgf_eval_torus(chi, [complex(a, b) for a, b in z])
+            assert abs(value - complex(re, im)) <= 1e-12
 
     @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
