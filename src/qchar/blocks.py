@@ -21,13 +21,15 @@ products by F exponent, make each block's share an unreduced integer pair
 over the integer quantum dimension, and fold the shares over the lcm of
 their denominators, building one `Fraction` per returned value instead of
 a q-power per entry or a quotient per block; the loops visit only the
-nonzero entries of each stored row.  The exact flow multiplies integer
-numerators and denominators, and the F-compatibility check compares
-exponents.  The real-time flow is kept exact too: `flow_coefficients`
-returns chi(sigma_t(x) y) as the Laurent coefficients of a polynomial in
-w = q^(it), and evaluating it in floats is left to the caller.  Rows of
-int 0s, most of a matrix unit or of an embedding that misses a label, are
-stored once per block side.
+nonzero entries of each stored row.  The real-time flow is kept exact:
+`flow_coefficients` returns chi(sigma_t(x) y) as the Laurent coefficients
+of a polynomial in w = q^(it), and evaluating it in floats is left to the
+caller.  The KMS check reads its left side from the same pass, the flow
+at w = q^-1, and its right side from `state_of_product`.  The exact
+imaginary-time flow multiplies integer numerators and denominators, and
+the F-compatibility check compares exponents.  Rows of int 0s, most of a
+matrix unit or of an embedding that misses a label, are stored once per
+block side.
 """
 
 from fractions import Fraction
@@ -199,14 +201,10 @@ def random_block_element(
     blocks = {}
     for sig in sigs:
         d = dimension(sig)
-        rows = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if rng.random() < 0.4:
-                    v = rng.randint(-3, 3)
-                    if v:
-                        rows[i][j] = v
-        blocks[sig] = rows
+        blocks[sig] = [
+            [rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(d)]
+            for _ in range(d)
+        ]
     return BlockElement(level, q, blocks)
 
 
@@ -299,6 +297,7 @@ def state_of_product(chi: LevelCharacter, x: BlockElement, y: BlockElement):
     entries of x's stored rows, and it is gathered by F exponent and
     folded exactly as in `char_state_eval`, so the value is identical,
     one `Fraction` or int 0; the level and q checks are those of the two.
+    With x and y swapped it is the right side of `kms_check`.
     """
     return _total([
         _block_share(chi, sig, _product_terms(xs, ys, exps))
@@ -314,30 +313,24 @@ def flow_coefficients(
 
     The flow sigma_t = Ad F^(it) multiplies entry (p, r) of a block by
     w^(e_p - e_r), so c_k = sum over lam of weight(lam) / qdim(lam) *
-    sum over e_p - e_r = k of q^(e_p) x_pr y_rp, each block's share
-    gathered by F exponent as in `state_of_product`, over the nonzero
-    entries of x's stored rows.  The shares at each k are folded as
+    sum over e_p - e_r = k of q^(e_p) x_pr y_rp: each block's
+    `_pair_table` is grouped by the gap e_p - e_r and gathered by F
+    exponent as in `state_of_product`.  The shares at each k are folded as
     integer pairs, and each returned c_k is one `Fraction`; a k whose
     shares cancel is left out.  Exactly, the value at w = 1 is
-    state_of_product(chi, x, y), and at w = q^s it is
-    chi(scaling(x, s) @ y).  At real time t the value is the float sum
-    sum_k float(c_k) e^(ikt ln q), left to the caller; with n terms and
+    state_of_product(chi, x, y), at w = q^s it is
+    chi(scaling(x, s) @ y), and at w = q^-1 it is chi(x @ scaling(y, 1)),
+    the left side of `kms_check`.  At real time t the value is the float
+    sum sum_k float(c_k) e^(ikt ln q), left to the caller; with n terms and
     u = 2^-53 its rounding error is, to first order, at most
     (n + 3 + max_k |k t| (1 + 3 |ln q|)) u sum_k |c_k|, the phase error
     growing with |k t| from the rounding of q and of its logarithm.
     """
     shares = {}
     for sig, xs, ys, exps in _shared_blocks(chi, x, y):
-        zero, cols = _zero_row(len(exps)), range(len(exps))
         by_gap = {}
-        for p, row in enumerate(xs):
-            if row is zero:
-                continue
-            ep = exps[p]
-            for r in compress(cols, row):
-                b = ys[r][p]
-                if b:
-                    _add_term(by_gap.setdefault(ep - exps[r], {}), ep, row[r] * b)
+        for (ep, er), c in _pair_table(xs, ys, exps).items():
+            by_gap.setdefault(ep - er, {})[ep] = c
         for k, terms in by_gap.items():
             shares.setdefault(k, []).append(_block_share(chi, sig, terms))
     coeffs = {}
@@ -346,6 +339,23 @@ def flow_coefficients(
         if num:
             coeffs[k] = Fraction(num, den)
     return coeffs
+
+
+def _pair_table(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
+    """{(e_p, e_r): sum of x_pr y_rp} on one block, the pass behind the
+    flow and the KMS left side, over the nonzero entries of x's rows."""
+    zero, cols = _zero_row(len(exps)), range(len(exps))
+    table = {}
+    for p, row in enumerate(xs):
+        if row is zero:
+            continue
+        ep = exps[p]
+        for r in compress(cols, row):
+            b = ys[r][p]
+            if b:
+                key = ep, exps[r]
+                table[key] = table.get(key, 0) + row[r] * b
+    return table
 
 
 def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
@@ -420,51 +430,28 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     return BlockElement._trusted(x.level, x.q, blocks)
 
 
-def _kms_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> tuple[dict, dict]:
-    """The two sides of the KMS identity on one block, each as an exponent
-    -> coefficient map of a Laurent polynomial in q.
-
-    Left, Tr(F x sigma(y)): x_pr y_rp carries q^(e_p) from F and
-    q^(e_r - e_p) from the flow, so it is added at e_p + (e_r - e_p) = e_r,
-    column by column over the nonzero entries of x's rows; sigma(y) is
-    never built.  Right, Tr(F y x): `state_of_product`'s block terms with
-    x and y swapped.
-    """
-    d = len(exps)
-    zero, cols = _zero_row(d), range(d)
-    sums = [0] * d
-    for p, row in enumerate(xs):
-        if row is zero:
-            continue
-        for r in compress(cols, row):
-            b = ys[r][p]
-            if b:
-                sums[r] = sums[r] + row[r] * b
-    lhs = {}
-    for e, c in zip(exps, sums):
-        _add_term(lhs, e, c)
-    return lhs, _product_terms(ys, xs, exps)
-
-
 def _kms_sides(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> tuple:
-    """chi(x * scaling(y, 1)) and chi(y * x), computed independently, each
-    folded over its blocks into one `Fraction` (int 0 when x and y share
-    no block in chi's support)."""
-    left, right = [], []
+    """chi(x @ scaling(y, 1)) and chi(y @ x), each one `Fraction` (int 0
+    when no block is shared).  Left, the flow at w = q^-1: cell (p, r) of
+    `_pair_table` carries q^(e_p) from F and q^(e_r - e_p) from the twist,
+    so it is gathered at e_r.  Right, `state_of_product` with x and y
+    swapped.  Neither scaling(y, 1) nor a product is formed."""
+    left = []
     for sig, xs, ys, exps in _shared_blocks(chi, x, y):
-        lt, rt = _kms_terms(xs, ys, exps)
-        left.append(_block_share(chi, sig, lt))
-        right.append(_block_share(chi, sig, rt))
-    return _total(left), _total(right)
+        terms = {}
+        for (_, er), c in _pair_table(xs, ys, exps).items():
+            _add_term(terms, er, c)
+        left.append(_block_share(chi, sig, terms))
+    return _total(left), state_of_product(chi, y, x)
 
 
 def kms_check(chi: LevelCharacter, x: BlockElement, y: BlockElement) -> bool:
     """The beta = -1 KMS identity at imaginary time, exactly:
-    chi(x * scaling(y, 1)) equals chi(y * x).
+    chi(x @ scaling(y, 1)) equals chi(y @ x).
 
-    Both sides are computed, each block's as a separate integer Laurent
-    sum in q, folded as integer pairs into one `Fraction` per side, and
-    compared; neither product nor scaling(y, 1) is formed.
+    The left side is the flow of `flow_coefficients` at w = q^-1, the
+    right side `state_of_product`: two separate passes over the blocks, so
+    the check also checks the flow.
     """
     lhs, rhs = _kms_sides(chi, x, y)
     return lhs == rhs

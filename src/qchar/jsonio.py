@@ -9,6 +9,7 @@ writes and `_document` reads every signature-keyed entry list.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -27,6 +28,7 @@ if TYPE_CHECKING:
 # exponents grow with the parts, so without a bound a request such as qdim
 # at [10**11, 0] never finishes; README gives the reason for 1000.
 MAX_PART = 1000
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def check_parts(values, what: str) -> None:
@@ -73,10 +75,14 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(s) -> Fraction:
+    """A JSON integer, or a string matching `_SCALAR` in full; `Fraction`
+    alone would also read "1e-10000000", building 10**10000000 first."""
     if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"exact scalars are 'p/q' strings, got {s!r}")
+    if not _SCALAR.fullmatch(s):
+        raise ValueError(f"bad exact scalar {s!r}: not of the form 'p/q' or 'p'")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

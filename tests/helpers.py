@@ -36,7 +36,7 @@ from qchar import (
 )
 from qchar.blocks import DecomposeReport, FCompatReport, pattern_groups
 from qchar.jsonio import character_to_json, format_scalar
-from qchar.schur import _principal_pair, _qdim_pair
+from qchar.schur import _qdim_pair
 
 
 def run_fresh(*argv, timeout):
@@ -350,72 +350,35 @@ def sgf_eval_torus_oracle(chi: LevelCharacter, z) -> tuple[Fraction, Fraction]:
 
 
 def sgf_eval_torus_edge_oracle(chi: LevelCharacter, z) -> complex:
-    """Reference torus pairing in floats, walked along interlacing edges:
-    the coefficients P(lam) / s_lam(1, q^-2, ...) are pushed down a level
-    at a time, each state adding C(lam) x_k^(|lam|-|mu|) to every mu in its
-    box prod [lam[i+1], lam[i]] one edge at a time, with
-    x_k = q^(-2(k-1)) z_k.  Sizes so far apart that one table of powers of
-    x_k would leave the float range (|x_k| to a power of 2^256 or more)
-    are pushed in separate groups.
+    """Reference torus pairing in floats, walked along interlacing edges on
+    scaled states: each level-k state is W(lam) = C(lam) q^(-2 sum_i (k-i) lam_i),
+    C(lam) = P(lam) / s_lam(1, q^-2, ...), and each edge (lam, mu) from
+    level k adds W(lam) z_k^(|lam|-|mu|) prod_i t^(i (mu_i - lam_(i+1))),
+    t = q^2, to W(mu); the level-0 state is the value.
 
     The independent cross-check for the prefix-row running sums of
-    `sgf_eval_torus`; it takes the same points, and its unscaled start
-    coefficients raise OverflowError on a principal specialization outside
-    the float range, where `sgf_eval_torus` answers.
+    `sgf_eval_torus`: the start is one exact quotient rounded once, from
+    `principal_specialization`, and each edge's factor is computed on its
+    own, with no running sums or shared power lists.  Every factor has
+    modulus at most 1, so no state leaves the float range.
     """
-    qn, qd, qf = chi.q.numerator, chi.q.denominator, float(chi.q)
-    states = []
-    try:
-        for lam, p in chi.weights.items():
-            num, den = _principal_pair(lam.parts, qn, qd)
-            states.append((lam.parts, lam.size, float(p) / (num / den)))
-    except ZeroDivisionError:
-        raise OverflowError("principal specialization below the float range") from None
-    for k in range(chi.level, 0, -1):
-        states = _edge_push(states, k - 1, qf ** (-2 * (k - 1)) * complex(z[k - 1]))
-    value = complex(states[0][2])
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError("principal specialization below the float range")
-    return value
-
-
-def _edge_push(states: list, level: int, x: complex) -> list:
-    """One level of `sgf_eval_torus_edge_oracle`, each state a tuple
-    (parts, size, coefficient); sizes whose powers of x lie 2^256 or more
-    apart go in separate groups."""
-    sizes = [size for _, size, _ in states]
-    lo = min(sizes)
-    bits = max(math.log2(abs(x)), 0.0)
-    groups: dict[int, list] = {}
-    for state in states:
-        groups.setdefault(int((state[1] - lo) * bits) // 256, []).append(state)
-    merged: dict[tuple[int, ...], complex] = {}
-    for group in groups.values():
-        for mu, _, v in _edge_push_close(group, level, x):
-            merged[mu] = merged.get(mu, 0) + v
-    return [(mu, sum(mu), v) for mu, v in merged.items()]
-
-
-def _edge_push_close(states: list, level: int, x: complex) -> list:
-    """x^(|lam|-|mu|) = x^(|lam|-lo) x^(lo-|mu|) from one table of powers of
-    x, built by repeated multiplication and division from x^0; below lam,
-    |mu| runs from |lam| - lam_1 to |lam| - lam_N."""
-    sizes = [size for _, size, _ in states]
-    lo, top = min(sizes), max(sizes)
-    least = min(0, lo - max([size - lam[-1] for lam, size, _ in states]))
-    most = max(top - lo, lo - min([size - lam[0] for lam, size, _ in states]))
-    up, down = [1 + 0j], [1 + 0j]
-    for _ in range(most):
-        up.append(up[-1] * x)
-    for _ in range(-least):
-        down.append(down[-1] / x)
-    powers = down[:0:-1] + up  # x^e at index e - least
-    below: dict[tuple[int, ...], complex] = {}
-    for lam, size, c in states:
-        v = c * powers[size - lo - least]
-        for mu in product(*[range(lam[i + 1], lam[i] + 1) for i in range(level)]):
-            below[mu] = below.get(mu, 0) + v
-    return [(mu, size := sum(mu), v * powers[lo - size - least]) for mu, v in below.items()]
+    n, q = chi.level, chi.q
+    states = {}
+    for lam, p in chi.weights.items():
+        scale = q ** (-2 * sum((n - i) * x for i, x in enumerate(lam.parts, 1)))
+        states[lam.parts] = float(p * scale / principal_specialization(lam, q))
+    t = float(q * q)
+    for k in range(n, 0, -1):
+        zk = complex(z[k - 1])
+        below: dict[tuple[int, ...], complex] = {}
+        for lam, w in states.items():
+            for mu in product(*[range(lam[i], lam[i - 1] + 1) for i in range(1, k)]):
+                f = zk ** (sum(lam) - sum(mu))
+                for i in range(1, k):
+                    f *= t ** (i * (mu[i - 1] - lam[i]))
+                below[mu] = below.get(mu, 0) + w * f
+        states = below
+    return complex(states[()])
 
 
 def check_product(

@@ -539,9 +539,9 @@ class TestSgfTorus:
                 assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
 
     def test_one_row_cut_into_bands_where_every_state_counts(self):
-        # the level-2 row (0,) spans sizes 0 down to -900, and |x_2|^900 > 2^256
-        # at q = 9/10; unlike at q = 1/100, no state is negligible, so a state
-        # lost or counted twice along the row's running sum shows
+        # the level-2 row (0,) spans sizes 0 down to -900 at q = 9/10; unlike
+        # at q = 1/100, no state is negligible, so a state lost or counted
+        # twice along the row's running sum shows
         import cmath
 
         chi = LevelCharacter(2, Fraction(9, 10), {sig(0, -j): Fraction(1, 901) for j in range(901)})
@@ -552,8 +552,10 @@ class TestSgfTorus:
     @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
     def test_every_point_mass_of_a_wide_grid_answers(self, q):
         # every level-2 point mass with parts on the step-100 grid over
-        # [-1000, 1000], and every level-3 one of width <= 200: the principal
-        # specializations of many leave the float range, the scaled states do not
+        # [-1000, 1000], every level-3 one of width <= 200, and (-512, -512),
+        # subnormal at q = 1/2: the principal specializations of many leave
+        # the float range, the scaled states do not; each level-2 mass also
+        # meets the scaled edge walk
         import cmath
 
         grid = range(-1000, 1001, 100)
@@ -561,13 +563,17 @@ class TestSgfTorus:
         sigs += [
             sig(a, b, c) for a in grid for b in grid for c in grid if a >= b >= c and a - c <= 200
         ]
-        assert len(sigs) == 349
+        sigs.append(sig(-512, -512))
+        assert len(sigs) == 350
         rng = random.Random(47)
         for lam in sigs:
             chi = indecomposable(lam, q)
             z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(lam.level)]
             assert abs(sgf_eval_torus(chi, [1] * lam.level) - 1) <= 1e-12, lam
-            assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12, lam
+            value = sgf_eval_torus(chi, z)
+            assert abs(value) <= 1 + 1e-12, lam
+            if lam.level == 2:
+                assert abs(value - sgf_eval_torus_edge_oracle(chi, z)) <= 1e-12, lam
 
     def test_mixed_support_at_a_small_q(self):
         # s_lam(1, 10^4) spans 10^320 at [80, 0] down to 10^-320 at [-80, -80]

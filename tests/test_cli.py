@@ -761,6 +761,17 @@ class TestInputLimit:
         assert list(doc) == ["error"]
         assert doc["error"].startswith("Exceeds the limit (4300 digits) for integer string conversion")
 
+    def test_an_exponent_scalar_exits_two_at_once(self):
+        # a decimal exponent is outside the scalar grammar; read by
+        # `Fraction`, it would build 10**99999999 before any check
+        proc = run_fresh(
+            "-m", "qchar.cli", "qdim", "--q", "1e-99999999", "--sig", "[1, 0]", timeout=20
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["error"] and "1e-99999999" in doc["error"]
+
     def test_requests_at_the_limit_finish(self, capsys):
         m = MAX_PART
         code, out = run_cli(capsys, "qdim", "--q", "1/2", "--sig", f"[{m}, 0, {-m}]")

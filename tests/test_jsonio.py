@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,10 +44,20 @@ class TestScalars:
     def test_plain_integers_accepted(self):
         assert parse_scalar(5) == 5
 
-    @pytest.mark.parametrize("bad", ["1/0", "abc", 1.5, None])
+    @pytest.mark.parametrize(
+        "bad", ["1/0", "abc", 1.5, None, "1e-10000000", "0.5", "1_000", " 1", "1/-2"]
+    )
     def test_bad_scalars_rejected(self, bad):
+        # only [+-]digits[/digits] is read: `Fraction` alone would expand
+        # "1e-10000000" for seconds before answering
+        start = time.perf_counter()
         with pytest.raises(ValueError):
             parse_scalar(bad)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text, value", [("+5", 5), ("-0", 0), ("007/014", Fraction(1, 2))])
+    def test_signed_and_padded_digits_accepted(self, text, value):
+        assert parse_scalar(text) == value
 
 
 class TestSignatures:
