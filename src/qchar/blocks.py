@@ -20,21 +20,22 @@ Laurent polynomial in q.  The pairings below gather each block's entry
 products by F exponent, make each block's share an unreduced integer pair
 over the integer quantum dimension, and fold the shares over the lcm of
 their denominators, building one `Fraction` per returned value instead of
-a q-power per entry or a quotient per block; the loops visit only the
-nonzero entries of each stored row.  The real-time flow is kept exact:
-`flow_coefficients` returns chi(sigma_t(x) y) as the Laurent coefficients
-of a polynomial in w = q^(it), and evaluating it in floats is left to the
-caller.  The KMS check reads its left side from the same pass, the flow
-at w = q^-1, and its right side from `state_of_product`.  The exact
-imaginary-time flow multiplies integer numerators and denominators, and
-the F-compatibility check compares exponents.  Rows of int 0s, most of a
-matrix unit or of an embedding that misses a label, are stored once per
-block side.
+a q-power per entry or a quotient per block.  The pairings, `@`, `scaling`
+and the off-diagonal test of `decompose_state` share one row walk, in
+which `compress` visits only the nonzero entries of each stored row.  The
+real-time flow is kept exact: `flow_coefficients` returns chi(sigma_t(x) y)
+as the Laurent coefficients of a polynomial in w = q^(it), and evaluating
+it in floats is left to the caller.  The KMS check reads its left side
+from the same pass, the flow at w = q^-1, and its right side from
+`state_of_product`.  The exact imaginary-time flow multiplies integer
+numerators and denominators, and the F-compatibility check compares
+exponents.  Rows of int 0s, most of a matrix unit or of an embedding that
+misses a label, are stored once per block side, and the walks skip them.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import is_
 from typing import Iterable, Mapping, Sequence
@@ -116,21 +117,18 @@ def _square(kind: str, sig: Signature, rows) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> list:
-    n = len(a)
-    out = [_zero_row(n)] * n
-    for i in range(n):
-        ai = a[i]
-        if not any(ai):
+    """a @ b over the nonzero entries of a's and b's rows, in the walk of
+    `_pair_table`; a's shared zero rows stay shared in the product."""
+    zero, cols = _zero_row(len(a)), range(len(a))
+    out = [zero] * len(a)
+    for i, row in enumerate(a):
+        if row is zero:
             continue
-        oi = out[i] = [0] * n
-        for k in range(n):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(n):
-                    y = bk[j]
-                    if y:
-                        oi[j] = oi[j] + x * y
+        oi = out[i] = [0] * len(a)
+        for k in compress(cols, row):
+            x, bk = row[k], b[k]
+            for j in compress(cols, bk):
+                oi[j] = oi[j] + x * bk[j]
     return out
 
 
@@ -561,24 +559,25 @@ def decompose_state(
     semidefinite and have traces summing to 1.  Every comparison is exact:
     the traces and their total are integer pairs folded by `_fold`, with
     one `Fraction` per coefficient, and the PSD test is exact LDL^T
-    elimination, O(d^3) per block and O(d^2) on a diagonal one.
+    elimination, O(d^3) per block and O(d^2) on a diagonal one.  Symmetry
+    compares rows with columns, and the first nonzero off-diagonal entry,
+    row-major, is found by the row walk of the pairings.
     """
     q = check_q(q)
     mats = {}
     for sig, rows in densities.items():
         rows = _square("density", sig, rows)
-        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        if not all(map(isinstance, chain.from_iterable(rows), repeat((int, Fraction)))):
             raise ValueError(f"density at {sig} must have exact (int or Fraction) entries")
         mats[sig] = rows
 
     traces = {}
     for sig, rows in mats.items():
-        n = len(rows)
-        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        if rows != tuple(zip(*rows)):
             raise ValueError(f"density at {sig} is not symmetric")
         if not _ldl_psd(rows):
             raise ValueError(f"density at {sig} is not positive semidefinite")
-        traces[sig] = _fold((rows[i][i].numerator, rows[i][i].denominator) for i in range(n))
+        traces[sig] = _fold((row[i].numerator, row[i].denominator) for i, row in enumerate(rows))
 
     total = _fold(traces.values())
     if total[0] != total[1]:
@@ -590,13 +589,12 @@ def decompose_state(
     a, b = q.numerator, q.denominator
     coeffs = {}
     for sig, rows in sorted(mats.items(), key=lambda kv: kv[0].parts):
-        n = len(rows)
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] != 0:
+        cols = range(len(rows))
+        for i, row in enumerate(rows):
+            for j in compress(cols, row):
+                if j != i:
                     return DecomposeReport(
-                        False,
-                        reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]",
+                        False, reason=f"nonzero off-diagonal entry at {sig}[{i},{j}]"
                     )
         exps = f_spectrum(sig)
         m = min(exps)
@@ -604,8 +602,8 @@ def decompose_state(
         pa, pb = powers[exps[0]]
         first = rows[0][0]
         left, right = first.denominator * pa, first.numerator * pb
-        for i in range(1, n):
-            d = rows[i][i]
+        for i, row in enumerate(rows[1:], 1):
+            d = row[i]
             pa, pb = powers[exps[i]]
             if d.numerator * pb * left != d.denominator * pa * right:
                 return DecomposeReport(

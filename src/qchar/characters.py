@@ -326,7 +326,7 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
     """
     if len(points) != chi.level:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
-    s = _evaluator(chi.level, points)
+    s = _evaluator(points)
     qn, qd = chi.q.numerator, chi.q.denominator
     terms = []
     for lam, p in chi.weights.items():

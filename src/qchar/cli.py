@@ -126,6 +126,8 @@ def _cmd_tensor(args):
     from . import characters
 
     chi = characters.tensor(_char_arg(args.left), _char_arg(args.right))
+    # the product must be accepted back, so it obeys the input limit too
+    jsonio.check_parts([p for sig in chi.weights for p in sig.parts], "product signature part")
     return 0, jsonio.character_to_json(chi)
 
 
@@ -202,13 +204,11 @@ def _cmd_verify_corollary(args):
     from . import boundary
 
     jsonio.check_parts([args.k], "--k")
-    report = boundary.verify_corollary(
-        jsonio.theta_from_json(_json_arg(args.theta)),
-        args.k,
-        args.level,
-        args.trunc,
-        _q_arg(args.q),
-    )
+    theta, q = jsonio.theta_from_json(_json_arg(args.theta)), _q_arg(args.q)
+    # both printed characters live on the shifted parameter's parts, as in `ak --theta`
+    shifted = boundary.ak_on_theta(theta, args.k)
+    jsonio.check_parts(shifted.head + (shifted.tail,), "shifted boundary parameter entry")
+    report = boundary.verify_corollary(theta, args.k, args.level, args.trunc, q)
     payload = {
         "pass": report.ok,
         "lhs": jsonio.character_to_json(report.tensored),

@@ -63,12 +63,10 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
-def _evaluator(
-    level: int, points: Sequence[Fraction]
-) -> Callable[[Signature], tuple[int, int]]:
-    """lam -> s_lam(points) for level-`level` signatures at exact points, as
-    an integer pair (numerator, denominator), not reduced; the denominator
-    is nonzero but may be negative.
+def _evaluator(points: Sequence[Fraction]) -> Callable[[Signature], tuple[int, int]]:
+    """lam -> s_lam(points) for signatures of level len(points) at exact
+    points, as an integer pair (numerator, denominator), not reduced; the
+    denominator is nonzero but may be negative.
 
     The points are put over one common denominator, x_i = c_i / B, and every
     Schur value is computed in integers on the partition mu = lam - lam_N:
@@ -81,19 +79,15 @@ def _evaluator(
     homogeneous values h_k(c) are one table shared by every signature of
     the call, grown on demand by the column recurrence
     h_k(c_1..c_n) = h_k(c_1..c_(n-1)) + c_n h_(k-1)(c_1..c_n), O(N) per k.
-    Zero points are rejected.
+    Zero points are rejected; each caller checks the number of points.
     """
-    if len(points) != level:
-        raise ValueError(
-            f"need {level} points for a level-{level} signature, got {len(points)}"
-        )
     pts = [x if type(x) is Fraction else Fraction(x) for x in points]
     if any(x == 0 for x in pts):
         raise ValueError("evaluation points must be nonzero")
     den = lcm(*(x.denominator for x in pts))
     c = [x.numerator * (den // x.denominator) for x in pts]
     h = [1]  # h[k] = h_k(c_1..c_N)
-    col = [1] * level  # col[n] = h_(len(h)-1)(c_1..c_(n+1))
+    col = [1] * len(pts)  # col[n] = h_(len(h)-1)(c_1..c_(n+1))
 
     def partition(mu: tuple[int, ...]) -> int:
         rows = mu[: len(mu) - mu.count(0)]  # the nonzero parts
@@ -131,7 +125,11 @@ def schur_eval(lam: Signature, points: Sequence[Fraction]) -> Fraction:
     out, as a Jacobi-Trudi determinant; the same path serves distinct and
     coincident points.  Zero points are rejected.
     """
-    return Fraction(*_evaluator(lam.level, points)(lam))
+    if len(points) != lam.level:
+        raise ValueError(
+            f"need {lam.level} points for a level-{lam.level} signature, got {len(points)}"
+        )
+    return Fraction(*_evaluator(points)(lam))
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +192,7 @@ def _fold(shares: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
+# kept beside `_qdim_pair`'s cache: bench/tracer.py reads qdim.cache_info in every traced run
 @lru_cache(maxsize=None)
 def qdim(lam: Signature, q: Fraction) -> Fraction:
     """Quantum dimension: product of [lam_i - lam_j + j - i] / [j - i].

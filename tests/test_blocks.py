@@ -112,6 +112,8 @@ class TestBlockElement:
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^\(1\) is not a level-2 signature$"):
             BlockElement(2, HALF, {sig(1): ((1,),)})
+        with pytest.raises(ValueError, match=r"^block elements live at level >= 1$"):
+            BlockElement(0, HALF, {})
 
     def test_matmul_supports_intersect(self):
         x = BlockElement.basis_unit(2, HALF, sig(1, 0), 0, 1)

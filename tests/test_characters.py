@@ -345,6 +345,10 @@ class TestTensor:
     def test_level_one_adds_labels(self):
         assert tensor(delta(HALF, 3), delta(HALF, -1)) == delta(HALF, 2)
 
+    def test_level_zero_is_the_empty_point_mass(self):
+        assert lr_coefficients(EMPTY, EMPTY) == {EMPTY: 1}
+        assert tensor(delta(HALF), delta(HALF)) == delta(HALF)
+
     def test_frozen_level_two_fusion(self):
         chi = tensor(delta(HALF, 1, 0), delta(HALF, 1, 0))
         assert chi.weights == {
@@ -445,6 +449,8 @@ class TestSgf:
         chi = delta(HALF, 1, 0)
         x = (Fraction(3, 7), Fraction(-5, 2))
         assert sgf_eval(chi, x) == (x[0] + x[1]) / (1 + HALF ** -2)
+        with pytest.raises(ValueError, match=r"^need 2 points, got 1$"):
+            sgf_eval(chi, x[:1])
 
     def test_normalization_point(self):
         rng = random.Random(17)
@@ -503,6 +509,8 @@ class TestSgfTorus:
     def test_off_torus_rejected(self):
         with pytest.raises(ValueError):
             sgf_eval_torus(delta(HALF, 1, 0), [2, 1])
+        with pytest.raises(ValueError, match=r"^need 2 torus points, got 1$"):
+            sgf_eval_torus(delta(HALF, 1, 0), [1])
 
     def test_points_are_tested_at_the_stated_bound(self):
         # TORUS_PRECISION = 1e-12: 5e-13 off the circle passes, 2e-12 off does not
@@ -538,7 +546,7 @@ class TestSgfTorus:
             for z in [[1, 1, 1]] + zs:
                 assert abs(sgf_eval_torus(chi, z) - path_expectation(chi, z)) <= 1e-12
 
-    def test_one_row_cut_into_bands_where_every_state_counts(self):
+    def test_a_901_state_row_at_nine_tenths_matches_the_edge_oracle(self):
         # the level-2 row (0,) spans sizes 0 down to -900 at q = 9/10; unlike
         # at q = 1/100, no state is negligible, so a state lost or counted
         # twice along the row's running sum shows

@@ -68,6 +68,7 @@ MALFORMED = {
 }
 
 CHAR_1200 = '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
+POINT_1000 = CHAR % (2, '[{"sig": [1000, 0], "prob": "1"}]')
 POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
 
 
@@ -613,6 +614,21 @@ class TestErrorPaths:
         assert abs(complex(doc["value"]["re"], doc["value"]["im"]) - 1) <= 1e-12
         assert captured.err == ""
 
+    def test_x_without_y_exits_two(self, capsys):
+        code = main(["kms-check", "--state", DELTA_10, "--x", BLOCK % (2, "[]")])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {"error": "pass both --x and --y, or neither"}
+
+    def test_a_torus_point_past_the_float_range_exits_two(self, capsys):
+        # json reads 10**400 as an int, and complex() cannot convert it
+        code = main(TORUS + ["--z", "[[%d, 0]]" % 10 ** 400])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {
+            "error": "floating-point overflow: int too large to convert to float"
+        }
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exit_two(self, capsys, trials):
         code, out = run_cli(
@@ -790,6 +806,34 @@ class TestInputLimit:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["tensor", "--left", POINT_1000, "--right", POINT_1000],
+             "product signature part 1001 is beyond the input limit |v| <= 1000"),
+            (["verify-corollary", "--q", "1/2", "--theta", '{"head": [], "tail": 1000}',
+              "--k", "1000", "--level", "1", "--trunc", "1"],
+             "shifted boundary parameter entry 2000 is beyond the input limit |v| <= 1000"),
+        ],
+        ids=["tensor", "verify-corollary"],
+    )
+    def test_characters_past_the_limit_are_not_printed(self, capsys, argv, error):
+        # `restrict` would refuse either output: every printed artifact is read back
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {"error": error}
+
+    def test_a_product_at_the_limit_is_read_back(self, capsys):
+        half = CHAR % (2, '[{"sig": [500, 0], "prob": "1"}]')
+        code, out = run_cli(capsys, "tensor", "--left", half, "--right", half)
+        assert code == 0
+        product = json.loads(out)
+        assert product["entries"][-1]["sig"] == [1000, 0]
+        code, out = run_cli(capsys, "restrict", "--char", out)
+        assert code == 0
+        assert len(json.loads(out)["entries"]) == 1001
 
 
 class TestFileArguments:

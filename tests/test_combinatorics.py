@@ -76,6 +76,10 @@ class TestEnumerateDown:
     def test_examples(self, upper, expected):
         assert list(enumerate_down(upper)) == expected
 
+    def test_the_empty_signature_has_nothing_below(self):
+        with pytest.raises(ValueError, match=r"^need a signature of level >= 1$"):
+            list(enumerate_down(EMPTY))
+
     def test_count_and_order(self):
         for level in (1, 2, 3, 4):
             for nu in iter_signatures(level, -3, 3):
@@ -112,6 +116,8 @@ class TestPatterns:
             GTPattern(((0,), (2, 1)))  # 0 does not interlace within (2, 1)
         with pytest.raises(ValueError):
             GTPattern(((1, 0),))
+        with pytest.raises(ValueError, match=r"^a pattern needs at least one row$"):
+            GTPattern(())
 
     @pytest.mark.parametrize("rows", [((0.5,),), (("1",), (1, 0)), ((1,), (Fraction(1), 0))])
     def test_rows_must_be_integers(self, rows):
@@ -155,6 +161,8 @@ class TestBoundaryParam:
     def test_entries(self):
         theta = BoundaryParam((-1, 0), 2)
         assert [theta.entry(i) for i in range(1, 6)] == [-1, 0, 2, 2, 2]
+        with pytest.raises(ValueError, match=r"^sequence entries are indexed from 1$"):
+            BoundaryParam((), 0).entry(0)
 
     def test_signature_at(self):
         theta = BoundaryParam((0,), 1)

@@ -94,7 +94,7 @@ class TestSchurEval:
         assert schur_eval(sig(0, -1), (2, 3)) == Fraction(5, 6)
 
     def test_level_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 1 points for a level-1 signature, got 2$"):
             schur_eval(sig(1), (1, 2))
 
     def test_zero_point_rejected(self):
