@@ -3,9 +3,10 @@
 Every command reads exact scalars as "p/q" strings and prints one JSON
 document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
-domain errors (a floating-point overflow, a signature part beyond
-`jsonio.MAX_PART`, an `--output` path that cannot be written and a request
-deeper than Python's recursion limit included).  Identical flags and seed
+domain errors (a floating-point overflow, a signature part or boundary
+parameter entry beyond `jsonio.MAX_PART` in a document read or about to be
+printed, an `--output` path that cannot be written and a request deeper
+than Python's recursion limit included).  Identical flags and seed
 produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
@@ -125,10 +126,15 @@ def _cmd_restrict(args):
 def _cmd_tensor(args):
     from . import characters
 
-    chi = characters.tensor(_char_arg(args.left), _char_arg(args.right))
-    # the product must be accepted back, so it obeys the input limit too
-    jsonio.check_parts([p for sig in chi.weights for p in sig.parts], "product signature part")
-    return 0, jsonio.character_to_json(chi)
+    left, right = _char_arg(args.left), _char_arg(args.right)
+    characters._check_operands(left, right)
+    # the product's extreme parts, exact because the term lam + mu always has
+    # a positive weight: the limit is decided before the work it bounds
+    if left.level:
+        top = max(s.parts[0] for s in left.weights) + max(s.parts[0] for s in right.weights)
+        bottom = min(s.parts[-1] for s in left.weights) + min(s.parts[-1] for s in right.weights)
+        jsonio.check_parts([top, bottom], "product signature part")
+    return 0, jsonio.character_to_json(characters.tensor(left, right))
 
 
 def _cmd_sgf_eval(args):
@@ -190,14 +196,10 @@ def _cmd_ak(args):
     if (args.theta is None) == (args.char is None):
         raise ValueError("pass exactly one of --theta or --char")
     jsonio.check_parts([args.k], "--k")
-    # the shifted artifact must be accepted back, so it obeys the input limit too
     if args.theta is not None:
         shifted = boundary.ak_on_theta(jsonio.theta_from_json(_json_arg(args.theta)), args.k)
-        jsonio.check_parts(shifted.head + (shifted.tail,), "shifted boundary parameter entry")
         return 0, jsonio.theta_to_json(shifted)
-    shifted = boundary.ak_on_measure(_char_arg(args.char), args.k)
-    jsonio.check_parts([p for sig in shifted.weights for p in sig.parts], "shifted signature part")
-    return 0, jsonio.character_to_json(shifted)
+    return 0, jsonio.character_to_json(boundary.ak_on_measure(_char_arg(args.char), args.k))
 
 
 def _cmd_verify_corollary(args):
@@ -205,7 +207,7 @@ def _cmd_verify_corollary(args):
 
     jsonio.check_parts([args.k], "--k")
     theta, q = jsonio.theta_from_json(_json_arg(args.theta)), _q_arg(args.q)
-    # both printed characters live on the shifted parameter's parts, as in `ak --theta`
+    # before the work: both printed characters live on the shifted parameter's parts
     shifted = boundary.ak_on_theta(theta, args.k)
     jsonio.check_parts(shifted.head + (shifted.tail,), "shifted boundary parameter entry")
     report = boundary.verify_corollary(theta, args.k, args.level, args.trunc, q)

@@ -1,9 +1,10 @@
 """JSON wire formats: exact scalars as "p/q" strings, signatures as integer
 arrays, characters/block elements as sorted entry lists.
 
-Parsing is strict and raises ValueError with a usable message; emitted
-structures round-trip through the parsers bit for bit.  `entries_to_json`
-writes and `_document` reads every signature-keyed entry list.
+Parsing is strict and raises ValueError with a usable message; the writers
+refuse what the readers refuse, a part beyond `MAX_PART`, in the same words,
+so emitted structures round-trip through the parsers bit for bit.
+`entries_to_json` writes and `_document` reads every signature-keyed entry list.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ if TYPE_CHECKING:
     from .characters import CoherentFamily, LevelCharacter
 
 
-# Largest magnitude of a signature part, a boundary-parameter entry or a
-# shift --k read from input.  Exact results carry powers of q whose
+# Largest magnitude of a signature part or boundary-parameter entry read
+# or written, and of a shift --k read.  Exact results carry powers of q whose
 # exponents grow with the parts, so without a bound a request such as qdim
 # at [10**11, 0] never finishes; README gives the reason for 1000.
 MAX_PART = 1000
@@ -90,6 +91,7 @@ def parse_scalar(s) -> Fraction:
 
 
 def signature_to_json(sig: Signature) -> list[int]:
+    check_parts(sig.parts, "signature part")
     return list(sig.parts)
 
 
@@ -135,6 +137,7 @@ def family_from_json(data) -> CoherentFamily:
 
 
 def theta_to_json(theta: BoundaryParam) -> dict:
+    check_parts(theta.head + (theta.tail,), "boundary parameter entry")
     return {"head": list(theta.head), "tail": theta.tail}
 
 

@@ -69,6 +69,8 @@ MALFORMED = {
 
 CHAR_1200 = '{"level": 1200, "q": "99/100", "entries": [{"sig": %s, "prob": "1"}]}'
 POINT_1000 = CHAR % (2, '[{"sig": [1000, 0], "prob": "1"}]')
+POINT_LOW = CHAR % (2, '[{"sig": [0, -1000], "prob": "1"}]')
+POINT_3 = CHAR % (3, '[{"sig": [1000, 0, -1000], "prob": "1"}]')
 POINT_1200 = CHAR % (1200, '[{"sig": %s, "prob": "1"}]' % ([1] + [0] * 1199))
 
 
@@ -730,11 +732,14 @@ class TestInputLimit:
              "--level", "1", "--trunc", "2"],
             ["verify-corollary", "--q", "1/2", "--theta", '{"head": [0], "tail": 1}',
              "--k", "100000000000", "--level", "1", "--trunc", "2"],
+            # operands within the limit whose product is not: refused before
+            # the product is built, which takes minutes and gigabytes
+            ["tensor", "--left", POINT_3, "--right", POINT_3],
         ],
-        ids=["qdim", "extreme", "verify-corollary"],
+        ids=["qdim", "extreme", "verify-corollary", "tensor"],
     )
     def test_over_the_limit_exits_two_at_once(self, argv):
-        proc = run_fresh("-m", "qchar.cli", *argv, timeout=20)
+        proc = run_fresh("-m", "qchar.cli", *argv, timeout=5)
         assert proc.returncode == 2, proc.stderr
         assert "limit" in json.loads(proc.stdout)["error"]
 
@@ -806,24 +811,55 @@ class TestInputLimit:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+        code, out = run_cli(capsys, "lr", "--left", "[0, 0]", "--right", f"[{m}, 0]")
+        assert code == 0
+        assert json.loads(out) == {"terms": [{"sig": [m, 0], "coeff": 1}]}
 
     @pytest.mark.parametrize(
         "argv, error",
         [
             (["tensor", "--left", POINT_1000, "--right", POINT_1000],
-             "product signature part 1001 is beyond the input limit |v| <= 1000"),
+             "product signature part 2000 is beyond the input limit |v| <= 1000"),
+            (["tensor", "--left", POINT_LOW, "--right", POINT_LOW],
+             "product signature part -2000 is beyond the input limit |v| <= 1000"),
             (["verify-corollary", "--q", "1/2", "--theta", '{"head": [], "tail": 1000}',
               "--k", "1000", "--level", "1", "--trunc", "1"],
              "shifted boundary parameter entry 2000 is beyond the input limit |v| <= 1000"),
+            # the first term in ascending order is [1001, 999]
+            (["lr", "--left", "[1000, 0]", "--right", "[1000, 0]"],
+             "signature part 1001 is beyond the input limit |v| <= 1000"),
+            (MALFORMED["ak-theta-beyond-limit"],
+             "boundary parameter entry 2000 is beyond the input limit |v| <= 1000"),
+            (MALFORMED["ak-char-beyond-limit"],
+             "signature part -1001 is beyond the input limit |v| <= 1000"),
         ],
-        ids=["tensor", "verify-corollary"],
+        ids=["tensor", "tensor-low", "verify-corollary", "lr", "ak-theta", "ak-char"],
     )
     def test_characters_past_the_limit_are_not_printed(self, capsys, argv, error):
-        # `restrict` would refuse either output: every printed artifact is read back
+        # the consuming commands would refuse each output: every printed
+        # artifact is read back
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.err) == (2, "")
         assert json.loads(captured.out) == {"error": error}
+
+    @pytest.mark.parametrize("name", list(LAZY))
+    def test_printed_signatures_and_parameters_are_read_back(self, capsys, name):
+        code, out = run_cli(capsys, *LAZY[name][0])
+        assert code == 0
+
+        def read_back(node):
+            if isinstance(node, dict):
+                if "sig" in node:
+                    jsonio.signature_from_json(node["sig"])
+                if "head" in node:
+                    jsonio.theta_from_json(node)
+                node = list(node.values())
+            if isinstance(node, list):
+                for child in node:
+                    read_back(child)
+
+        read_back(json.loads(out))
 
     def test_a_product_at_the_limit_is_read_back(self, capsys):
         half = CHAR % (2, '[{"sig": [500, 0], "prob": "1"}]')

@@ -8,6 +8,7 @@ import pytest
 from qchar import BlockElement, BoundaryParam, CoherentFamily, Signature, restrict
 from qchar import jsonio
 from qchar.jsonio import (
+    MAX_PART,
     block_from_json,
     block_to_json,
     character_from_json,
@@ -62,9 +63,18 @@ class TestScalars:
 
 class TestSignatures:
     def test_roundtrip(self):
-        for parts in [(), (2, 1, 0), (-1, -1)]:
+        for parts in [(), (2, 1, 0), (-1, -1), (MAX_PART, 0, -MAX_PART)]:
             sig = Signature(parts)
             assert signature_from_json(signature_to_json(sig)) == sig
+
+    @pytest.mark.parametrize("part", [MAX_PART + 1, -MAX_PART - 1])
+    def test_writer_refuses_what_the_reader_refuses(self, part):
+        with pytest.raises(ValueError) as read:
+            signature_from_json([part, part])
+        with pytest.raises(ValueError) as written:
+            signature_to_json(Signature((part, part)))
+        assert str(written.value) == str(read.value)
+        assert str(read.value) == f"signature part {part} is beyond the input limit |v| <= {MAX_PART}"
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
@@ -93,8 +103,22 @@ class TestCharacters:
 
 class TestTheta:
     def test_roundtrip(self):
-        theta = BoundaryParam((-1, 0), 2)
-        assert theta_from_json(theta_to_json(theta)) == theta
+        for theta in [BoundaryParam((-1, 0), 2), BoundaryParam((-MAX_PART,), MAX_PART)]:
+            assert theta_from_json(theta_to_json(theta)) == theta
+
+    @pytest.mark.parametrize(
+        "head, tail", [((), MAX_PART + 1), ((-MAX_PART - 1,), 0)], ids=["tail", "head"]
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, head, tail):
+        with pytest.raises(ValueError) as read:
+            theta_from_json({"head": list(head), "tail": tail})
+        with pytest.raises(ValueError) as written:
+            theta_to_json(BoundaryParam(head, tail))
+        assert str(written.value) == str(read.value)
+        part = tail if tail > MAX_PART else head[0]
+        assert str(read.value) == (
+            f"boundary parameter entry {part} is beyond the input limit |v| <= {MAX_PART}"
+        )
 
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
