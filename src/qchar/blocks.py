@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import lcm
-from operator import is_
+from operator import index, is_
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import (
@@ -135,6 +135,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> list:
 class BlockElement(_Frozen):
     """Finitely supported signature -> square matrix map at one level.
 
+    The level is read with `operator.index`, as `Signature` reads parts.
     Matrix entries are exact (int or Fraction); each block is square with
     side equal to its signature's dimension, rows and columns indexed by
     patterns in canonical order.  Absent blocks are zero, and every row of
@@ -145,7 +146,7 @@ class BlockElement(_Frozen):
     __slots__ = ("level", "q", "blocks")
 
     def __init__(self, level: int, q: Fraction, blocks: Mapping[Signature, Matrix]):
-        q = check_q(q)
+        q, level = check_q(q), index(level)
         if level < 1:
             raise ValueError("block elements live at level >= 1")
         frozen = {}

@@ -4,13 +4,15 @@ An extreme character is parametrized by a nondecreasing integer sequence.
 Its level-N marginal is approximated by pushing the point mass at the
 reversed length-L prefix down from level L along the composed cotransition
 kernel, exactly and in one pass, by the walker behind `restrict`
-(`characters._push`); for the constant sequence the approximant is already
-exact at every truncation (it is the point mass at a rectangle, returned
-without walking the levels), and tensoring with that rectangle realizes the
-shift of the parameter sequence.
+(`characters._push`).  A constant prefix is decided from theta alone: its
+approximant is the point mass at the rectangle (theta_1, ..., theta_1) at
+every truncation, returned without building the prefix, so any truncation
+answers.  Tensoring with a rectangle realizes the shift of the parameter
+sequence.
 """
 
 from fractions import Fraction
+from operator import index
 
 from .combinatorics import BoundaryParam, Signature, _Frozen, shift
 from .characters import (
@@ -57,15 +59,23 @@ def extreme_character(
     The point mass sits at the signature (theta_L, ..., theta_1) at level
     L = `truncation` and is pushed down to `level` along the composed
     cotransition kernel in one pass (`characters._push`); all arithmetic is
-    exact and the result equals L - `level` successive restrictions.  The
-    measure is built without re-checking its weights.
+    exact and the result equals L - `level` successive restrictions.  When
+    theta_1 == theta_L the prefix is a rectangle, and so is every level of
+    it: the point mass at (theta_1,) * `level` is returned without building
+    the prefix or walking.  The measure is built without re-checking its
+    weights.
     """
+    level, truncation = index(level), index(truncation)
     if level < 1:
         raise ValueError("level must be at least 1")
     if truncation < level:
         raise ValueError(f"truncation {truncation} must be >= level {level}")
     q = check_q(q)
-    weights = _push({theta.signature_at(truncation): Fraction(1)}, level, q)
+    first = theta.entry(1)
+    if first == theta.entry(truncation):
+        weights = {Signature._trusted((first,) * level): Fraction(1)}
+    else:
+        weights = _push({theta.signature_at(truncation): Fraction(1)}, level, q)
     return ExtremeApproximant(theta, level, truncation, LevelCharacter._trusted(level, q, weights))
 
 

@@ -16,7 +16,7 @@ scaled by their dominant monomials so that no factor exceeds 1 in modulus.
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
@@ -28,7 +28,8 @@ class LevelCharacter(_Frozen):
 
     Weights are strictly positive rationals summing to exactly 1.  The
     unique level-0 character is the point mass at the empty signature.
-    The constructor checks every weight and the sum; the measures that
+    The constructor reads the level with `operator.index`, as `Signature`
+    reads parts, and checks every weight and the sum; the measures that
     `restrict`, `tensor` and the `boundary` approximants and shifts build
     are exact by construction and come through `_trusted` unchecked (the
     tests check them instead).
@@ -37,7 +38,7 @@ class LevelCharacter(_Frozen):
     __slots__ = ("level", "q", "weights")
 
     def __init__(self, level: int, q: Fraction, weights: Mapping[Signature, Fraction]):
-        q = check_q(q)
+        q, level = check_q(q), index(level)
         checked = {}
         for sig, w in weights.items():
             if sig.level != level:
@@ -74,10 +75,20 @@ class CoherentFamily(_Frozen):
 
 
 class CoherenceReport(_Frozen):
-    __slots__ = ("ok", "level", "sig")
+    """On failure: the lower level, the first signature whose mass differs,
+    and its mass after restriction and as stored (0 where absent)."""
 
-    def __init__(self, ok: bool, level: int | None = None, sig: Signature | None = None):
-        self._set(ok, level, sig)
+    __slots__ = ("ok", "level", "sig", "restricted_mass", "stored_mass")
+
+    def __init__(
+        self,
+        ok: bool,
+        level: int | None = None,
+        sig: Signature | None = None,
+        restricted_mass: Fraction | None = None,
+        stored_mass: Fraction | None = None,
+    ):
+        self._set(ok, level, sig, restricted_mass, stored_mass)
 
 
 def indecomposable(lam: Signature, q: Fraction) -> LevelCharacter:
@@ -112,7 +123,8 @@ def restrict(chi: LevelCharacter) -> LevelCharacter:
 
 def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dict:
     """Push the measure `weights` at level L >= 1 down to N = `level` < L
-    along the composed cotransition kernel, in one pass, in integers:
+    (or N = L for a single nu) along the composed cotransition kernel, in
+    one pass, in integers:
 
         Lambda(nu, lam) = qdim(lam) / qdim(nu) * q^((N+1)|lam| - (L-1)|nu|)
                           * sum over chains nu > mu_(L-1) > ... > mu_(N+1) > lam
@@ -128,13 +140,13 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     last, each group kept as one row of integers indexed by the last part
     and weighted by that level's table.  Parts pinned to nu[0] in
     every nu are not carried (a theta prefix walks at most h + 1 parts
-    whatever L is); a single nu whose target parts are all pinned
-    (nu[i+L-N] == nu[i]), or a push to level 0, is a point mass at once.
-    Keys ascend lexicographically, and the signatures are built unchecked.
+    whatever L is); a single nu that is a rectangle (nu[0] == nu[-1]) or
+    already at level N, or a push to level 0, is a point mass at once.  Keys
+    ascend lexicographically, and the signatures are built unchecked.
     """
     sigs = list(weights)
     n, big, top = level, sigs[0].level, sigs[0].parts
-    if n == 0 or len(sigs) == 1 and all(top[i + big - n] == top[i] for i in range(n)):
+    if n == 0 or len(sigs) == 1 and (n == big or top[0] == top[-1]):
         return {Signature._trusted(top[:n]): Fraction(1)}
     qn, qd = q.numerator, q.denominator
     a, b = qn * qn, qd * qd
@@ -266,14 +278,21 @@ def is_coherent(family: CoherentFamily) -> CoherenceReport:
     """Whether restricting each level reproduces the level below it, exactly.
 
     A single-level family is vacuously coherent.  On failure the report
-    carries the lower level N and the first signature whose mass differs.
+    carries the lower level N, the first signature whose mass differs, and
+    that signature's restricted and stored masses.
     """
     for n in range(len(family.measures) - 1, 0, -1):
         lower, upper = family.measures[n - 1], family.measures[n]
         pushed = restrict(upper)
         sig = first_discrepancy(pushed, lower)
         if sig is not None:
-            return CoherenceReport(False, lower.level, sig)
+            return CoherenceReport(
+                False,
+                lower.level,
+                sig,
+                pushed.weights.get(sig, Fraction(0)),
+                lower.weights.get(sig, Fraction(0)),
+            )
     return CoherenceReport(True)
 
 

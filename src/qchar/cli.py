@@ -3,11 +3,11 @@
 Every command reads exact scalars as "p/q" strings and prints one JSON
 document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
-domain errors (a floating-point overflow, a signature part or boundary
-parameter entry beyond `jsonio.MAX_PART` in a document read or about to be
-printed, an `--output` path that cannot be written and a request deeper
-than Python's recursion limit included).  Identical flags and seed
-produce byte-identical output.
+domain errors (a `--z` integer coordinate beyond the float range, a
+signature part or boundary parameter entry beyond `jsonio.MAX_PART` in a
+document read or about to be printed, an `--output` path that cannot be
+written and a request deeper than Python's recursion limit included).
+Identical flags and seed produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import jsonio, schur
@@ -148,7 +147,10 @@ def _cmd_sgf_torus(args):
     from . import characters
 
     chi = _char_arg(args.char)
-    pairs = _list_arg(args.z, _torus_pair, _TORUS_POINTS)  # all checked before any converts
+    pairs = _list_arg(args.z, _torus_pair, _TORUS_POINTS)
+    # every pair is checked, and then every coordinate, before any converts
+    if any(type(v) is int and abs(v) > sys.float_info.max for z in pairs for v in z):
+        raise ValueError("floating-point overflow: int too large to convert to float")
     value = characters.sgf_eval_torus(chi, [complex(*z) for z in pairs])
     return 0, {
         "value": {"re": value.real, "im": value.imag},
@@ -163,17 +165,11 @@ def _cmd_coherent_check(args):
     report = characters.is_coherent(family)
     violation = None
     if not report.ok:
-        lower = family.measures[report.level - 1]
-        pushed = characters.restrict(family.measures[report.level])
         violation = {
             "level": report.level,
             "sig": jsonio.signature_to_json(report.sig),
-            "restricted_mass": jsonio.format_scalar(
-                pushed.weights.get(report.sig, Fraction(0))
-            ),
-            "stored_mass": jsonio.format_scalar(
-                lower.weights.get(report.sig, Fraction(0))
-            ),
+            "restricted_mass": jsonio.format_scalar(report.restricted_mass),
+            "stored_mass": jsonio.format_scalar(report.stored_mass),
         }
     return (0 if report.ok else 1), {"pass": report.ok, "violation": violation}
 
@@ -405,9 +401,6 @@ def main(argv=None) -> int:
     try:
         code, payload = handler(args)
         _emit(jsonio.dumps(payload), args.output)
-    except OverflowError as exc:
-        _emit(jsonio.dumps({"error": f"floating-point overflow: {exc}"}), None)
-        return 2
     except RecursionError:
         _emit(jsonio.dumps({"error": "input too large: maximum recursion depth exceeded"}), None)
         return 2

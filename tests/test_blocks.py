@@ -29,7 +29,7 @@ from qchar import (
     state_of_product,
 )
 from qchar import blocks
-from qchar.jsonio import block_to_json, format_scalar
+from qchar.jsonio import block_from_json, block_to_json, format_scalar
 from qchar.blocks import (
     _kms_sides,
     _laurent_value,
@@ -114,6 +114,14 @@ class TestBlockElement:
             BlockElement(2, HALF, {sig(1): ((1,),)})
         with pytest.raises(ValueError, match=r"^block elements live at level >= 1$"):
             BlockElement(0, HALF, {})
+        # the level is read with operator.index: a float is refused, and a
+        # bool is the int the codec writes and reads back
+        with pytest.raises(TypeError):
+            BlockElement(1.0, HALF, {sig(1): ((1,),)})
+        x = BlockElement(True, HALF, {sig(1): ((1,),)})
+        assert type(x.level) is int
+        assert block_to_json(x)["level"] == 1
+        assert block_from_json(block_to_json(x)) == x
 
     def test_matmul_supports_intersect(self):
         x = BlockElement.basis_unit(2, HALF, sig(1, 0), 0, 1)

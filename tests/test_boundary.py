@@ -47,10 +47,11 @@ def random_theta(rng):
 
 def corollary_with_full_scans(theta, k, level, trunc, q):
     """`verify_corollary` with both discrepancy scans and the total variation
-    always taken; the tensor is looked up in `boundary`, as there."""
+    always taken; the tensor and the pushforward are looked up in `boundary`,
+    as there."""
     base = extreme_character(theta, level, trunc, q).measure
     tensored = boundary.tensor(base, indecomposable(Signature((k,) * level), q))
-    pushed = ak_on_measure(base, k)
+    pushed = boundary.ak_on_measure(base, k)
     direct = extreme_character(ak_on_theta(theta, k), level, trunc, q).measure
     bad = first_discrepancy(tensored, direct)
     if bad is None:
@@ -65,13 +66,27 @@ def corollary_with_full_scans(theta, k, level, trunc, q):
 
 
 class TestExtremeCharacter:
-    def test_constant_sequence_gives_the_rectangle(self):
+    def test_constant_sequence_gives_the_rectangle(self, monkeypatch):
+        # decided from theta alone: the prefix is neither built nor walked,
+        # so every truncation answers, and so do the gap and the corollary
+        def refuse(*args):
+            raise AssertionError("a constant prefix was built or walked")
+
+        monkeypatch.setattr(BoundaryParam, "signature_at", refuse)
+        monkeypatch.setattr(boundary, "_push", refuse)
         theta = BoundaryParam((), 2)
-        for level, trunc in [(1, 1), (2, 5), (3, 9)]:
+        for level, trunc in [(1, 1), (2, 5), (3, 9), (4, 10**9)]:
             approx = extreme_character(theta, level, trunc, HALF)
             assert approx.measure == indecomposable(
                 Signature((2,) * level), HALF
             )
+        # constant up to the truncation, not beyond it
+        approx = extreme_character(BoundaryParam((-1, -1, -1), 2), 2, 3, HALF)
+        assert approx.measure == indecomposable(sig(-1, -1), HALF)
+        assert cauchy_gap(theta, 3, 10**9, HALF) == 0
+        report = verify_corollary(theta, 4, 2, 10**9, HALF)
+        assert report.ok
+        assert report.tensored == indecomposable(sig(6, 6), HALF)
 
     def test_zero_sequence(self):
         approx = extreme_character(BoundaryParam((), 0), 2, 6, HALF)
@@ -88,6 +103,12 @@ class TestExtremeCharacter:
     def test_truncation_below_level_rejected(self):
         with pytest.raises(ValueError):
             extreme_character(BoundaryParam((), 0), 3, 2, HALF)
+        # level and truncation are read with operator.index, constant theta or not
+        for theta in (BoundaryParam((), 0), BoundaryParam((0,), 1)):
+            with pytest.raises(TypeError):
+                extreme_character(theta, 1, 3.0, HALF)
+            with pytest.raises(TypeError):
+                extreme_character(theta, 1.0, 3, HALF)
 
     def test_approximants_form_a_coherent_family(self):
         theta = BoundaryParam((-1, 0), 2)
@@ -191,11 +212,15 @@ class TestPushdownOracle:
                     assert_stochastic(ak_on_measure(chi, rng.randint(-3, 3)))
 
     def test_pinned_parts_give_the_point_mass(self):
-        # nu[i + L - N] == nu[i] for every target part: a constant prefix
-        theta = BoundaryParam((-1, -1, -1), 2)
-        assert extreme_character(theta, 2, 3, HALF).measure == indecomposable(sig(-1, -1), HALF)
-        approx = extreme_character(BoundaryParam((), -3), 4, 10**5, HALF)
-        assert approx.measure == indecomposable(sig(-3, -3, -3, -3), HALF)
+        # a single rectangle nu, as `restrict` and `cotransition` reach the
+        # walk, is its own point mass at every level below, as is a single nu
+        # pushed to its own level (an approximant at truncation == level); a
+        # non-rectangle walks
+        for parts, level in [((-1, -1, -1), 2), ((-3,) * 6, 4), ((5,), 0), ((0, -1, -3), 3)]:
+            got = _push({Signature(parts): Fraction(1)}, level, HALF)
+            assert got == {Signature(parts[:level]): 1}
+        assert len(_push({sig(0, -1, -1): Fraction(1)}, 2, HALF)) == 2
+        assert restrict(indecomposable(sig(2, 2), HALF)) == indecomposable(sig(2), HALF)
 
 
 class TestCauchyGap:
@@ -273,29 +298,34 @@ class TestVerifyCorollary:
 
     def test_perturbed_tensor_names_the_first_discrepancy_and_the_gap(self, monkeypatch):
         # move a share of the first support point's mass to a point just above
-        # it: the first discrepancy is that point and the gap is the share moved
-        last = []
+        # it, in the tensor product or else in the k-shift pushforward: the
+        # first discrepancy is that point, and the gap, taken between the
+        # tensor product and the shifted parameter's approximant, is the share
+        # moved or 0
+        for name in ("tensor", "ak_on_measure"):
+            original, last = getattr(boundary, name), []
 
-        def perturbed(a, b):
-            chi = tensor(a, b)
-            first = chi.support()[0]
-            above = Signature((first.parts[0] + 1,) + first.parts[1:])
-            weights = dict(chi.weights)
-            moved = weights[first] / 3
-            weights[first] -= moved
-            weights[above] = weights.get(above, Fraction(0)) + moved
-            last[:] = [first, moved]
-            return LevelCharacter(chi.level, chi.q, weights)
+            def perturbed(*args):
+                chi = original(*args)
+                first = chi.support()[0]
+                above = Signature((first.parts[0] + 1,) + first.parts[1:])
+                weights = dict(chi.weights)
+                moved = weights[first] / 3
+                weights[first] -= moved
+                weights[above] = weights.get(above, Fraction(0)) + moved
+                last[:] = [first, moved]
+                return LevelCharacter(chi.level, chi.q, weights)
 
-        monkeypatch.setattr(boundary, "tensor", perturbed)
-        rng = random.Random(29)
-        for _ in range(8):
-            theta, q = random_theta(rng), rng.choice(QS)
-            k, level = rng.randint(-2, 2), rng.randint(1, 3)
-            trunc = level + rng.randint(0, 3)
-            report = verify_corollary(theta, k, level, trunc, q)
-            first, moved = last
-            assert not report.ok
-            assert report.discrepancy == first
-            assert report.gap == moved
-            assert report == corollary_with_full_scans(theta, k, level, trunc, q)
+            monkeypatch.setattr(boundary, name, perturbed)
+            rng = random.Random(29)
+            for _ in range(8):
+                theta, q = random_theta(rng), rng.choice(QS)
+                k, level = rng.randint(-2, 2), rng.randint(1, 3)
+                trunc = level + rng.randint(0, 3)
+                report = verify_corollary(theta, k, level, trunc, q)
+                first, moved = last
+                assert not report.ok
+                assert report.discrepancy == first
+                assert report.gap == (moved if name == "tensor" else 0)
+                assert report == corollary_with_full_scans(theta, k, level, trunc, q)
+            monkeypatch.undo()

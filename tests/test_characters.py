@@ -20,6 +20,7 @@ from qchar import (
     total_variation,
 )
 from qchar.characters import _push
+from qchar.jsonio import character_from_json, character_to_json
 
 from helpers import (
     ascending,
@@ -111,6 +112,14 @@ class TestLevelCharacter:
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LevelCharacter(2, HALF, {sig(0): 1})
+        # the level is read with operator.index: a float is refused, and a
+        # bool is the int the codec writes and reads back
+        with pytest.raises(TypeError):
+            LevelCharacter(2.0, HALF, {sig(1, 0): 1})
+        chi = LevelCharacter(True, HALF, {sig(0): 1})
+        assert type(chi.level) is int
+        assert character_to_json(chi)["level"] == 1
+        assert character_from_json(character_to_json(chi)) == chi
 
 
 class TestWq:

@@ -17,7 +17,7 @@ from qchar import (
     random_block_element,
     scaling,
 )
-from qchar import cli, jsonio
+from qchar import blocks, cli, jsonio
 from qchar.cli import main
 from qchar.jsonio import MAX_PART, block_to_json, character_to_json, format_scalar
 
@@ -290,6 +290,29 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"abs": 1.0, "value": {"re": 1.0, "im": 0.0}}
 
+    @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
+    def test_a_constant_theta_at_a_billion_levels(self, command):
+        # decided from theta alone, so the point mass prints under a 1 GiB
+        # address-space cap on this child; a prefix of 10**9 parts exceeds it
+        script = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from qchar.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        argv = [command, "--q", "1/2", "--theta", '{"head": [], "tail": 2}']
+        argv += ["--level", "2", "--trunc", "1000000000"]
+        if command == "verify-corollary":
+            argv += ["--k", "1"]
+        proc = run_fresh("-c", script, *argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        if command == "extreme":
+            assert doc["truncation"] == 10**9
+            assert doc["measure"]["entries"] == [{"sig": [2, 2], "prob": "1"}]
+        else:
+            assert doc["pass"] is True
+            assert doc["lhs"] == doc["rhs"]
+            assert doc["lhs"]["entries"] == [{"sig": [3, 3], "prob": "1"}]
+
     def test_lr_with_a_1000_cell_strip(self):
         # one 1000-cell strip, built in a loop: the LR rule recurses neither per cell nor per row
         proc = run_fresh(
@@ -483,6 +506,19 @@ class TestVerificationCommands:
         assert out == out2
         assert json.loads(out)["pass"] is True
 
+    def test_kms_check_trials_report_the_first_failure(self, capsys, monkeypatch):
+        calls = []
+
+        def fails_from_the_third_call(*args):
+            calls.append(args)
+            return len(calls) < 3
+
+        monkeypatch.setattr(blocks, "kms_check", fails_from_the_third_call)
+        code = main(["kms-check", "--state", DELTA_10, "--trials", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert json.loads(captured.out) == {"pass": False, "trials": 5, "first_failure": 2}
+
     def test_kms_check_explicit_matches_the_matmul_path(self, capsys):
         # seeded level-3 elements on several blocks, some outside the state
         rng = random.Random(4242)
@@ -508,10 +544,16 @@ class TestVerificationCommands:
         }
         assert lhs != 0
 
-    def test_f_compat(self, capsys):
+    def test_f_compat(self, capsys, monkeypatch):
         code, out = run_cli(capsys, "f-compat", "--q", "1/2", "--sig", "[1,0]")
         assert code == 0
         assert json.loads(out)["pass"] is True
+        # a violation is printed as its signature and pattern index
+        report = blocks.FCompatReport(False, Signature((1,)), 1)
+        monkeypatch.setattr(blocks, "check_f_compatibility", lambda nu, q: report)
+        code, out = run_cli(capsys, "f-compat", "--q", "1/2", "--sig", "[1,0]")
+        assert code == 1
+        assert json.loads(out) == {"pass": False, "violation": {"sig": [1], "index": 1}}
 
     def test_decompose_accept_and_reject(self, capsys):
         good = (
@@ -630,6 +672,27 @@ class TestErrorPaths:
         assert json.loads(captured.out) == {
             "error": "floating-point overflow: int too large to convert to float"
         }
+
+    @pytest.mark.parametrize(
+        "z, error",
+        [
+            # every pair's shape is checked before any coordinate's range
+            ("[[%d, 0], [1]]" % 10**400, cli._TORUS_POINTS),
+            # and the range before the point count, as when complex() raised
+            (
+                "[[1, 0], [0, %d]]" % -10**400,
+                "floating-point overflow: int too large to convert to float",
+            ),
+            # a float past the range is read as inf, which is off the torus
+            ("[[1e400, 0]]", "torus points must have unit modulus"),
+        ],
+        ids=["shape-first", "range-before-count", "inf"],
+    )
+    def test_torus_points_are_checked_in_order(self, capsys, z, error):
+        code = main(TORUS + ["--z", z])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {"error": error}
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_nonpositive_trials_exit_two(self, capsys, trials):

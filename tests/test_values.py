@@ -53,9 +53,10 @@ CASES = {
         f"CoherentFamily(q=Fraction(1, 2), measures=({CHI_REPR},))",
     ),
     "CoherenceReport": (
-        CoherenceReport, [False], {"sig": TEN, "level": 2},
-        {"ok": False, "level": 2, "sig": TEN},
-        "CoherenceReport(ok=False, level=2, sig=Signature(parts=(1, 0)))",
+        CoherenceReport, [False], {"sig": TEN, "level": 2, "stored_mass": HALF},
+        {"ok": False, "level": 2, "sig": TEN, "restricted_mass": None, "stored_mass": HALF},
+        "CoherenceReport(ok=False, level=2, sig=Signature(parts=(1, 0)), "
+        "restricted_mass=None, stored_mass=Fraction(1, 2))",
     ),
     "ExtremeApproximant": (
         ExtremeApproximant, [BoundaryParam((), 1), 1], {"truncation": 3, "measure": CHI},
@@ -109,7 +110,7 @@ def test_frozen_value_semantics(case):
     assert value != values
     if cls is FCompatReport:
         # same field tuple (True, None, None), another class
-        assert value != CoherenceReport(True)
+        assert value != DecomposeReport(True)
 
     try:
         expected = hash(values)
