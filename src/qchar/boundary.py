@@ -11,6 +11,7 @@ answers.  Tensoring with a rectangle realizes the shift of the parameter
 sequence.
 """
 
+import sys
 from fractions import Fraction
 from operator import index
 
@@ -62,12 +63,14 @@ def extreme_character(
     exact and the result equals L - `level` successive restrictions.  When
     theta_1 == theta_L the prefix is a rectangle, and so is every level of
     it: the point mass at (theta_1,) * `level` is returned without building
-    the prefix or walking.  The measure is built without re-checking its
-    weights.
+    the prefix or walking.  A level beyond `sys.maxsize`, the longest tuple,
+    is refused.  The measure is built without re-checking its weights.
     """
     level, truncation = index(level), index(truncation)
     if level < 1:
         raise ValueError("level must be at least 1")
+    if level > sys.maxsize:
+        raise ValueError(f"level {level} is beyond the longest signature, {sys.maxsize} parts")
     if truncation < level:
         raise ValueError(f"truncation {truncation} must be >= level {level}")
     q = check_q(q)

@@ -383,8 +383,12 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
     zs = [complex(v) for v in z]
-    # written so that a NaN or infinite coordinate fails the comparison
-    if not all(abs(abs(v) - 1.0) <= TORUS_PRECISION for v in zs):
+    # written so that a NaN or infinite coordinate fails the comparison, and
+    # bounded first so that abs() never overflows on a huge finite one
+    if not all(
+        abs(v.real) <= 2 and abs(v.imag) <= 2 and abs(abs(v) - 1.0) <= TORUS_PRECISION
+        for v in zs
+    ):
         raise ValueError("torus points must have unit modulus")
     n, qn, qd = chi.level, chi.q.numerator, chi.q.denominator
     if not n:

@@ -148,8 +148,9 @@ def _cmd_sgf_torus(args):
 
     chi = _char_arg(args.char)
     pairs = _list_arg(args.z, _torus_pair, _TORUS_POINTS)
-    # every pair is checked, and then every coordinate, before any converts
-    if any(type(v) is int and abs(v) > sys.float_info.max for z in pairs for v in z):
+    # every pair is checked, and then every coordinate, before any converts;
+    # complex() refuses an int that rounds past the largest float
+    if any(type(v) is int and abs(v) >= 2**1024 - 2**970 for z in pairs for v in z):
         raise ValueError("floating-point overflow: int too large to convert to float")
     value = characters.sgf_eval_torus(chi, [complex(*z) for z in pairs])
     return 0, {

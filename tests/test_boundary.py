@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,10 @@ class TestExtremeCharacter:
                 extreme_character(theta, 1, 3.0, HALF)
             with pytest.raises(TypeError):
                 extreme_character(theta, 1.0, 3, HALF)
+            # no signature has more than sys.maxsize parts
+            big = sys.maxsize + 1
+            with pytest.raises(ValueError, match=r"^level \d+ is beyond the longest signature"):
+                extreme_character(theta, big, big, HALF)
 
     def test_approximants_form_a_coherent_family(self):
         theta = BoundaryParam((-1, 0), 2)

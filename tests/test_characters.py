@@ -520,6 +520,10 @@ class TestSgfTorus:
             sgf_eval_torus(delta(HALF, 1, 0), [2, 1])
         with pytest.raises(ValueError, match=r"^need 2 torus points, got 1$"):
             sgf_eval_torus(delta(HALF, 1, 0), [1])
+        # a finite point whose modulus is past the float range, or not a number
+        for z in (complex(1.5e308, 1.5e308), complex(1, float("nan")), complex(float("inf"), 0)):
+            with pytest.raises(ValueError, match="^torus points must have unit modulus$"):
+                sgf_eval_torus(delta(HALF, 1, 0), [z, 1])
 
     def test_points_are_tested_at_the_stated_bound(self):
         # TORUS_PRECISION = 1e-12: 5e-13 off the circle passes, 2e-12 off does not

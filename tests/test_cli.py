@@ -290,19 +290,21 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"abs": 1.0, "value": {"re": 1.0, "im": 0.0}}
 
+    # `main` in a child whose address space is capped at 1 GiB
+    CAPPED = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from qchar.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+
     @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
     def test_a_constant_theta_at_a_billion_levels(self, command):
-        # decided from theta alone, so the point mass prints under a 1 GiB
-        # address-space cap on this child; a prefix of 10**9 parts exceeds it
-        script = (
-            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from qchar.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
+        # decided from theta alone, so the point mass prints under the cap;
+        # a prefix of 10**9 parts exceeds it
         argv = [command, "--q", "1/2", "--theta", '{"head": [], "tail": 2}']
         argv += ["--level", "2", "--trunc", "1000000000"]
         if command == "verify-corollary":
             argv += ["--k", "1"]
-        proc = run_fresh("-c", script, *argv, timeout=20)
+        proc = run_fresh("-c", self.CAPPED, *argv, timeout=20)
         assert (proc.returncode, proc.stderr) == (0, "")
         doc = json.loads(proc.stdout)
         if command == "extreme":
@@ -312,6 +314,20 @@ class TestFreshProcess:
             assert doc["pass"] is True
             assert doc["lhs"] == doc["rhs"]
             assert doc["lhs"]["entries"] == [{"sig": [3, 3], "prob": "1"}]
+
+    @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
+    @pytest.mark.parametrize("theta", ['{"head": [], "tail": 2}', '{"head": [0], "tail": 1}'])
+    def test_a_level_past_the_longest_tuple_exits_two(self, command, theta):
+        # refused before any tuple of that length is asked for, constant theta or not
+        level = str(sys.maxsize + 1)
+        argv = [command, "--q", "1/2", "--theta", theta, "--level", level, "--trunc", level]
+        if command == "verify-corollary":
+            argv += ["--k", "1"]
+        proc = run_fresh("-c", self.CAPPED, *argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "error": f"level {level} is beyond the longest signature, {sys.maxsize} parts"
+        }
 
     def test_lr_with_a_1000_cell_strip(self):
         # one 1000-cell strip, built in a loop: the LR rule recurses neither per cell nor per row
@@ -685,8 +701,17 @@ class TestErrorPaths:
             ),
             # a float past the range is read as inf, which is off the torus
             ("[[1e400, 0]]", "torus points must have unit modulus"),
+            # so is a finite point whose modulus is past the range
+            ("[[1.5e308, 1.5e308]]", "torus points must have unit modulus"),
+            ("[[%d, %d]]" % (15 * 10**307, -15 * 10**307), "torus points must have unit modulus"),
+            # the last int that complex() rounds to the largest float, and the first past it
+            ("[[0, %d]]" % (2**1024 - 2**970 - 1), "torus points must have unit modulus"),
+            (
+                "[[0, %d]]" % (2**1024 - 2**970),
+                "floating-point overflow: int too large to convert to float",
+            ),
         ],
-        ids=["shape-first", "range-before-count", "inf"],
+        ids=["shape-first", "range-before-count", "inf", "huge-float", "huge-int", "last", "edge"],
     )
     def test_torus_points_are_checked_in_order(self, capsys, z, error):
         code = main(TORUS + ["--z", z])
