@@ -27,10 +27,14 @@ real-time flow is kept exact: `flow_coefficients` returns chi(sigma_t(x) y)
 as the Laurent coefficients of a polynomial in w = q^(it), and evaluating
 it in floats is left to the caller.  The KMS check reads its left side
 from the same pass, the flow at w = q^-1, and its right side from
-`state_of_product`.  The exact imaginary-time flow multiplies integer
-numerators and denominators, and the F-compatibility check compares
-exponents.  Rows of int 0s, most of a matrix unit or of an embedding that
-misses a label, are stored once per block side, and the walks skip them.
+`state_of_product`.  The exact imaginary-time flow `scaling` reads each
+scaled entry v * q^m from one module-level cache shared by every call,
+keyed on (v.numerator, v.denominator, q.numerator, q.denominator, m) and
+bounded by fixed limits: an entry is kept only when its integers fit in
+`_SCALED_BITS` bits, and the cache is cleared when it reaches
+`_SCALED_KEYS` entries.  The F-compatibility check compares exponents.
+Rows of int 0s, most of a matrix unit or of an embedding that misses a
+label, are stored once per block side, and the walks skip them.
 """
 
 from fractions import Fraction
@@ -375,22 +379,59 @@ def _product_terms(xs: Matrix, ys: Matrix, exps: Sequence[int]) -> dict:
     return terms
 
 
+# v * q^m for each key (v.numerator, v.denominator, q.numerator,
+# q.denominator, m), shared by every `scaling` call: see `_scaled_entry`
+_SCALED: dict[tuple[int, int, int, int, int], Fraction] = {}
+_SCALED_BITS = 320
+_SCALED_KEYS = 8192
+
+
+def _scaled_entry(key: tuple[int, int, int, int, int], big: dict) -> Fraction:
+    """v * q^m as a reduced `Fraction`, for key = (v.numerator,
+    v.denominator, q.numerator, q.denominator, m).
+
+    With q = a/b the factor q^m is the integer pair of `_qpow`, so the
+    value is Fraction(v.numerator * a^m, v.denominator * b^m).  It is kept
+    in `_SCALED` only when that unreduced numerator and denominator and b
+    fit in _SCALED_BITS bits; every integer the entry holds then does
+    (|m| too, as b >= 2), and a full cache of _SCALED_KEYS entries is
+    cleared before the next one is kept.  The cache thus never holds more
+    than 8192 entries of at most six 320-bit integers each, under 6 MB.
+    A larger value goes to `big`, the calling `scaling`'s own dict, so it
+    is still built once per call and key.
+    """
+    f = big.get(key)
+    if f is not None:
+        return f
+    vn, vd, a, b, m = key
+    pn, pd = _qpow(a, b, m)
+    num, den = vn * pn, vd * pd
+    f = Fraction(num, den)
+    if max(abs(num), den, b).bit_length() <= _SCALED_BITS:
+        if len(_SCALED) >= _SCALED_KEYS:
+            _SCALED.clear()
+        _SCALED[key] = f
+    else:
+        big[key] = f
+    return f
+
+
 def scaling(x: BlockElement, s: int) -> BlockElement:
     """Imaginary-time flow at integer time: entry (p, r) of each block is
     multiplied by q^(s * (exp_p - exp_r)).
 
-    With q = a/b the factor q^m is the integer pair (a^m, b^m), or
-    (b^-m, a^-m) for m < 0, computed the first time its gap e_p - e_r is
-    met, so an exact entry v becomes
-    Fraction(v.numerator * a^m, v.denominator * b^m).  That `Fraction` is
-    built once per distinct (numerator, denominator, gap e_p - e_r) in a
-    memo local to the call, and every later entry with the same key gets
-    the same immutable object; equal exact values (True and 1, 2 and
-    Fraction(4, 2)) share a key.  Only the nonzero entries of each stored
-    row are visited, and zeros are kept as they are.  s = 1 is the KMS
-    twist y -> F y F^(-1); the group law scaling(scaling(x, s), t) =
-    scaling(x, s + t) holds exactly.  The blocks keep x's shapes and x's
-    shared zero rows, so the result is built without `_square`'s re-freeze.
+    Each nonzero exact entry v at gap m = s * (exp_p - exp_r) becomes the
+    reduced `Fraction` v * q^m, looked up in one module-level cache keyed on
+    (v.numerator, v.denominator, q.numerator, q.denominator, m) and built by
+    `_scaled_entry` on a miss.  Equal exact values (True and 1, 2 and
+    Fraction(4, 2)) share a key, so equal values at equal gaps and equal q
+    get the same immutable object: across calls while their integers fit
+    the cache's bit limit, and within a call always.  Only the nonzero
+    entries of each stored row are visited, and zeros are kept as they are.
+    s = 1 is the KMS twist y -> F y F^(-1); the group law
+    scaling(scaling(x, s), t) = scaling(x, s + t) holds exactly.  The
+    blocks keep x's shapes and x's shared zero rows, so the result is built
+    without `_square`'s re-freeze.
     """
     if s != int(s):
         raise ValueError("imaginary-time scaling is exact only at integer times")
@@ -398,30 +439,23 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     if s == 0:
         return x
     a, b = x.q.numerator, x.q.denominator
-    factors = {}
-    memo = {}
+    get, big = _SCALED.get, {}
     blocks = {}
     try:
         for sig, rows in x.blocks.items():
-            exps = f_spectrum(sig)
-            zero, cols = _zero_row(len(exps)), range(len(exps))
+            powers = [s * e for e in f_spectrum(sig)]
+            zero, cols = _zero_row(len(powers)), range(len(powers))
             scaled = []
-            for row, ep in zip(rows, exps):
+            for row, ep in zip(rows, powers):
                 if row is zero:
                     scaled.append(row)
                     continue
                 out = list(row)
                 for r in compress(cols, row):
                     v = row[r]
-                    k = ep - exps[r]
-                    key = (v.numerator, v.denominator, k)
-                    f = memo.get(key)
-                    if f is None:
-                        pair = factors.get(k)
-                        if pair is None:
-                            pair = factors[k] = _qpow(a, b, s * k)
-                        f = memo[key] = Fraction(key[0] * pair[0], key[1] * pair[1])
-                    out[r] = f
+                    key = (v.numerator, v.denominator, a, b, ep - powers[r])
+                    # v is nonzero, so a cached value is too
+                    out[r] = get(key) or _scaled_entry(key, big)
                 scaled.append(tuple(out))
             blocks[sig] = tuple(scaled)
     except AttributeError:

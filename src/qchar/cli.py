@@ -6,7 +6,8 @@ check, 1 when a verification command finds a violation, 2 on usage or
 domain errors (a `--z` integer coordinate beyond the float range, a
 signature part or boundary parameter entry beyond `jsonio.MAX_PART` in a
 document read or about to be printed, an `--output` path that cannot be
-written and a request deeper than Python's recursion limit included).
+written, a request deeper than Python's recursion limit and one that runs
+out of memory included).
 Identical flags and seed produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
@@ -402,13 +403,16 @@ def main(argv=None) -> int:
     try:
         code, payload = handler(args)
         _emit(jsonio.dumps(payload), args.output)
+        return code
     except RecursionError:
-        _emit(jsonio.dumps({"error": "input too large: maximum recursion depth exceeded"}), None)
-        return 2
+        error = "input too large: maximum recursion depth exceeded"
+    except MemoryError:
+        error = "input too large: out of memory"
     except (ValueError, OSError) as exc:
-        _emit(jsonio.dumps({"error": str(exc)}), None)
-        return 2
-    return code
+        error = str(exc)
+    # written after the handler, once the traceback and the frames it holds are freed
+    _emit(jsonio.dumps({"error": error}), None)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import cmath
+import gc
 import hashlib
 import json
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,11 +33,15 @@ from qchar import (
 from qchar import blocks
 from qchar.jsonio import block_from_json, block_to_json, format_scalar
 from qchar.blocks import (
+    _SCALED,
+    _SCALED_BITS,
+    _SCALED_KEYS,
     _kms_sides,
     _laurent_value,
     _ldl_psd,
     _pair_table,
     _product_terms,
+    _scaled_entry,
     pattern_groups,
 )
 
@@ -757,8 +763,8 @@ class TestSharesFold:
         assert got[:3] == wants[:3] and sum(coeffs.values()) == wants[3]
 
 
-class TestScalingMemo:
-    """The per-call memo of exact entry factors in `scaling`."""
+class TestScalingCache:
+    """The shared bounded cache of scaled entries in `scaling`."""
 
     def _mixed(self, q):
         # sig(2, 0) has exponents (2, 0, -2): (0, 1) and (1, 2) share the gap
@@ -795,7 +801,7 @@ class TestScalingMemo:
         for s, t in ((2, 3), (-1, 1), (3, -5), (-2, -1)):
             assert scaling(scaling(x, s), t) == scaling(x, s + t)
 
-    def test_the_memo_does_not_outlive_a_call(self):
+    def test_the_cache_keys_on_q(self):
         rows = ((1, 2, 3), (2, 1, 2), (3, 2, 1))
         third = Fraction(1, 3)
         x = BlockElement(2, HALF, {sig(2, 0): rows})
@@ -806,6 +812,96 @@ class TestScalingMemo:
         assert scaling(x, 1) == first == scaling_oracle(x, 1)
         assert first.blocks[sig(2, 0)][0][1] == 2 * HALF ** 2
         assert scaling(x, 2).blocks[sig(2, 0)][0][1] == 2 * HALF ** 4
+
+    @staticmethod
+    def _within_limits():
+        assert len(_SCALED) <= _SCALED_KEYS
+        for (vn, vd, a, b, m), f in _SCALED.items():
+            assert abs(m) <= _SCALED_BITS
+            for n in (vn, vd, a, b, f.numerator, f.denominator):
+                assert abs(n).bit_length() <= _SCALED_BITS
+
+    @staticmethod
+    def _wide():
+        # 729 distinct values on a side-27 block: one new key per entry and time s
+        # off the zero gaps, all within the bit limit at q = 1/2 for 1 <= s <= 40
+        lam = sig(2, 0, -2)
+        rows = [[Fraction(27 * i + j + 1, 1009) for j in range(27)] for i in range(27)]
+        return BlockElement(3, HALF, {lam: rows})
+
+    def _fill_past_the_key_limit(self):
+        """Scale a wide element at s = 1, 2, ... until the cache has been
+        cleared once; the last s."""
+        x = self._wide()
+        sizes = [len(_SCALED)]
+        for s in range(1, 41):
+            scaling(x, s)
+            self._within_limits()
+            sizes.append(len(_SCALED))
+            if sizes[-1] < sizes[-2]:
+                return s
+        raise AssertionError(f"the cache was never cleared: sizes {sizes}")
+
+    def test_past_the_key_and_bit_limits(self):
+        huge = Fraction(10**100, 3)
+        big = BlockElement(2, HALF, {sig(2, 0): ((huge, 1, 2), (0, huge, -huge), (True, 0, huge))})
+        for s in (-500, 500, 1, -1):
+            out = scaling(big, s)
+            assert out == scaling_oracle(big, s)
+            # past the bit limit: built and shared within the call, never cached
+            assert out.blocks[sig(2, 0)][1][1] is out.blocks[sig(2, 0)][2][2]
+            assert not any(key[0] == huge.numerator for key in _SCALED)
+            self._within_limits()
+        last = self._fill_past_the_key_limit()
+        wide = self._wide()
+        for s in (last - 1, last, 1):
+            assert scaling(wide, s) == scaling_oracle(wide, s)
+        for q in SWEEP_QS:
+            x = self._mixed(q)
+            for s in (-500, -3, -1, 1, 3, 500):
+                assert scaling(x, s) == scaling_oracle(x, s)
+            self._within_limits()
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    def test_group_law_across_a_clear(self, q):
+        x = self._mixed(q)
+        for s, t in ((2, 3), (-1, 1), (3, -5), (500, -499)):
+            once = scaling(x, s)
+            self._fill_past_the_key_limit()
+            assert scaling(once, t) == scaling(x, s + t) == scaling_oracle(x, s + t)
+
+    def test_retained_bytes_stay_under_the_stated_bound(self):
+        # `_scaled_entry` states a worst case under 6 MB: at most _SCALED_KEYS
+        # entries holding at most six _SCALED_BITS-bit integers each
+        bound = 6 * 2**20
+        lam = sig(2, 0, -2)
+        x = random_block_element(3, HALF, [lam], random.Random(27))
+        assert len(x.blocks[lam]) == 27
+        scaling(x, 1)
+        tracemalloc.start()
+        try:
+            _SCALED.clear()
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for s in range(1000, 1040):
+                scaling(x, s)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - base < bound
+            # filled to the key limit with entries at the bit limit, q and v distinct per key
+            _SCALED.clear()
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            top = 1 << (_SCALED_BITS - 1)
+            for i in range(_SCALED_KEYS):
+                v, q = (top + 2 * i + 1, 2 * top - 3 - 2 * i), (top + 1 + 2 * i, 2 * top - 1 - 2 * i)
+                _scaled_entry((*v, *q, 0), {})
+            gc.collect()
+            assert len(_SCALED) == _SCALED_KEYS
+            self._within_limits()
+            assert tracemalloc.get_traced_memory()[0] - base < bound
+        finally:
+            tracemalloc.stop()
+            _SCALED.clear()
 
 
 class TestLdlPsd:

@@ -315,6 +315,16 @@ class TestFreshProcess:
             assert doc["lhs"] == doc["rhs"]
             assert doc["lhs"]["entries"] == [{"sig": [3, 3], "prob": "1"}]
 
+    def test_running_out_of_memory_exits_two(self):
+        # a non-constant theta still builds its 10**8-part prefix, past the cap
+        pytest.importorskip("resource")
+        argv = ["extreme", "--q", "1/2", "--theta", '{"head": [0], "tail": 1}']
+        argv += ["--level", "1", "--trunc", "100000000"]
+        proc = run_fresh("-c", self.CAPPED, *argv, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout) == {"error": "input too large: out of memory"}
+
     @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
     @pytest.mark.parametrize("theta", ['{"head": [], "tail": 2}', '{"head": [0], "tail": 1}'])
     def test_a_level_past_the_longest_tuple_exits_two(self, command, theta):
