@@ -386,7 +386,7 @@ _SCALED_BITS = 320
 _SCALED_KEYS = 8192
 
 
-def _scaled_entry(key: tuple[int, int, int, int, int], big: dict) -> Fraction:
+def _scaled_entry(key: tuple[int, int, int, int, int], big: dict, gaps: dict) -> Fraction:
     """v * q^m as a reduced `Fraction`, for key = (v.numerator,
     v.denominator, q.numerator, q.denominator, m).
 
@@ -397,13 +397,26 @@ def _scaled_entry(key: tuple[int, int, int, int, int], big: dict) -> Fraction:
     (|m| too, as b >= 2), and a full cache of _SCALED_KEYS entries is
     cleared before the next one is kept.  The cache thus never holds more
     than 8192 entries of at most six 320-bit integers each, under 6 MB.
-    A larger value goes to `big`, the calling `scaling`'s own dict, so it
-    is still built once per call and key.
+    A larger value goes to `big`, the calling `scaling`'s own dict, which
+    `scaling` reads before calling here, so it is still built once per call
+    and key.  Where b^|m| alone has more than _SCALED_BITS bits, no value
+    at gap m is kept: `gaps`, the call's own table by m, then holds q^m,
+    built once, and each value is v times it, whose reduction cancels only
+    against v's integers (for q = 1/b one side of q^m is 1, and the value
+    is built from the integer pair with one gcd); for a gap whose b^|m|
+    fits, it holds None.
     """
-    f = big.get(key)
-    if f is not None:
-        return f
     vn, vd, a, b, m = key
+    if m not in gaps:
+        gaps[m] = Fraction(a, b) ** m if (b ** abs(m)).bit_length() > _SCALED_BITS else None
+    power = gaps[m]
+    if power is not None:
+        if a == 1:  # q^m or q^-m is an integer: one gcd, against v's integers
+            f = Fraction(vn * power.numerator, vd * power.denominator)
+        else:
+            f = Fraction(vn, vd) * power
+        big[key] = f
+        return f
     pn, pd = _qpow(a, b, m)
     num, den = vn * pn, vd * pd
     f = Fraction(num, den)
@@ -439,7 +452,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
     if s == 0:
         return x
     a, b = x.q.numerator, x.q.denominator
-    get, big = _SCALED.get, {}
+    get, big, gaps = _SCALED.get, {}, {}
     blocks = {}
     try:
         for sig, rows in x.blocks.items():
@@ -455,7 +468,7 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
                     v = row[r]
                     key = (v.numerator, v.denominator, a, b, ep - powers[r])
                     # v is nonzero, so a cached value is too
-                    out[r] = get(key) or _scaled_entry(key, big)
+                    out[r] = get(key) or big.get(key) or _scaled_entry(key, big, gaps)
                 scaled.append(tuple(out))
             blocks[sig] = tuple(scaled)
     except AttributeError:

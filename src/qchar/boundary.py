@@ -1,30 +1,44 @@
 """Finite-level approximants of extreme characters and the shift action.
 
-An extreme character is parametrized by a nondecreasing integer sequence.
-Its level-N marginal is approximated by pushing the point mass at the
-reversed length-L prefix down from level L along the composed cotransition
-kernel, exactly and in one pass, by the walker behind `restrict`
-(`characters._push`).  A constant prefix is decided from theta alone: its
-approximant is the point mass at the rectangle (theta_1, ..., theta_1) at
-every truncation, returned without building the prefix, so any truncation
-answers.  Tensoring with a rectangle realizes the shift of the parameter
-sequence.
+An extreme character is parametrized by a nondecreasing integer sequence
+theta.  Its truncation-L approximant at level N is the pushdown of the
+point mass at the reversed prefix nu = (theta_L, ..., theta_1) along the
+composed cotransition kernel, and that has a closed form.  With c = theta_L,
+t = q^2 and M = L - N, let alpha_i = c - theta_i run over the h prefix
+entries below c, and for a level-N signature lam let beta_j = c - lam_(N-j+1),
+0 for j > N.  Then
+
+    P_N(lam) = qdim(lam) / qdim(nu) * q^((N+1)|lam| - (L-1)|nu|)
+               * t^(cM(M-1)/2 - (M-1)(Mc - |nu|))
+               * det[h_(alpha_i - beta_j - i + j)(1, t, ..., t^(M-1))]_(i,j <= h),
+
+a skew Jacobi-Trudi determinant at a principal specialization (Macdonald,
+*Symmetric Functions and Hall Polynomials*, I.5), or its dual in the
+elementary functions e_k, of size c - theta_1, where that is smaller.
+`extreme_character` takes it exactly, in integers, from theta's head and
+theta_L alone: it neither builds the length-L prefix nor walks the L - N
+levels.  A constant
+prefix is the point mass at the rectangle (theta_1, ..., theta_1) at every
+truncation.  The exact answer carries t^M, so a non-constant prefix at a
+large finite L cannot be printed; `check_printable` refuses one up front
+from a lower bound on its digits.  Tensoring with a rectangle realizes the
+shift of the parameter sequence.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 
 from .combinatorics import BoundaryParam, Signature, _Frozen, shift
 from .characters import (
     LevelCharacter,
-    _push,
     first_discrepancy,
     indecomposable,
     tensor,
     total_variation,
 )
-from .schur import check_q
+from .schur import _brackets, _eliminate, _qdim_pair, _qpow, check_q
 
 
 class ExtremeApproximant(_Frozen):
@@ -52,20 +66,10 @@ class CorollaryReport(_Frozen):
         self._set(ok, tensored, shifted, gap, discrepancy)
 
 
-def extreme_character(
-    theta: BoundaryParam, level: int, truncation: int, q: Fraction
-) -> ExtremeApproximant:
-    """Exact level-`level` pushdown of the point mass at the reversed prefix.
-
-    The point mass sits at the signature (theta_L, ..., theta_1) at level
-    L = `truncation` and is pushed down to `level` along the composed
-    cotransition kernel in one pass (`characters._push`); all arithmetic is
-    exact and the result equals L - `level` successive restrictions.  When
-    theta_1 == theta_L the prefix is a rectangle, and so is every level of
-    it: the point mass at (theta_1,) * `level` is returned without building
-    the prefix or walking.  A level beyond `sys.maxsize`, the longest tuple,
-    is refused.  The measure is built without re-checking its weights.
-    """
+def _levels(level: int, truncation: int) -> tuple[int, int]:
+    """The level and truncation, read with `operator.index`: 1 <= level <=
+    truncation, and a level beyond `sys.maxsize`, the longest tuple, is
+    refused."""
     level, truncation = index(level), index(truncation)
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -73,13 +77,249 @@ def extreme_character(
         raise ValueError(f"level {level} is beyond the longest signature, {sys.maxsize} parts")
     if truncation < level:
         raise ValueError(f"truncation {truncation} must be >= level {level}")
+    return level, truncation
+
+
+def extreme_character(
+    theta: BoundaryParam, level: int, truncation: int, q: Fraction
+) -> ExtremeApproximant:
+    """Exact level-`level` pushdown of the point mass at the reversed prefix.
+
+    The point mass sits at the signature (theta_L, ..., theta_1) at level
+    L = `truncation`; its pushdown along the composed cotransition kernel,
+    which equals L - `level` successive restrictions, is taken by the
+    determinant of the module docstring (`_approximant`), from theta's head
+    and theta_L, without building the prefix.  When theta_1 == theta_L the
+    prefix is a rectangle, and so is every level of it: the point mass at
+    (theta_1,) * `level` is returned.  A level beyond `sys.maxsize`, the
+    longest tuple, is refused.  The measure is built without re-checking
+    its weights.
+    """
+    level, truncation = _levels(level, truncation)
     q = check_q(q)
-    first = theta.entry(1)
-    if first == theta.entry(truncation):
+    first, top = theta.entry(1), theta.entry(truncation)
+    if first == top:
         weights = {Signature._trusted((first,) * level): Fraction(1)}
     else:
-        weights = _push({theta.signature_at(truncation): Fraction(1)}, level, q)
+        weights = _approximant(theta.head[:truncation], top, level, truncation, q)
     return ExtremeApproximant(theta, level, truncation, LevelCharacter._trusted(level, q, weights))
+
+
+def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -> dict:
+    """The level-n weights of the truncation-`big` approximant whose prefix
+    is `head`, then c up to entry `big`, with some head entry below c; keys
+    ascend lexicographically, and the signatures are built unchecked.
+
+    With M = big - n, the support is the partitions beta inside alpha whose
+    skew shape alpha/beta has at most M cells in a column (alpha_(M+j) <=
+    beta_j, alpha_i = 0 for i > h), with beta_j = 0 for j > m = min(n, h).
+    The determinant D(lam) is taken in whichever form is smaller: the h x h
+    one of the module docstring, whose columns past m do not move, or, when
+    alpha_1 < m, its dual det[e_(alpha'_i - beta'_j - i + j)] of size
+    alpha_1, over the conjugates.  Both are integers scaled alike: with
+    a = qn^2 and b = qd^2, one table per call, H_k = h_k b^((M-1)k) by
+    H_k = H_(k-1) (b^(M+k-1) - a^(M+k-1)) / (b^k - a^k), or
+    E_k = e_k b^((M-1)k) by
+    E_k = E_(k-1) (ab)^(k-1) (b^(M-k+1) - a^(M-k+1)) / (b^k - a^k), so
+    either determinant is b^((M-1)|alpha/beta|) s_(alpha/beta).
+
+    The columns that do not move are eliminated once, fraction-free
+    (`schur._eliminate`), their rows with them, so each pivot is a
+    principal minor: a skew Schur value of the rows (in the dual, the
+    columns) of alpha/beta from some j on, positive on the support.  The support is visited with the first
+    column fastest, so the elimination goes on over the moving columns,
+    last first and each on its own row, one step per level of the visit
+    (`_extend`); a row whose beta_j = alpha_j (a column, in the dual) is
+    empty and splits the skew shape, so its row and column leave the
+    determinant instead.  Each sweep
+    of the first column reads its cofactors off the one row left, and an
+    entry costs one product per moving column and one exact division; a
+    level costs O(width^2) integers, never a table of minors.  Each weight
+    is one Fraction: 1/qdim(nu) is built from the head's brackets, reduced
+    once, and the powers of qn and qd it and the q-factors of the formula
+    leave are netted per |beta| before they are raised.
+    """
+    alpha = [c - x for x in head if x < c]
+    h, gap = len(alpha), big - n
+    if not gap:
+        return {Signature._trusted((c,) * (big - h) + tuple(reversed(head[:h]))): Fraction(1)}
+    m = min(n, h)
+    qn, qd = q.numerator, q.denominator
+    a, b = qn * qn, qd * qd
+    dual = alpha[0] < m
+    if dual:
+        # the conjugates: row i holds alpha'_i, beta'_i <= min(alpha'_i, m)
+        rows_of = [sum(1 for x in alpha if x > i) for i in range(alpha[0])]
+        upper = [min(x, m) for x in rows_of]
+        lower = [max(x - gap, 0) for x in rows_of]
+        width, fixed = alpha[0], []
+    else:
+        rows_of = alpha
+        upper = alpha[:m]
+        lower = [alpha[gap + j] if gap + j < h else 0 for j in range(m)]
+        width, fixed = m, list(range(m, h))  # beta_j = 0 past m
+    # table[k] for k < alpha_1 + h, the largest index an entry reaches
+    table = [1]
+    low_a, low_b = 1, 1
+    if dual:
+        up_a, up_b, ab = a ** gap, b ** gap, 1
+        for _ in range(alpha[0] + h - 1):
+            low_a *= a
+            low_b *= b
+            table.append(table[-1] * ab * (up_b - up_a) // (low_b - low_a))
+            up_a, up_b, ab = up_a // a, up_b // b, ab * a * b
+    else:
+        up_a, up_b = a ** gap, b ** gap
+        for _ in range(alpha[0] + h - 1):
+            low_a *= a
+            low_b *= b
+            table.append(table[-1] * (up_b - up_a) // (low_b - low_a))
+            up_a *= a
+            up_b *= b
+
+    def entry(i: int, s: int) -> int:
+        # row i (0-based) of the column at s = beta_j - j
+        d = rows_of[i] - i - 1 - s
+        return table[d] if d >= 0 else 0
+
+    # the fixed columns and their rows first, then a moving column at every
+    # s from -width; rows and columns are permuted alike
+    matrix = [
+        [entry(i, -j - 1) for j in fixed] + [entry(i, s) for s in range(-width, rows_of[0])]
+        for i in fixed + list(range(width))
+    ]
+    sign, pivot = _eliminate(matrix, len(fixed))
+    divisor = sign * pivot  # an entry's sum of products is divisor * D(lam)
+    columns = list(zip(*matrix[len(fixed):]))[len(fixed):]  # columns[s + width]
+
+    # qdim(nu) = (brackets) / (qn qd)^spread, its brackets and spread read
+    # from alpha: the run of c against each entry, then the entries pairwise
+    size = sum(alpha)
+    power: Counter = Counter()
+    spread = (big - h) * size
+    for i, x in enumerate(alpha, 1):
+        for s in range(x):
+            power[big - i + 1 + s] += 1
+            power[h - i + 1 + s] -= 1
+        for l, y in enumerate(alpha[:i - 1], 1):
+            if y > x:
+                power[y - x + i - l] += 1
+                power[i - l] -= 1
+                spread += y - x
+    bn, bd = _brackets(power, qn, qd)
+    inverse = Fraction(bd, bn)
+    kn, kd = inverse.numerator, inverse.denominator
+    # the weight at |beta| = B is kn/kd qdim(lam) D / divisor times
+    # qn^(spread - (n+1)B - (M-n-1)|alpha|) qd^(spread + (2M+n-1)B - (M+n-1)|alpha|)
+    powers: dict[int, tuple[int, int]] = {}  # B -> that factor times kn/kd
+    out = {}
+
+    def conjugate(path: tuple) -> tuple:
+        # lam from c - beta'_A, ..., c - beta'_1: beta_j = #{i : beta'_i >= j}
+        count = [0] * (m + 1)
+        for v in path:
+            count[c - v] += 1
+        parts, run = [c] * (n - m), 0
+        for y in range(m, 0, -1):
+            run += count[y]
+            parts.append(c - run)
+        return tuple(parts)
+
+    def visit(j: int, state: tuple, least: int, path: tuple, cells: int) -> None:
+        # column j+1 from its upper bound down to the least value that keeps
+        # beta (or beta') a partition, given the elimination of the columns
+        # past it, c minus their values (last first) and their cells
+        floor = max(lower[j], least)
+        if j:
+            last, left = state
+            for y in range(upper[j], floor - 1, -1):
+                if y == rows_of[j]:
+                    grown = last, left[1:]
+                else:
+                    grown = _extend(state, columns[y - j - 1 + width], pivot)
+                visit(j - 1, grown, y, path + (c - y,), cells + y)
+            return
+        (cof,) = state[1]
+        for y in range(upper[0], floor - 1, -1):
+            det = sum(map(mul, columns[y - 1 + width], cof)) // divisor
+            lam = path + (c - y,)
+            if dual:
+                lam = conjugate(lam)
+            total = cells + y
+            pair = powers.get(total)
+            if pair is None:
+                xn, xd = _qpow(qn, 1, spread - (n + 1) * total - (gap - n - 1) * size)
+                yn, yd = _qpow(qd, 1, spread + (2 * gap + n - 1) * total - (gap + n - 1) * size)
+                pair = powers[total] = kn * xn * yn, kd * xd * yd
+            dn, dd = _qdim_pair(lam, qn, qd)
+            out[Signature._trusted(lam)] = Fraction(pair[0] * det * dn, pair[1] * dd)
+
+    # no column visited yet: the rows left, last first, as their entries in
+    # the unit columns, which start at pivot times the identity
+    unit = [[pivot if r == i else 0 for i in range(width)] for r in reversed(range(width))]
+    visit(width - 1, (pivot, unit), 0, () if dual else (c,) * (n - m), 0)
+    if dual:  # visited in another order
+        return dict(sorted(out.items(), key=lambda item: item[0].parts))
+    return out
+
+
+def _extend(state: tuple, col: tuple, pivot: int) -> tuple:
+    """One more step of Bareiss's elimination, on the next moving column.
+
+    The state (last, rows), never changed in place, is the elimination so
+    far: `last` is its last pivot, and `rows` are the rows not yet pivoted,
+    the one this column pivots on first, each held as its entries in the
+    unit columns, one per moving row, that started as `pivot` times the
+    identity.  A row's entry
+    in any column c is then sum_i c_i row_i / pivot, so `col` needs no
+    replay of the earlier steps, and the step is taken on the unit columns
+    alone.  Every division is exact, as in `schur._eliminate`, and the
+    pivot, a principal minor, is positive on the support.
+    """
+    last, rows = state
+    v = [sum(map(mul, col, row)) // pivot for row in rows]
+    top, head = v[0], rows[0]
+    return top, [
+        [(x * top - f * y) // last for x, y in zip(row, head)] for row, f in zip(rows[1:], v[1:])
+    ]
+
+
+def check_printable(
+    theta: BoundaryParam, level: int, truncation: int, q: Fraction
+) -> None:
+    """Refuse, before any work, an approximant whose exact weights hold an
+    integer that `str` cannot print: more digits than
+    `sys.get_int_max_str_digits()` (0 is no limit).
+
+    The arguments are checked as by `extreme_character` first.  A constant
+    prefix always prints.  Otherwise let c = theta_L, h the number of
+    prefix entries below c and M = L - N, and take the least signature of
+    the support, lam_i = theta_(N-i+1).  As a function of q each
+    unnormalized weight, qdim(lam) q^((N+1)|lam|) times the chain sum, is
+    a Laurent polynomial with nonnegative integer coefficients and top
+    coefficient 1 (one chain is highest), and only the top signature
+    (nu_1, ..., nu_N) reaches the highest degree of all.  So for each
+    prime p of qd the least weight has p-adic valuation F v_p(qd), F the
+    fall of its degree below the highest, and its reduced numerator is a
+    multiple of qd^F.  For M >= h, each level k from N to L - h holds
+    theta_1 instead of c at index k of the highest chain through the
+    least signature, so F >= 2 (c - theta_1)(M - h + 1).  The request is
+    refused, with ValueError, when qd^F >= 10^limit, decided in integers.
+    """
+    level, truncation = _levels(level, truncation)
+    q = check_q(q)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    first, top = theta.entry(1), theta.entry(truncation)
+    h = sum(1 for x in theta.head[:truncation] if x < top)
+    if not limit or first == top or truncation - level < h:
+        return
+    fall = 2 * (top - first) * (truncation - level - h + 1)
+    qd = q.denominator
+    if fall * (qd.bit_length() - 1) >= 4 * limit or qd ** fall >= 10 ** limit:
+        raise ValueError(
+            f"input too large: the truncation-{truncation} approximant holds an integer"
+            f" of more than {limit} digits"
+        )
 
 
 def cauchy_gap(

@@ -5,18 +5,19 @@ combination of the indecomposable ones, so it is stored losslessly as a
 finitely supported probability measure.  This module provides the
 cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
-evaluation, exact and on the torus.  Both walks down the levels keep a
-level's states in rows by all parts but the last (`_add_run`) and move a
-level by running sums along those rows: in integers by `_step` in `_push`,
-behind a kernel row, `restrict` and the extreme-character approximants in
-`boundary`, and in floats by `_torus_step` in `sgf_eval_torus`, on states
-scaled by their dominant monomials so that no factor exceeds 1 in modulus.
+evaluation, exact and on the torus.  Both level steps keep a level's
+states in rows by all parts but the last (`_add_run`) and move a level by
+running sums along those rows: in integers by `_step` in `_push`, the one
+level behind a kernel row and `restrict`, and in floats by `_torus_step`
+in `sgf_eval_torus`, on states scaled by their dominant monomials so that
+no factor exceeds 1 in modulus.  The extreme-character approximants of
+`boundary` take many levels at once by a closed form, without a walk.
 """
 
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from operator import add, index, mul
+from operator import add, index
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
@@ -102,12 +103,12 @@ def cotransition(nu: Signature, q: Fraction) -> dict[Signature, Fraction]:
         Lambda(nu, lam) = q^((N+1)|lam| - N|nu|) * qdim(lam) / qdim(nu)
 
     for lam interlacing below nu.  Entries are positive and sum to exactly
-    1; keys ascend lexicographically.  One step of `_push`.
+    1; keys ascend lexicographically.  `_push` of the point mass at nu.
     """
     q = check_q(q)
     if nu.level < 1:
         raise ValueError("need a signature of level >= 1")
-    return _push({nu: 1}, nu.level - 1, q)
+    return _push({nu: 1}, q)
 
 
 def restrict(chi: LevelCharacter) -> LevelCharacter:
@@ -117,76 +118,47 @@ def restrict(chi: LevelCharacter) -> LevelCharacter:
     of chi's; the result is built without re-checking them."""
     if chi.level < 1:
         raise ValueError("cannot restrict below level 0")
-    weights = _push(chi.weights, chi.level - 1, chi.q)
-    return LevelCharacter._trusted(chi.level - 1, chi.q, weights)
+    return LevelCharacter._trusted(chi.level - 1, chi.q, _push(chi.weights, chi.q))
 
 
-def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dict:
-    """Push the measure `weights` at level L >= 1 down to N = `level` < L
-    (or N = L for a single nu) along the composed cotransition kernel, in
-    one pass, in integers:
+def _push(weights: Mapping[Signature, Fraction], q: Fraction) -> dict:
+    """Push the measure `weights` at level N + 1 >= 1 one level down along
+    the cotransition kernel, in integers:
 
-        Lambda(nu, lam) = qdim(lam) / qdim(nu) * q^((N+1)|lam| - (L-1)|nu|)
-                          * sum over chains nu > mu_(L-1) > ... > mu_(N+1) > lam
-                            of the product of q^(2|mu_k|) over N < k < L
+        sum over nu of P(nu) q^((N+1)|lam| - N|nu|) qdim(lam) / qdim(nu)
 
-    on nu[i+L-N] <= lam[i] <= nu[i].  Each nu starts as the integer
-    P(nu) q^(-(L-1)(|nu|-s0)) / qdim(nu) (s0 the least |nu|) over one common
-    denominator, divided by their gcd.  With q^2 = A/B a mu at level k
-    carries A^(|mu|-lo) B^(hi-|mu|), lo and hi the extreme sizes there; the
-    rest is one constant, and each output weight one Fraction from integers.
-
-    A level is one `_step` over the states grouped by all parts but the
-    last, each group kept as one row of integers indexed by the last part
-    and weighted by that level's table.  Parts pinned to nu[0] in
-    every nu are not carried (a theta prefix walks at most h + 1 parts
-    whatever L is); a single nu that is a rectangle (nu[0] == nu[-1]) or
-    already at level N, or a push to level 0, is a point mass at once.  Keys
-    ascend lexicographically, and the signatures are built unchecked.
+    on nu[i+1] <= lam[i] <= nu[i].  Each nu starts as the integer
+    P(nu) q^(-N(|nu|-s0)) / qdim(nu) (s0 the least |nu|) over one common
+    denominator, divided by their gcd; the states are kept in rows by all
+    parts but the last (`_add_run`) and moved by one `_step`, and each
+    output weight is one Fraction from integers.  A single nu that is a
+    rectangle (nu[0] == nu[-1]), or a push to level 0, is a point mass at
+    once.  Keys ascend lexicographically, and the signatures are built
+    unchecked.
     """
     sigs = list(weights)
-    n, big, top = level, sigs[0].level, sigs[0].parts
-    if n == 0 or len(sigs) == 1 and (n == big or top[0] == top[-1]):
+    top = sigs[0].parts
+    n = len(top) - 1
+    if n == 0 or len(sigs) == 1 and top[0] == top[-1]:
         return {Signature._trusted(top[:n]): Fraction(1)}
     qn, qd = q.numerator, q.denominator
-    a, b = qn * qn, qd * qd
     least = min([nu.size for nu in sigs])
     nums, dens = [], []
     for nu, p in weights.items():
-        (dn, dd), e = _qdim_pair(nu.parts, qn, qd), (big - 1) * (nu.size - least)
+        (dn, dd), e = _qdim_pair(nu.parts, qn, qd), n * (nu.size - least)
         nums.append(p.numerator * dd * qd ** e)
         dens.append(p.denominator * dn * qn ** e)
     common = lcm(*dens)
     starts = [m * (common // d) for m, d in zip(nums, dens)]
     g = gcd(*starts)
-    # lo and hi at level k, at index k - 1: the least and largest corner sums
-    # nu[L-k:] and nu[:k] of the interlacing ranges
-    los = list(map(min, zip(*[accumulate(reversed(nu.parts)) for nu in sigs])))
-    his = list(map(max, zip(*[accumulate(nu.parts) for nu in sigs])))
-    # at level k the first max(0, run - (L - k)) parts of every mu are `first`
-    first = top[0]
-    pinned = min([nu.parts.count(first) if nu.parts[0] == first else 0 for nu in sigs])
-    # a level's states by all parts but the last: prefix -> [start, values],
+    # the states by all parts but the last: prefix -> [start, values],
     # values[i] the integer at prefix + (start + i,), 0 where there is none
     rows: dict[tuple[int, ...], list] = {}
     for nu, c in zip(sigs, starts):
-        mu = nu.parts[pinned:]
-        _add_run(rows, mu[:-1], mu[-1], [c // g])
-    lo = least
-    weight = [1] * (his[big - 1] - lo + 1)  # the start carries no level weight
-    for k in range(big - 1, n - 1, -1):
-        # |mu| - lo = sum(mu) + pinned * first - lo over the carried parts mu
-        rows = _step(rows, (first,) if pinned else (), pinned * first - lo, weight)
-        pinned = max(pinned - 1, 0)
-        if k > n:
-            lo, hi = los[k - 1], his[k - 1]
-            weight = [a ** e * b ** (hi - lo - e) for e in range(hi - lo + 1)]
-    # q^(-(L-1)s0) A^(sum lo) / B^(sum hi) over levels N < k < L is qn^x / qd^y
-    x = 2 * sum(los[n:big - 1]) - (big - 1) * least
-    y = 2 * sum(his[n:big - 1]) - (big - 1) * least
-    scale = Fraction(qn) ** x / Fraction(qd) ** y * Fraction(g, common)
+        _add_run(rows, nu.parts[:-1], nu.parts[-1], [c // g])
+    rows = _step(rows)
+    scale = Fraction(qn, qd) ** (-n * least) * Fraction(g, common)
     sn, sd = scale.numerator, scale.denominator
-    lead = (first,) * pinned
     powers: dict[int, tuple[int, int]] = {}  # |lam| -> the scale times q^((N+1)|lam|)
     out = {}
     for key in sorted(rows):
@@ -194,7 +166,7 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
         for last, c in enumerate(values, start):
             if not c:
                 continue
-            parts = lead + key + (last,)
+            parts = key + (last,)
             size = sum(parts)
             pair = powers.get(size)
             if pair is None:
@@ -205,23 +177,19 @@ def _push(weights: Mapping[Signature, Fraction], level: int, q: Fraction) -> dic
     return out
 
 
-def _step(rows: dict, lead: tuple, offset: int, weight: list) -> dict:
-    """One level of `_push`, on rows of states keyed by all parts but the
-    last (prefix -> [start, values], as in `_add_run`): each lam gets the sum
-    over the mu above it of weight[sum(mu) + offset] times mu's value, the
-    part `lead` (or none) standing before every key in the interlacing.
+def _step(rows: dict) -> dict:
+    """The level step of `_push`, on rows of states keyed by all parts but
+    the last (prefix -> [start, values], as in `_add_run`): each lam gets the
+    sum of the values of the nu above it.
 
-    The row with prefix pre = lead + key reaches exactly the lam in (the
-    box below pre) x [start, pre[-1]] with lam_last >= mu_last, so its
-    running sum of weighted states is added to the row of each lam[:-1] in
-    the box as one slice, not one edge at a time.  The walk is on bare
-    part tuples, so it builds no Signature.
+    The row with prefix pre reaches exactly the lam in (the box below pre)
+    x [start, pre[-1]] with lam_last >= nu_last, so its running sum is added
+    to the row of each lam[:-1] in the box as one slice, not one edge at a
+    time.  The walk is on bare part tuples, so it builds no Signature.
     """
     below: dict[tuple[int, ...], list] = {}
-    for key, (start, values) in rows.items():
-        pre = lead + key
-        at = sum(key) + offset + start  # the weight index of key + (start,)
-        run = list(accumulate(map(mul, values, weight[at:at + len(values)])))
+    for pre, (start, values) in rows.items():
+        run = list(accumulate(values))
         # lam_last runs on to pre[-1], past the last state of the row
         run += [run[-1]] * (pre[-1] + 1 - start - len(run))
         box = [range(pre[i + 1], pre[i] + 1) for i in range(len(pre) - 1)]

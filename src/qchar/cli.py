@@ -5,9 +5,10 @@ document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
 domain errors (a `--z` integer coordinate beyond the float range, a
 signature part or boundary parameter entry beyond `jsonio.MAX_PART` in a
-document read or about to be printed, an `--output` path that cannot be
-written, a request deeper than Python's recursion limit and one that runs
-out of memory included).
+document read or about to be printed, an approximant whose weights provably
+exceed Python's int-to-str digit limit, refused before the work, an
+`--output` path that cannot be written, a request deeper than Python's
+recursion limit and one that runs out of memory included).
 Identical flags and seed produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
@@ -179,12 +180,9 @@ def _cmd_coherent_check(args):
 def _cmd_extreme(args):
     from . import boundary
 
-    approx = boundary.extreme_character(
-        jsonio.theta_from_json(_json_arg(args.theta)),
-        args.level,
-        args.trunc,
-        _q_arg(args.q),
-    )
+    theta, q = jsonio.theta_from_json(_json_arg(args.theta)), _q_arg(args.q)
+    boundary.check_printable(theta, args.level, args.trunc, q)
+    approx = boundary.extreme_character(theta, args.level, args.trunc, q)
     return 0, jsonio.approximant_to_json(approx)
 
 
@@ -208,6 +206,8 @@ def _cmd_verify_corollary(args):
     # before the work: both printed characters live on the shifted parameter's parts
     shifted = boundary.ak_on_theta(theta, args.k)
     jsonio.check_parts(shifted.head + (shifted.tail,), "shifted boundary parameter entry")
+    # the shift moves every entry alike, so one check covers both approximants
+    boundary.check_printable(theta, args.level, args.trunc, q)
     report = boundary.verify_corollary(theta, args.k, args.level, args.trunc, q)
     payload = {
         "pass": report.ok,

@@ -41,15 +41,29 @@ def check_q(q: Fraction) -> Fraction:
 
 def _bareiss(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination, in place: every division is exact, so every entry stays a
-    minor of the input.  A zero pivot is swapped with a lower row."""
+    elimination, in place (`_eliminate` on all but the last column)."""
     n = len(rows)
+    if not n:
+        return 1
+    done = _eliminate(rows, n - 1)
+    return 0 if done is None else done[0] * rows[-1][-1]
+
+
+def _eliminate(rows: list[list[int]], steps: int) -> tuple[int, int] | None:
+    """The first `steps` steps of Bareiss's fraction-free elimination, in
+    place, on an integer matrix with at least `steps` rows and columns: every
+    division is exact, and afterwards row i >= steps holds, in each column
+    j >= steps, the minor on rows 0..steps-1, i and columns 0..steps-1, j.
+    A zero pivot is swapped with a lower row.  Returns the sign of the swaps
+    and the last pivot, the leading steps x steps minor (1 for no steps), or
+    None when a column has no pivot left."""
+    n, width = len(rows), len(rows[0]) if rows else 0
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(steps):
         if not rows[k][k]:
             piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
             if piv is None:
-                return 0
+                return None
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         top = rows[k]
@@ -57,10 +71,10 @@ def _bareiss(rows: list[list[int]]) -> int:
         for r in range(k + 1, n):
             row = rows[r]
             f = row[k]
-            for c in range(k + 1, n):
+            for c in range(k + 1, width):
                 row[c] = (row[c] * pivot - f * top[c]) // prev
         prev = pivot
-    return sign * rows[-1][-1] if n else 1
+    return sign, prev
 
 
 def _evaluator(points: Sequence[Fraction]) -> Callable[[Signature], tuple[int, int]]:
@@ -157,7 +171,14 @@ def _qdim_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
                 power[m] = power.get(m, 0) + 1
                 power[d] = power.get(d, 0) - 1
                 spread += gap
-    num, den = 1, (a * b) ** spread
+    num, den = _brackets(power, a, b)
+    return num, den * (a * b) ** spread
+
+
+def _brackets(power: dict[int, int], a: int, b: int) -> tuple[int, int]:
+    """The product of (b^2m - a^2m)^e over the items m: e of `power`, as an
+    integer pair: the positive powers over the negative ones."""
+    num, den = 1, 1
     for m, e in power.items():
         if e > 0:
             num *= (b ** (2 * m) - a ** (2 * m)) ** e

@@ -487,8 +487,8 @@ def restrict_oracle(chi: LevelCharacter) -> LevelCharacter:
 def iterated_restrict(chi: LevelCharacter, level: int) -> LevelCharacter:
     """Push a measure down to `level` one `restrict_oracle` step at a time.
 
-    The independent cross-check for the one-pass walker behind `restrict`
-    and `extreme_character`.
+    The independent cross-check for the level step behind `restrict` and
+    for the determinant behind `extreme_character`.
     """
     while chi.level > level:
         chi = restrict_oracle(chi)
@@ -502,13 +502,16 @@ def ascending(weights) -> list:
 
 def push_edge_oracle(weights, level: int, q: Fraction) -> dict:
     """Reference many-level pushdown by interlacing edges: the integer chain
-    sum of `characters._push`, each state adding its value to every lam in
-    its box prod [mu[i+1], mu[i]] one edge at a time, and each level's
-    states then weighted in a dict of their own.  Entries come in the
-    order the edges first reach them.
+    sum over the levels in between, a mu at level k weighted by
+    A^(|mu|-lo) B^(hi-|mu|) (q^2 = A/B, lo and hi the extreme sizes there),
+    each state adding its value to every lam in its box
+    prod [mu[i+1], mu[i]] one edge at a time, and each level's states then
+    weighted in a dict of their own.  Entries come in the order the edges
+    first reach them.
 
-    The independent cross-check for the prefix-group running sums of the
-    walk behind `restrict` and `extreme_character`.
+    The independent cross-check for the prefix-group running sums of
+    `characters._push`, repeated level by level, and for the determinant
+    behind `extreme_character`.
     """
     sigs = list(weights)
     n, big, top = level, sigs[0].level, sigs[0].parts

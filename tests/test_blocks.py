@@ -794,6 +794,32 @@ class TestScalingCache:
             assert out[1][0] is out[2][1]
 
     @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
+    def test_gaps_past_the_bit_limit(self, q):
+        # where b^|m| alone passes the bit limit no value is cached, and q^m
+        # is built once per call and gap; at q = 2/3 the gaps 2s = 140 and
+        # 4s = 280 of s = 70 fall on either side of 3^|m|'s 320 bits
+        x = self._mixed(q)
+        for s in (-400, -161, -70, 70, 161, 400):
+            out = scaling(x, s)
+            assert out == scaling_oracle(x, s)
+            rows = out.blocks[sig(2, 0)]
+            assert all(type(v) is Fraction for row in rows for v in row)
+            assert rows[0][1] is rows[1][2] and rows[1][0] is rows[2][1]
+            self._within_limits()
+
+    def test_q_powers_past_the_bit_limit_are_built_once_per_gap(self, monkeypatch):
+        # 3^280 has 444 bits, so gap 280 takes q^m from the call's table and
+        # never asks `_qpow`; 3^140 has 222, so gap 140 still does, as gap 0 does
+        x = self._mixed(Fraction(2, 3))
+        _SCALED.clear()
+        asked = []
+        qpow = blocks._qpow
+        monkeypatch.setattr(blocks, "_qpow", lambda a, b, m: asked.append(m) or qpow(a, b, m))
+        for s in (70, -70):
+            assert scaling(x, s) == scaling_oracle(x, s)
+        assert {abs(m) for m in asked} == {0, 140}
+
+    @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
     def test_group_law_on_fraction_entries(self, q):
         rng = random.Random(700 + q.denominator)
         sigs = [sig(2, 0, -1), sig(1, 1, 0)]
@@ -894,7 +920,7 @@ class TestScalingCache:
             top = 1 << (_SCALED_BITS - 1)
             for i in range(_SCALED_KEYS):
                 v, q = (top + 2 * i + 1, 2 * top - 3 - 2 * i), (top + 1 + 2 * i, 2 * top - 1 - 2 * i)
-                _scaled_entry((*v, *q, 0), {})
+                _scaled_entry((*v, *q, 0), {}, {})
             gc.collect()
             assert len(_SCALED) == _SCALED_KEYS
             self._within_limits()

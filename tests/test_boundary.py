@@ -71,10 +71,10 @@ class TestExtremeCharacter:
         # decided from theta alone: the prefix is neither built nor walked,
         # so every truncation answers, and so do the gap and the corollary
         def refuse(*args):
-            raise AssertionError("a constant prefix was built or walked")
+            raise AssertionError("a constant prefix was built or its determinant taken")
 
         monkeypatch.setattr(BoundaryParam, "signature_at", refuse)
-        monkeypatch.setattr(boundary, "_push", refuse)
+        monkeypatch.setattr(boundary, "_approximant", refuse)
         theta = BoundaryParam((), 2)
         for level, trunc in [(1, 1), (2, 5), (3, 9), (4, 10**9)]:
             approx = extreme_character(theta, level, trunc, HALF)
@@ -126,8 +126,8 @@ class TestExtremeCharacter:
 
 
 class TestPushdownOracle:
-    """The one-pass pushdown equals restricting one level at a time, and the
-    edge-loop walk entry for entry, in ascending order of parts."""
+    """The determinant approximant equals restricting one level at a time,
+    and the edge-loop walk entry for entry, in ascending order of parts."""
 
     @staticmethod
     def oracle(theta, level, trunc, q):
@@ -152,16 +152,19 @@ class TestPushdownOracle:
                     self.assert_edge_loop(theta, level, trunc, q, got)
 
     def test_arbitrary_start_signatures(self):
-        # any nu, not only a theta prefix: leading runs of every length
+        # any nu is the prefix of theta = (nu_L, ..., nu_2 | nu_1) at L = len(nu):
+        # leading runs of every length
         rng = random.Random(17)
         for q in QS:
             for _ in range(15):
                 big = rng.randint(2, 7)
                 parts = sorted((rng.randint(-3, 3) for _ in range(big)), reverse=True)
                 nu = Signature(tuple(parts))
+                theta = BoundaryParam(tuple(reversed(parts[1:])), parts[0])
+                assert theta.signature_at(big) == nu
                 level = rng.randint(1, big - 1)
                 want = iterated_restrict(indecomposable(nu, q), level).weights
-                got = _push({nu: Fraction(1)}, level, q)
+                got = extreme_character(theta, level, big, q).measure.weights
                 assert got == want, (nu, level, q)
                 edges = push_edge_oracle({nu: Fraction(1)}, level, q)
                 assert list(got.items()) == ascending(edges), (nu, level, q)
@@ -218,14 +221,173 @@ class TestPushdownOracle:
 
     def test_pinned_parts_give_the_point_mass(self):
         # a single rectangle nu, as `restrict` and `cotransition` reach the
-        # walk, is its own point mass at every level below, as is a single nu
-        # pushed to its own level (an approximant at truncation == level); a
-        # non-rectangle walks
-        for parts, level in [((-1, -1, -1), 2), ((-3,) * 6, 4), ((5,), 0), ((0, -1, -3), 3)]:
-            got = _push({Signature(parts): Fraction(1)}, level, HALF)
-            assert got == {Signature(parts[:level]): 1}
-        assert len(_push({sig(0, -1, -1): Fraction(1)}, 2, HALF)) == 2
+        # one-level push, is its own point mass one level below; a
+        # non-rectangle is pushed
+        for parts in [(-1, -1, -1), (-3,) * 6, (5,)]:
+            got = _push({Signature(parts): Fraction(1)}, HALF)
+            assert got == {Signature(parts[:-1]): 1}
+        assert len(_push({sig(0, -1, -1): Fraction(1)}, HALF)) == 2
         assert restrict(indecomposable(sig(2, 2), HALF)) == indecomposable(sig(2), HALF)
+        # a prefix at its own level is its point mass, by the determinant too
+        theta = BoundaryParam((-3, -1), 0)
+        approx = extreme_character(theta, 3, 3, HALF)
+        assert approx.measure.weights == {sig(0, -1, -3): 1}
+
+
+class TestDeterminant:
+    """The skew Jacobi-Trudi approximant on heads of 1-6 entries, levels 1-5
+    and truncations from the level up to 12, entry for entry against the
+    edge-loop walk in ascending order of parts, and coherent across levels."""
+
+    QS = (HALF, Fraction(2, 3), Fraction(9, 10))
+
+    @staticmethod
+    def cases(rng, q):
+        for size in range(1, 7):
+            for level in range(1, 6):
+                head = tuple(sorted(rng.randint(-3, 2) for _ in range(size)))
+                theta = BoundaryParam(head, rng.randint(head[-1] + 1, 3))
+                # the level itself, one inside the head where there is room
+                # (a prefix shorter than the head), and one up to 12
+                truncs = {level, rng.randint(level, 12)}
+                if level < size:
+                    truncs.add(rng.randint(level, size))
+                for trunc in sorted(truncs):
+                    if theta.entry(1) != theta.entry(trunc):
+                        yield theta, level, trunc
+
+    @pytest.mark.parametrize("q", QS, ids=str)
+    def test_against_the_edge_loop(self, q):
+        rng = random.Random(41)
+        short = at_level = 0
+        for theta, level, trunc in self.cases(rng, q):
+            got = extreme_character(theta, level, trunc, q).measure
+            assert_stochastic(got)
+            want = push_edge_oracle({theta.signature_at(trunc): Fraction(1)}, level, q)
+            assert list(got.weights.items()) == ascending(want), (theta, level, trunc)
+            short += trunc <= len(theta.head)
+            at_level += trunc == level
+        assert short >= 5 and at_level >= 5
+
+    @pytest.mark.parametrize("q", QS, ids=str)
+    def test_narrow_heads_against_the_edge_loop(self, q):
+        # heads of small spread, where c - theta_1 < min(level, h) and the
+        # dual determinant, of size c - theta_1, is the smaller one
+        rng = random.Random(53)
+        dual = 0
+        for _ in range(100):
+            head = tuple(sorted(rng.randint(-2, 1) for _ in range(rng.randint(3, 9))))
+            theta = BoundaryParam(head, rng.randint(head[-1] + 1, 2))
+            level = rng.randint(1, 6)
+            trunc = rng.randint(level, 12)
+            first, top = theta.entry(1), theta.entry(trunc)
+            if first == top:
+                continue
+            got = extreme_character(theta, level, trunc, q).measure
+            want = push_edge_oracle({theta.signature_at(trunc): Fraction(1)}, level, q)
+            assert list(got.weights.items()) == ascending(want), (theta, level, trunc)
+            below = sum(x < top for x in theta.head[:trunc])
+            dual += trunc > level and top - first < min(level, below)
+        assert dual >= 25
+
+    @pytest.mark.parametrize("q", QS, ids=str)
+    def test_restriction_is_the_level_below(self, q):
+        rng = random.Random(43)
+        for theta, level, trunc in self.cases(rng, q):
+            if level < trunc:
+                upper = extreme_character(theta, level + 1, trunc, q).measure
+                assert restrict(upper) == extreme_character(theta, level, trunc, q).measure
+
+    @pytest.mark.parametrize(
+        "head, tail, level, trunc",
+        [
+            # 20 zeros below theta_L = 1: a 20 x 20 determinant whose columns
+            # but the last are pinned, at L = 21, or mostly pinned, at L = 25
+            ((0,) * 20, 1, 20, 21),
+            ((0,) * 20, 1, 20, 25),
+            # and all 20 moving, over a support of 21 signatures
+            ((0,) * 20, 1, 20, 40),
+            # pinned columns below, between and beside the moving ones
+            ((-2, 0, 0, 0, 0), 1, 4, 7),
+            ((-1, -1, 0, 0, 0, 1, 1), 2, 5, 6),
+            ((-1, -1, 0, 0, 0, 1, 1), 2, 6, 8),
+            ((-2, -1, -1) + (0,) * 12 + (1, 1), 2, 15, 18),
+        ],
+    )
+    def test_runs_of_equal_head_entries(self, head, tail, level, trunc):
+        theta = BoundaryParam(head, tail)
+        for q in self.QS:
+            got = extreme_character(theta, level, trunc, q).measure
+            want = push_edge_oracle({theta.signature_at(trunc): Fraction(1)}, level, q)
+            assert list(got.weights.items()) == ascending(want), q
+
+    def test_long_prefixes_match_the_walk(self):
+        # the determinant does not grow with L; the walk checks it at L = 40
+        theta = BoundaryParam((-2, 0, 1), 2)
+        for level in (1, 2, 3):
+            got = extreme_character(theta, level, 40, Fraction(2, 3)).measure
+            want = push_edge_oracle({theta.signature_at(40): Fraction(1)}, level, Fraction(2, 3))
+            assert list(got.weights.items()) == ascending(want), level
+
+
+class TestPrintable:
+    """`check_printable` refuses only approximants that hold an integer past
+    Python's int-to-str digit limit."""
+
+    def test_the_least_weight_is_a_multiple_of_the_bound(self):
+        # the proof's claim: qd^F divides the reduced numerator of the least
+        # signature's weight, F = 2 (theta_L - theta_1)(L - N - h + 1)
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(60):
+            theta = random_theta(rng)
+            level = rng.randint(1, 4)
+            trunc = rng.randint(level, 14)
+            q = rng.choice((HALF, Fraction(2, 3), Fraction(3, 10)))
+            first, top = theta.entry(1), theta.entry(trunc)
+            h = sum(x < top for x in theta.head[:trunc])
+            if first == top or trunc - level < h:
+                continue
+            fall = 2 * (top - first) * (trunc - level - h + 1)
+            chi = extreme_character(theta, level, trunc, q).measure
+            weight = chi.weights[chi.support()[0]]
+            assert weight.numerator % q.denominator ** fall == 0, (theta, level, trunc, q)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+    )
+    def test_the_edge(self):
+        # theta = (0 | 1) at level 1 and q = 1/10: the least weight is
+        # 100^M / ((100^(M+1) - 1) / 99), so the bound is tight
+        theta, tenth = BoundaryParam((0,), 1), Fraction(1, 10)
+        limit = sys.get_int_max_str_digits()
+        edge = 1 + (limit + 1) // 2  # the least truncation refused
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            boundary.check_printable(theta, 1, edge, tenth)
+        past = extreme_character(theta, 1, edge, tenth).measure.weights.values()
+        assert max(max(w.numerator, w.denominator) for w in past) >= 10**limit
+        boundary.check_printable(theta, 1, edge - 1, tenth)
+        inside = extreme_character(theta, 1, edge - 1, tenth).measure.weights.values()
+        assert max(max(w.numerator, w.denominator) for w in inside) < 10**limit
+        # constant prefixes, short gaps and no limit are never refused
+        boundary.check_printable(BoundaryParam((), 1), 1, 10**9, tenth)
+        boundary.check_printable(BoundaryParam((0,) * 9, 1), 1, 10, tenth)
+        sys.set_int_max_str_digits(0)
+        try:
+            boundary.check_printable(theta, 1, 10**9, tenth)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_arguments_are_checked_first(self):
+        theta = BoundaryParam((0,), 1)
+        with pytest.raises(ValueError, match="^level must be at least 1$"):
+            boundary.check_printable(theta, 0, 10**9, HALF)
+        with pytest.raises(ValueError, match="must be >= level"):
+            boundary.check_printable(theta, 5, 4, HALF)
+        with pytest.raises(ValueError, match="q must lie strictly between 0 and 1"):
+            boundary.check_printable(theta, 1, 10**9, Fraction(1))
 
 
 class TestCauchyGap:

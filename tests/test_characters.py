@@ -54,6 +54,13 @@ def delta(q, *parts):
     return indecomposable(Signature(parts), q)
 
 
+def push_down(weights, level, q):
+    """The one-level `_push`, repeated down to `level`."""
+    while next(iter(weights)).level > level:
+        weights = _push(weights, q)
+    return weights
+
+
 class Third(Fraction):
     """A Fraction subclass, as a caller might pass for a weight."""
 
@@ -211,10 +218,10 @@ def shared_run_character(level, q, rng):
 
 
 class TestKernelWalker:
-    """`cotransition`, `restrict` and the many-level pushdown are one integer
-    walker; each is checked exactly against the per-entry Fraction oracles
-    and, entry for entry, against the edge-loop walk, keys in ascending
-    order of parts."""
+    """`cotransition` and `restrict` are one integer level step, `_push`;
+    each is checked exactly against the per-entry Fraction oracles and,
+    entry for entry, against the edge-loop walk, keys in ascending order of
+    parts, one level at a time and repeated over many."""
 
     def test_cotransition_rows(self):
         rng = random.Random(3)
@@ -267,7 +274,7 @@ class TestKernelWalker:
                     chi = random_character(big, q, rng, max_support=6, lo=-3, hi=3)
                 level = rng.randint(0, big - 1)
                 want = iterated_restrict(chi, level).weights
-                got = _push(chi.weights, level, q)
+                got = push_down(chi.weights, level, q)
                 assert list(got.items()) == ascending(want), (chi, level)
                 assert list(got.items()) == ascending(push_edge_oracle(chi.weights, level, q))
 
@@ -285,7 +292,7 @@ class TestKernelWalker:
                     else:
                         chi = random_character(big, q, rng, max_support=15, lo=-4, hi=4)
                     for level in range(big):
-                        got = _push(chi.weights, level, q)
+                        got = push_down(chi.weights, level, q)
                         want = push_edge_oracle(chi.weights, level, q)
                         assert list(got.items()) == ascending(want), (chi, level)
         assert shared >= 10
@@ -305,7 +312,7 @@ class TestKernelWalker:
         for q in (HALF, Fraction(9, 10)):
             weights = {Signature(p): Fraction(1, len(support)) for p in support}
             for level in range(len(support[0])):
-                got = _push(weights, level, q)
+                got = push_down(weights, level, q)
                 assert list(got.items()) == ascending(push_edge_oracle(weights, level, q))
 
     def test_built_measures_are_stochastic(self):

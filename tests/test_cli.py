@@ -316,14 +316,46 @@ class TestFreshProcess:
             assert doc["lhs"]["entries"] == [{"sig": [3, 3], "prob": "1"}]
 
     def test_running_out_of_memory_exits_two(self):
-        # a non-constant theta still builds its 10**8-part prefix, past the cap
+        # one level below a level-5 signature with gaps of 500: about
+        # 6.3 * 10**10 states, far past the cap
         pytest.importorskip("resource")
-        argv = ["extreme", "--q", "1/2", "--theta", '{"head": [0], "tail": 1}']
-        argv += ["--level", "1", "--trunc", "100000000"]
+        argv = ["cotransition", "--q", "9/10", "--sig", "[1000, 500, 0, -500, -1000]"]
         proc = run_fresh("-c", self.CAPPED, *argv, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout) == {"error": "input too large: out of memory"}
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+    )
+    @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
+    @pytest.mark.parametrize("q, trunc", [("1/2", 100000000), ("1/10", 2151)])
+    def test_a_non_constant_theta_past_the_digit_limit_is_refused(self, command, q, trunc):
+        # the answer at truncation 10**8 carries t^(10**8), and at q = 1/10
+        # truncation 2151 is the first past the limit: refused from theta,
+        # the level and q alone, under the cap and at once
+        argv = [command, "--q", q, "--theta", '{"head": [0], "tail": 1}']
+        argv += ["--level", "1", "--trunc", str(trunc)]
+        if command == "verify-corollary":
+            argv += ["--k", "1"]
+        proc = run_fresh("-c", self.CAPPED, *argv, timeout=5)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert json.loads(proc.stdout) == {
+            "error": f"input too large: the truncation-{trunc} approximant holds"
+            " an integer of more than 4300 digits"
+        }
+
+    @pytest.mark.parametrize("trunc", ["21", "25"])
+    def test_a_long_run_of_equal_head_entries_answers(self, trunc):
+        # 20 zeros below theta_L = 1 at level 20: the determinant is 20 x 20,
+        # and its 2^20 minors are never tabled
+        pytest.importorskip("resource")
+        argv = ["extreme", "--q", "1/2", "--theta", json.dumps({"head": [0] * 20, "tail": 1})]
+        argv += ["--level", "20", "--trunc", trunc]
+        proc = run_fresh("-c", self.CAPPED, *argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        entries = json.loads(proc.stdout)["measure"]["entries"]
+        assert len(entries) == (2 if trunc == "21" else 6)
 
     @pytest.mark.parametrize("command", ["extreme", "verify-corollary"])
     @pytest.mark.parametrize("theta", ['{"head": [], "tail": 2}', '{"head": [0], "tail": 1}'])
@@ -371,8 +403,8 @@ class TestFreshProcess:
         assert json.loads(proc.stdout)["measure"]["entries"] == [{"sig": [0, 0], "prob": "1"}]
 
     def test_nonconstant_sequence_at_a_large_truncation(self):
-        # qdim of the level-400 start multiplies only the brackets that do not
-        # cancel in pairs; the full bracket product did not finish in 100 s
+        # the determinant reads theta's head and theta_400 only: no level-400
+        # signature and no qdim of one is built
         proc = run_fresh(
             "-m", "qchar.cli", "extreme", "--q", "2/3", "--theta", '{"head": [-2, 0], "tail": 1}',
             "--level", "2", "--trunc", "400",
