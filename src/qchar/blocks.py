@@ -29,10 +29,12 @@ it in floats is left to the caller.  The KMS check reads its left side
 from the same pass, the flow at w = q^-1, and its right side from
 `state_of_product`.  The exact imaginary-time flow `scaling` reads each
 scaled entry v * q^m from one module-level cache shared by every call,
-keyed on (v.numerator, v.denominator, q.numerator, q.denominator, m) and
-bounded by fixed limits: an entry is kept only when its integers fit in
-`_SCALED_BITS` bits, and the cache is cleared when it reaches
-`_SCALED_KEYS` entries.  The F-compatibility check compares exponents.
+keyed on (v.numerator, v.denominator, q.numerator, q.denominator, m).  A
+miss takes one path: Fraction(v) times q^m, with q^m built once per call
+and gap.  The cache is bounded by fixed limits: an entry is kept only when
+|m| and every integer of its key and value are within `_SCALED_BITS` bits,
+and the cache is cleared when it reaches `_SCALED_KEYS` entries, so it
+never holds more than 6 MB.  The F-compatibility check compares exponents.
 Rows of int 0s, most of a matrix unit or of an embedding that misses a
 label, are stored once per block side, and the walks skip them.
 """
@@ -390,37 +392,25 @@ def _scaled_entry(key: tuple[int, int, int, int, int], big: dict, gaps: dict) ->
     """v * q^m as a reduced `Fraction`, for key = (v.numerator,
     v.denominator, q.numerator, q.denominator, m).
 
-    With q = a/b the factor q^m is the integer pair of `_qpow`, so the
-    value is Fraction(v.numerator * a^m, v.denominator * b^m).  It is kept
-    in `_SCALED` only when that unreduced numerator and denominator and b
-    fit in _SCALED_BITS bits; every integer the entry holds then does
-    (|m| too, as b >= 2), and a full cache of _SCALED_KEYS entries is
-    cleared before the next one is kept.  The cache thus never holds more
-    than 8192 entries of at most six 320-bit integers each, under 6 MB.
-    A larger value goes to `big`, the calling `scaling`'s own dict, which
-    `scaling` reads before calling here, so it is still built once per call
-    and key.  Where b^|m| alone has more than _SCALED_BITS bits, no value
-    at gap m is kept: `gaps`, the call's own table by m, then holds q^m,
-    built once, and each value is v times it, whose reduction cancels only
-    against v's integers (for q = 1/b one side of q^m is 1, and the value
-    is built from the integer pair with one gcd); for a gap whose b^|m|
-    fits, it holds None.
+    q^m is taken from `gaps`, the calling `scaling`'s own table by m,
+    where it is built once per call and gap as Fraction(a, b) ** m, which
+    computes no gcd; the value is Fraction(v) * q^m, whose gcds run only
+    against v's integers.  It is kept in `_SCALED` when |m| <= _SCALED_BITS
+    and every integer of the key and of the value fits in _SCALED_BITS
+    bits, and a full cache of _SCALED_KEYS entries is cleared before the
+    next one is kept.  The cache thus never holds more than 8192 entries
+    of at most six 320-bit integers each, under 6 MB.  Any other value
+    goes to `big`, the calling `scaling`'s own dict, which `scaling` reads
+    before calling here, so it is still built once per call and key.
     """
     vn, vd, a, b, m = key
-    if m not in gaps:
-        gaps[m] = Fraction(a, b) ** m if (b ** abs(m)).bit_length() > _SCALED_BITS else None
-    power = gaps[m]
-    if power is not None:
-        if a == 1:  # q^m or q^-m is an integer: one gcd, against v's integers
-            f = Fraction(vn * power.numerator, vd * power.denominator)
-        else:
-            f = Fraction(vn, vd) * power
-        big[key] = f
-        return f
-    pn, pd = _qpow(a, b, m)
-    num, den = vn * pn, vd * pd
-    f = Fraction(num, den)
-    if max(abs(num), den, b).bit_length() <= _SCALED_BITS:
+    power = gaps.get(m)
+    if power is None:
+        power = gaps[m] = Fraction(a, b) ** m
+    f = Fraction(vn, vd) * power
+    # a < b, as 0 < q < 1
+    fits = max(abs(vn), vd, b, abs(f.numerator), f.denominator).bit_length() <= _SCALED_BITS
+    if fits and abs(m) <= _SCALED_BITS:
         if len(_SCALED) >= _SCALED_KEYS:
             _SCALED.clear()
         _SCALED[key] = f
@@ -435,11 +425,15 @@ def scaling(x: BlockElement, s: int) -> BlockElement:
 
     Each nonzero exact entry v at gap m = s * (exp_p - exp_r) becomes the
     reduced `Fraction` v * q^m, looked up in one module-level cache keyed on
-    (v.numerator, v.denominator, q.numerator, q.denominator, m) and built by
-    `_scaled_entry` on a miss.  Equal exact values (True and 1, 2 and
-    Fraction(4, 2)) share a key, so equal values at equal gaps and equal q
-    get the same immutable object: across calls while their integers fit
-    the cache's bit limit, and within a call always.  Only the nonzero
+    (v.numerator, v.denominator, q.numerator, q.denominator, m).  A miss
+    has one path, `_scaled_entry`: Fraction(v) times q^m, which is built
+    once per call and gap.  The value is cached when |m| and every integer
+    of the key and of the value are within `_SCALED_BITS` bits, so the
+    cache holds at most `_SCALED_KEYS` entries of six such integers, under
+    6 MB; any other value is kept for the call only.  Equal exact values
+    (True and 1, 2 and Fraction(4, 2)) share a key, so equal values at
+    equal gaps and equal q get the same immutable object: across calls
+    for cached keys, and within a call always.  Only the nonzero
     entries of each stored row are visited, and zeros are kept as they are.
     s = 1 is the KMS twist y -> F y F^(-1); the group law
     scaling(scaling(x, s), t) = scaling(x, s + t) holds exactly.  The

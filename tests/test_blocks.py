@@ -795,9 +795,9 @@ class TestScalingCache:
 
     @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
     def test_gaps_past_the_bit_limit(self, q):
-        # where b^|m| alone passes the bit limit no value is cached, and q^m
-        # is built once per call and gap; at q = 2/3 the gaps 2s = 140 and
-        # 4s = 280 of s = 70 fall on either side of 3^|m|'s 320 bits
+        # small values whose q^m passes the bit limit are not cached, and
+        # equal ones at one gap still share one object; at q = 2/3 the gaps
+        # 2s = 140 and 4s = 280 of s = 70 fall on either side of 3^|m|'s 320 bits
         x = self._mixed(q)
         for s in (-400, -161, -70, 70, 161, 400):
             out = scaling(x, s)
@@ -807,17 +807,43 @@ class TestScalingCache:
             assert rows[0][1] is rows[1][2] and rows[1][0] is rows[2][1]
             self._within_limits()
 
-    def test_q_powers_past_the_bit_limit_are_built_once_per_gap(self, monkeypatch):
-        # 3^280 has 444 bits, so gap 280 takes q^m from the call's table and
-        # never asks `_qpow`; 3^140 has 222, so gap 140 still does, as gap 0 does
-        x = self._mixed(Fraction(2, 3))
-        _SCALED.clear()
-        asked = []
-        qpow = blocks._qpow
-        monkeypatch.setattr(blocks, "_qpow", lambda a, b, m: asked.append(m) or qpow(a, b, m))
-        for s in (70, -70):
+    @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)], ids=str)
+    def test_q_powers_are_built_once_per_call_and_gap(self, q, monkeypatch):
+        # every gap, on both sides of the bit limit: at q = 2/3 the gaps 140
+        # and 280 of s = 70 fall on either side of 3^|m|'s 320 bits, and at
+        # q = 1/2 the gaps 280 of s = 70 and 322 of s = 161 fall on either side
+        # of 2^|m|'s; each call starts from an empty cache, so every gap misses
+        built = []
+
+        class Counting(Fraction):
+            def __pow__(self, m):
+                built.append(m)
+                return super().__pow__(m)
+
+        x = self._mixed(q)
+        monkeypatch.setattr(blocks, "Fraction", Counting)
+        for s in (70, -70, 161, -400):
+            _SCALED.clear()
+            built.clear()
             assert scaling(x, s) == scaling_oracle(x, s)
-        assert {abs(m) for m in asked} == {0, 140}
+            assert sorted(built) == sorted(s * m for m in (-4, -2, 0, 2, 4))
+            self._within_limits()
+
+    def test_the_admission_rule_at_its_edge(self):
+        # (2/3)^200 * 3^200 = 2^200: the reduced value fits, so it is cached
+        # although its unreduced numerator 6^200 does not fit
+        lam = sig(1, 0)
+        _SCALED.clear()
+        x = BlockElement(2, Fraction(2, 3), {lam: ((0, 3**200), (0, 0))})
+        assert scaling(x, 100).blocks[lam][0][1] == 2**200
+        assert _SCALED[(3**200, 1, 2, 3, 200)] == 2**200
+        self._within_limits()
+        # 2^319 * (1/2)^m fits at gaps 320 and 322, but only |m| <= 320 is cached
+        y = BlockElement(2, HALF, {lam: ((0, 2**319), (0, 0))})
+        for s, m in ((160, 320), (161, 322), (-161, -322)):
+            assert scaling(y, s).blocks[lam][0][1] == 2**319 * HALF**m
+            assert ((2**319, 1, 1, 2, m) in _SCALED) is (abs(m) <= _SCALED_BITS)
+            self._within_limits()
 
     @pytest.mark.parametrize("q", SWEEP_QS, ids=str)
     def test_group_law_on_fraction_entries(self, q):
