@@ -15,19 +15,24 @@ entries below c, and for a level-N signature lam let beta_j = c - lam_(N-j+1),
 a skew Jacobi-Trudi determinant at a principal specialization (Macdonald,
 *Symmetric Functions and Hall Polynomials*, I.5), or its dual in the
 elementary functions e_k, of size c - theta_1, where that is smaller.
-`extreme_character` takes it exactly, in integers, from theta's head and
-theta_L alone: it neither builds the length-L prefix nor walks the L - N
-levels.  A constant
-prefix is the point mass at the rectangle (theta_1, ..., theta_1) at every
-truncation.  The exact answer carries t^M, so a non-constant prefix at a
-large finite L cannot be printed; `check_printable` refuses one up front
-from a lower bound on its digits.  Tensoring with a rectangle realizes the
-shift of the parameter sequence.
+Up to shift and reversal nu is alpha in L variables, so 1/qdim(nu) is the
+hook-content product over the cells u of alpha of [h(u)] / [L + c(u)]
+(Macdonald, I.3 Ex. 1), and all of its dependence on L sits in those
+brackets.  `extreme_character` takes the weights exactly, in integers,
+from theta's head and theta_L alone: it neither builds the length-L
+prefix nor walks the L - N levels.  When theta is constant up to L, or
+L = N, the approximant is the point mass at nu itself: for a constant
+theta, the rectangle (theta_1, ..., theta_1) at any truncation.  The
+exact answer carries t^M, so a non-constant prefix at a large finite L
+cannot be printed; `check_printable` refuses one up front from a lower
+bound on its digits.  Tensoring with a rectangle realizes the shift of
+the parameter sequence.
 """
 
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from operator import index, mul
 
 from .combinatorics import BoundaryParam, Signature, _Frozen, shift
@@ -89,26 +94,31 @@ def extreme_character(
     L = `truncation`; its pushdown along the composed cotransition kernel,
     which equals L - `level` successive restrictions, is taken by the
     determinant of the module docstring (`_approximant`), from theta's head
-    and theta_L, without building the prefix.  When theta_1 == theta_L the
-    prefix is a rectangle, and so is every level of it: the point mass at
-    (theta_1,) * `level` is returned.  A level beyond `sys.maxsize`, the
-    longest tuple, is refused.  The measure is built without re-checking
-    its weights.
+    and theta_L, without building the prefix.  When theta is constant up
+    to L, or L = N, there is nothing to push down: the point mass at the
+    level-`level` signature (theta_L, ..., theta_L, then the head entries
+    below theta_L, last first) is returned, which is the prefix itself at
+    L = N and the rectangle (theta_1,) * `level` for a constant theta.  A
+    level beyond `sys.maxsize`, the longest tuple, is refused.  The
+    measure is built without re-checking its weights.
     """
     level, truncation = _levels(level, truncation)
     q = check_q(q)
-    first, top = theta.entry(1), theta.entry(truncation)
-    if first == top:
-        weights = {Signature._trusted((first,) * level): Fraction(1)}
+    top = theta.entry(truncation)
+    below = [x for x in theta.head[:truncation] if x < top]
+    if not below or level == truncation:
+        parts = (top,) * (level - len(below)) + tuple(reversed(below))
+        weights = {Signature._trusted(parts): Fraction(1)}
     else:
-        weights = _approximant(theta.head[:truncation], top, level, truncation, q)
+        weights = _approximant([top - x for x in below], top, level, truncation, q)
     return ExtremeApproximant(theta, level, truncation, LevelCharacter._trusted(level, q, weights))
 
 
-def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -> dict:
+def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dict:
     """The level-n weights of the truncation-`big` approximant whose prefix
-    is `head`, then c up to entry `big`, with some head entry below c; keys
-    ascend lexicographically, and the signatures are built unchecked.
+    holds c - alpha_i, i = 1..h, then c up to entry `big`, for a nonempty
+    partition alpha and big > n; keys ascend lexicographically, and the
+    signatures are built unchecked.
 
     With M = big - n, the support is the partitions beta inside alpha whose
     skew shape alpha/beta has at most M cells in a column (alpha_(M+j) <=
@@ -126,56 +136,48 @@ def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -
     The columns that do not move are eliminated once, fraction-free
     (`schur._eliminate`), their rows with them, so each pivot is a
     principal minor: a skew Schur value of the rows (in the dual, the
-    columns) of alpha/beta from some j on, positive on the support.  The support is visited with the first
-    column fastest, so the elimination goes on over the moving columns,
-    last first and each on its own row, one step per level of the visit
-    (`_extend`); a row whose beta_j = alpha_j (a column, in the dual) is
-    empty and splits the skew shape, so its row and column leave the
-    determinant instead.  Each sweep
-    of the first column reads its cofactors off the one row left, and an
-    entry costs one product per moving column and one exact division; a
-    level costs O(width^2) integers, never a table of minors.  Each weight
-    is one Fraction: 1/qdim(nu) is built from the head's brackets, reduced
-    once, and the powers of qn and qd it and the q-factors of the formula
-    leave are netted per |beta| before they are raised.
+    columns) of alpha/beta from some j on, positive on the support.  The
+    support is visited with the first column fastest, so the elimination
+    goes on over the moving columns, last first and each on its own row,
+    one step per level of the visit (`_extend`); a row whose
+    beta_j = alpha_j (a column, in the dual) is empty and splits the skew
+    shape, so its row and column leave the determinant instead.  Each
+    sweep of the first column reads its cofactors off the one row left,
+    and an entry costs one product per moving column and one exact
+    division; a level costs O(width^2) integers, never a table of minors.
+    Each weight is one Fraction.  nu = (theta_L, ..., theta_1) is alpha in
+    L variables up to shift and reversal, so 1/qdim(nu) is the
+    hook-content product over the cells u of alpha of [h(u)] / [L + c(u)]
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3 Ex. 1),
+    reduced once; the powers of qn and qd it and the q-factors of the
+    formula leave are netted per |beta| before they are raised.
     """
-    alpha = [c - x for x in head if x < c]
-    h, gap = len(alpha), big - n
-    if not gap:
-        return {Signature._trusted((c,) * (big - h) + tuple(reversed(head[:h]))): Fraction(1)}
-    m = min(n, h)
+    h, gap, m = len(alpha), big - n, min(n, len(alpha))
     qn, qd = q.numerator, q.denominator
     a, b = qn * qn, qd * qd
+    cols = _conjugate(alpha, alpha[0])  # alpha'
     dual = alpha[0] < m
     if dual:
         # the conjugates: row i holds alpha'_i, beta'_i <= min(alpha'_i, m)
-        rows_of = [sum(1 for x in alpha if x > i) for i in range(alpha[0])]
-        upper = [min(x, m) for x in rows_of]
-        lower = [max(x - gap, 0) for x in rows_of]
-        width, fixed = alpha[0], []
+        rows_of, width, fixed = cols, alpha[0], []
+        upper = [min(x, m) for x in cols]
+        lower = [max(x - gap, 0) for x in cols]
     else:
-        rows_of = alpha
+        rows_of, width, fixed = alpha, m, list(range(m, h))  # beta_j = 0 past m
         upper = alpha[:m]
         lower = [alpha[gap + j] if gap + j < h else 0 for j in range(m)]
-        width, fixed = m, list(range(m, h))  # beta_j = 0 past m
-    # table[k] for k < alpha_1 + h, the largest index an entry reaches
-    table = [1]
-    low_a, low_b = 1, 1
-    if dual:
-        up_a, up_b, ab = a ** gap, b ** gap, 1
-        for _ in range(alpha[0] + h - 1):
-            low_a *= a
-            low_b *= b
-            table.append(table[-1] * ab * (up_b - up_a) // (low_b - low_a))
+    # table[k] for k < alpha_1 + h, the largest index an entry reaches: H_k,
+    # or E_k, whose bracket moves down and which gains (ab)^(k-1)
+    table, low_a, low_b, ab = [1], 1, 1, 1
+    up_a, up_b = a ** gap, b ** gap
+    for _ in range(alpha[0] + h - 1):
+        low_a *= a
+        low_b *= b
+        table.append(table[-1] * ab * (up_b - up_a) // (low_b - low_a))
+        if dual:
             up_a, up_b, ab = up_a // a, up_b // b, ab * a * b
-    else:
-        up_a, up_b = a ** gap, b ** gap
-        for _ in range(alpha[0] + h - 1):
-            low_a *= a
-            low_b *= b
-            table.append(table[-1] * (up_b - up_a) // (low_b - low_a))
-            up_a *= a
-            up_b *= b
+        else:
+            up_a, up_b = up_a * a, up_b * b
 
     def entry(i: int, s: int) -> int:
         # row i (0-based) of the column at s = beta_j - j
@@ -192,38 +194,22 @@ def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -
     divisor = sign * pivot  # an entry's sum of products is divisor * D(lam)
     columns = list(zip(*matrix[len(fixed):]))[len(fixed):]  # columns[s + width]
 
-    # qdim(nu) = (brackets) / (qn qd)^spread, its brackets and spread read
-    # from alpha: the run of c against each entry, then the entries pairwise
+    # 1/qdim(nu) = (brackets) (qn qd)^spread by hook-content: the cell (i, j)
+    # of alpha has hook alpha_i - j + alpha'_j - i - 1 and content j - i, and
+    # spread = sum of (L + c(u) - h(u)) = (L - 1)|alpha| - 2 sum of i alpha_i
     size = sum(alpha)
     power: Counter = Counter()
-    spread = (big - h) * size
-    for i, x in enumerate(alpha, 1):
-        for s in range(x):
-            power[big - i + 1 + s] += 1
-            power[h - i + 1 + s] -= 1
-        for l, y in enumerate(alpha[:i - 1], 1):
-            if y > x:
-                power[y - x + i - l] += 1
-                power[i - l] -= 1
-                spread += y - x
-    bn, bd = _brackets(power, qn, qd)
-    inverse = Fraction(bd, bn)
+    for i, x in enumerate(alpha):
+        for j in range(x):
+            power[x - j + cols[j] - i - 1] += 1
+            power[big + j - i] -= 1
+    spread = (big - 1) * size - 2 * sum(i * x for i, x in enumerate(alpha))
+    inverse = Fraction(*_brackets(power, qn, qd))
     kn, kd = inverse.numerator, inverse.denominator
     # the weight at |beta| = B is kn/kd qdim(lam) D / divisor times
     # qn^(spread - (n+1)B - (M-n-1)|alpha|) qd^(spread + (2M+n-1)B - (M+n-1)|alpha|)
     powers: dict[int, tuple[int, int]] = {}  # B -> that factor times kn/kd
-    out = {}
-
-    def conjugate(path: tuple) -> tuple:
-        # lam from c - beta'_A, ..., c - beta'_1: beta_j = #{i : beta'_i >= j}
-        count = [0] * (m + 1)
-        for v in path:
-            count[c - v] += 1
-        parts, run = [c] * (n - m), 0
-        for y in range(m, 0, -1):
-            run += count[y]
-            parts.append(c - run)
-        return tuple(parts)
+    prefix, out = (c,) * (n - m), {}
 
     def visit(j: int, state: tuple, least: int, path: tuple, cells: int) -> None:
         # column j+1 from its upper bound down to the least value that keeps
@@ -243,8 +229,9 @@ def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -
         for y in range(upper[0], floor - 1, -1):
             det = sum(map(mul, columns[y - 1 + width], cof)) // divisor
             lam = path + (c - y,)
-            if dual:
-                lam = conjugate(lam)
+            if dual:  # lam from beta, the conjugate of beta' = c - lam
+                beta = _conjugate([c - v for v in lam], m)
+                lam = prefix + tuple([c - x for x in reversed(beta)])
             total = cells + y
             pair = powers.get(total)
             if pair is None:
@@ -257,10 +244,20 @@ def _approximant(head: tuple[int, ...], c: int, n: int, big: int, q: Fraction) -
     # no column visited yet: the rows left, last first, as their entries in
     # the unit columns, which start at pivot times the identity
     unit = [[pivot if r == i else 0 for i in range(width)] for r in reversed(range(width))]
-    visit(width - 1, (pivot, unit), 0, () if dual else (c,) * (n - m), 0)
+    visit(width - 1, (pivot, unit), 0, () if dual else prefix, 0)
     if dual:  # visited in another order
         return dict(sorted(out.items(), key=lambda item: item[0].parts))
     return out
+
+
+def _conjugate(parts: list[int], length: int) -> list[int]:
+    """The first `length` parts of the conjugate of the partition with these
+    parts, taken in any order and none above `length`: part j + 1 counts
+    the parts above j."""
+    count = [0] * (length + 1)
+    for x in parts:
+        count[x] += 1
+    return list(accumulate(reversed(count)))[-2::-1]
 
 
 def _extend(state: tuple, col: tuple, pivot: int) -> tuple:
@@ -291,8 +288,8 @@ def check_printable(
     integer that `str` cannot print: more digits than
     `sys.get_int_max_str_digits()` (0 is no limit).
 
-    The arguments are checked as by `extreme_character` first.  A constant
-    prefix always prints.  Otherwise let c = theta_L, h the number of
+    The arguments are checked as by `extreme_character` first.  A point
+    mass (theta constant up to L, or L = N) always prints.  Otherwise let c = theta_L, h the number of
     prefix entries below c and M = L - N, and take the least signature of
     the support, lam_i = theta_(N-i+1).  As a function of q each
     unnormalized weight, qdim(lam) q^((N+1)|lam|) times the chain sum, is
@@ -309,11 +306,12 @@ def check_printable(
     level, truncation = _levels(level, truncation)
     q = check_q(q)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    first, top = theta.entry(1), theta.entry(truncation)
-    h = sum(1 for x in theta.head[:truncation] if x < top)
-    if not limit or first == top or truncation - level < h:
+    top = theta.entry(truncation)
+    below = [x for x in theta.head[:truncation] if x < top]
+    h = len(below)
+    if not limit or not below or truncation - level < h:
         return
-    fall = 2 * (top - first) * (truncation - level - h + 1)
+    fall = 2 * (top - below[0]) * (truncation - level - h + 1)
     qd = q.denominator
     if fall * (qd.bit_length() - 1) >= 4 * limit or qd ** fall >= 10 ** limit:
         raise ValueError(

@@ -193,8 +193,9 @@ def enumerate_down(upper: Signature) -> tuple[Signature, ...]:
     n = upper.level - 1
     ranges = [range(upper.parts[k + 1], upper.parts[k] + 1) for k in range(n)]
     # any choice with parts[k] in [upper[k+1], upper[k]] is automatically
-    # nonincreasing, so the raw product is exactly the interlacing set
-    return tuple(Signature(parts) for parts in product(*ranges))
+    # nonincreasing, so the raw product is exactly the interlacing set, built
+    # unchecked
+    return tuple(Signature._trusted(parts) for parts in product(*ranges))
 
 
 def enumerate_gt_patterns(top: Signature) -> Iterator[GTPattern]:
@@ -217,8 +218,8 @@ def enumerate_gt_patterns(top: Signature) -> Iterator[GTPattern]:
         if lam is None:
             stack.pop()
             del path[-1:]
-        elif lam.level == 1:
-            yield GTPattern((lam.parts, *reversed(path)))
+        elif lam.level == 1:  # every row interlaces the one above: unchecked
+            yield GTPattern._trusted((lam.parts, *reversed(path)))
         else:
             path.append(lam.parts)
             stack.append(reversed(enumerate_down(lam)))

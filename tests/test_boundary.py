@@ -89,6 +89,25 @@ class TestExtremeCharacter:
         assert report.ok
         assert report.tensored == indecomposable(sig(6, 6), HALF)
 
+    def test_truncation_at_the_level_is_the_point_mass(self, monkeypatch):
+        # at L = N nothing is pushed down: the point mass at the prefix is
+        # returned without taking a determinant, at any level
+        def refuse(*args):
+            raise AssertionError("a determinant was taken at L = N")
+
+        monkeypatch.setattr(boundary, "_approximant", refuse)
+        theta = BoundaryParam((-3, -1, 0, 2), 3)
+        for q in (HALF, Fraction(2, 3)):
+            for n in (1, 4, 5000):
+                approx = extreme_character(theta, n, n, q)
+                assert approx.measure == indecomposable(theta.signature_at(n), q)
+            # the tensor of verify_corollary pays O(N^2) per qdim: small N only
+            for n in (1, 4):
+                assert verify_corollary(theta, 2, n, n, q).ok
+            # a constant theta far past the level
+            approx = extreme_character(BoundaryParam((), 3), 2, 10**6, q)
+            assert approx.measure == indecomposable(sig(3, 3), q)
+
     def test_zero_sequence(self):
         approx = extreme_character(BoundaryParam((), 0), 2, 6, HALF)
         assert approx.measure == indecomposable(sig(0, 0), HALF)
