@@ -13,14 +13,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterator
 
 import qchar
 from qchar import (
-    EMPTY,
     BlockElement,
     LevelCharacter,
     Signature,
@@ -91,12 +90,10 @@ def interlaces(lower: Signature, upper: Signature) -> bool:
 
 def iter_signatures(level: int, lo: int, hi: int) -> Iterator[Signature]:
     """All signatures of the given level with parts in [lo, hi], ascending lex."""
-    if level == 0:
-        yield EMPTY
-        return
-    for parts in product(range(lo, hi + 1), repeat=level):
-        if all(parts[i] >= parts[i + 1] for i in range(level - 1)):
-            yield Signature(parts)
+    # multisets of the descending range are the nonincreasing tuples in
+    # descending lex order, built without a pass over all (hi - lo + 1)^level tuples
+    for parts in reversed(list(combinations_with_replacement(range(hi, lo - 1, -1), level))):
+        yield Signature(parts)
 
 
 def monomial_schur(lam: Signature) -> dict[tuple[int, ...], int]:
@@ -185,11 +182,7 @@ def random_character(
     hi: int = 2,
 ) -> LevelCharacter:
     """Random finitely supported probability measure on signatures."""
-    pool = [
-        Signature(parts)
-        for parts in product(range(lo, hi + 1), repeat=level)
-        if all(parts[i] >= parts[i + 1] for i in range(level - 1))
-    ]
+    pool = list(iter_signatures(level, lo, hi))
     support = rng.sample(pool, rng.randint(1, min(max_support, len(pool))))
     raw = [Fraction(rng.randint(1, 9)) for _ in support]
     total = sum(raw)

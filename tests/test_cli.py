@@ -280,15 +280,24 @@ class TestFreshProcess:
             "accepted": True, "coefficients": [{"sig": [0] * 1200, "coeff": "1"}]
         }
 
-    def test_torus_pairing_at_1200_levels(self):
-        # the coefficients are pushed down the 1200 levels in a loop, not a call per level
+    @pytest.mark.parametrize(
+        "parts", [[0] * 1200, [1] + [0] * 1198 + [-1]], ids=["pinned", "moving"]
+    )
+    def test_torus_pairing_at_1200_levels(self, parts):
+        # the coefficients are pushed down the 1200 levels in a loop, not a
+        # call per level, and the about 1200 coordinates that no state moves
+        # cost no pass at any level
         proc = run_fresh(
             "-m", "qchar.cli", "sgf-torus",
-            "--char", CHAR_1200 % ([0] * 1200), "--z", json.dumps([[1, 0]] * 1200),
+            "--char", CHAR_1200 % parts, "--z", json.dumps([[1, 0]] * 1200),
             timeout=20,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"abs": 1.0, "value": {"re": 1.0, "im": 0.0}}
+        doc = json.loads(proc.stdout)
+        if any(parts):
+            assert abs(doc["abs"] - 1) <= 1e-12
+        else:
+            assert doc == {"abs": 1.0, "value": {"re": 1.0, "im": 0.0}}
 
     # `main` in a child whose address space is capped at 1 GiB
     CAPPED = (
