@@ -19,11 +19,22 @@ so a request loads only what its subcommand uses.  Likewise a request
 builds only the parser of the subcommand it names; `qchar`, `qchar --help`
 and an unknown subcommand go through the parser of all 16 subcommands, and
 every usage line, the narrowed parser's included, lists all 16.
+
+`qchar` and `python -m qchar.cli` enter through `run`, never `main`
+directly: `run` calls `main` and, once the reply is written (or `main` has
+raised), moves every live object into the collector's permanent generation
+with `gc.freeze()` before the process exits.  The exit-time collections
+then skip every object that `site`, argparse, json, fractions and the
+qchar layers left alive, which nothing will use again: the teardown of a
+`qdim` request took 7.2 -> 2.0 ms of about 55 ms on a 2-core x86-64 VM
+(README, "CLI").  `main` never freezes, so in-process callers (tests,
+library users) keep their collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -415,5 +426,15 @@ def main(argv=None) -> int:
     return 2
 
 
+def run() -> None:
+    """The process entry: `main`, then freeze the collector and exit with its code."""
+    try:
+        code = main()
+    finally:
+        # after the reply and before teardown, on every path out of `main`
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,10 +1,13 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -157,6 +160,49 @@ REPEATS = {
 }
 
 
+# one request per way out of `main`: its reply, a failed verification (the
+# identity density of side 2 is not proportional to F's eigenvalues), a
+# handler error, and an argparse usage error, which raises SystemExit(2)
+IDENTITY_2 = BLOCK % (2, '[{"sig": [1, 0], "matrix": [["1/2", "0"], ["0", "1/2"]]}]')
+OUTCOMES = {
+    "exit-0": (["qdim", "--q", "1/2", "--sig", "[2, 1, 0]"], 0),
+    "exit-1": (["decompose", "--densities", IDENTITY_2], 1),
+    "exit-2": (["qdim", "--q", "3/2", "--sig", "[1, 0]"], 2),
+    "usage": (["qdim", "--q", "1/2", "--sig", "[1, 0]", "extra"], 2),
+}
+
+# `python -m qchar.cli` or the console script named in pyproject.toml, run
+# in this interpreter after an atexit hook is registered that prints how
+# many objects the collector holds frozen as the last line of stderr
+ENTRY = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+how = sys.argv.pop(1)
+if how == "-m":
+    runpy.run_module("qchar.cli", run_name="__main__", alter_sys=True)
+else:
+    module, _, name = how.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+def console_script() -> str:
+    """The `module:function` that pyproject.toml installs as `qchar`."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^qchar = "([\w.]+:\w+)"$', text, re.M).group(1)
+
+
+def in_process_reply(argv) -> tuple:
+    """(exit code, stdout, stderr) of `main` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -243,6 +289,15 @@ class TestBasicCommands:
         assert first == second
 
 
+class TestCollector:
+    @pytest.mark.parametrize("argv, code", list(OUTCOMES.values()), ids=list(OUTCOMES))
+    def test_main_leaves_the_collector_as_it_was(self, argv, code):
+        # only the process entry freezes; an in-process caller keeps its collector
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert in_process_reply(argv)[0] == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
 class TestFreshProcess:
     def test_import_leaves_numpy_unloaded(self):
         script = "import json, sys, qchar.cli; print(json.dumps(sorted(sys.modules)))"
@@ -266,6 +321,25 @@ class TestFreshProcess:
             assert loaded == [
                 "qchar", "qchar.cli", "qchar.combinatorics", "qchar.jsonio", "qchar.schur"
             ]
+
+    @pytest.mark.parametrize("outcome", list(OUTCOMES) + ["output-file"])
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    def test_the_process_entry_freezes_after_the_reply(self, entry, outcome, tmp_path):
+        # the entry froze the collector before exit, and its reply is main's
+        argv, _ = OUTCOMES.get(outcome, OUTCOMES["exit-0"])
+
+        def to_file(name):
+            return ["--output", str(tmp_path / name)] if outcome == "output-file" else []
+
+        expected = in_process_reply(argv + to_file("main.json"))
+        how = "-m" if entry == "module" else console_script()
+        proc = run_fresh("-c", ENTRY, how, *argv, *to_file("entry.json"), timeout=20)
+        *err, frozen = proc.stderr.splitlines(keepends=True)
+        assert int(frozen) > 0
+        assert (proc.returncode, proc.stdout, "".join(err)) == expected
+        if outcome == "output-file":
+            written = (tmp_path / "entry.json").read_bytes()
+            assert written and written == (tmp_path / "main.json").read_bytes()
 
     def test_decompose_at_1200_levels(self):
         # the patterns of [0]*1200 are enumerated in a loop, not a call per level
