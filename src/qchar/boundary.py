@@ -30,7 +30,6 @@ the parameter sequence.
 """
 
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from operator import index, mul
@@ -150,7 +149,8 @@ def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dic
     hook-content product over the cells u of alpha of [h(u)] / [L + c(u)]
     (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3 Ex. 1),
     reduced once; the powers of qn and qd it and the q-factors of the
-    formula leave are netted per |beta| before they are raised.
+    formula leave are netted per |beta| before they are raised.  The visit
+    is a loop over a stack: a call leaves no reference cycle.
     """
     h, gap, m = len(alpha), big - n, min(n, len(alpha))
     qn, qd = q.numerator, q.denominator
@@ -179,16 +179,12 @@ def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dic
         else:
             up_a, up_b = up_a * a, up_b * b
 
-    def entry(i: int, s: int) -> int:
-        # row i (0-based) of the column at s = beta_j - j
-        d = rows_of[i] - i - 1 - s
-        return table[d] if d >= 0 else 0
-
     # the fixed columns and their rows first, then a moving column at every
-    # s from -width; rows and columns are permuted alike
+    # s = beta_j - j from -width, row i holding table[alpha_i - i - 1 - s]
+    shifts = [-j - 1 for j in fixed] + list(range(-width, rows_of[0]))
     matrix = [
-        [entry(i, -j - 1) for j in fixed] + [entry(i, s) for s in range(-width, rows_of[0])]
-        for i in fixed + list(range(width))
+        [table[top - s] if s <= top else 0 for s in shifts]
+        for top in [rows_of[i] - i - 1 for i in fixed + list(range(width))]
     ]
     sign, pivot = _eliminate(matrix, len(fixed))
     divisor = sign * pivot  # an entry's sum of products is divisor * D(lam)
@@ -198,11 +194,13 @@ def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dic
     # of alpha has hook alpha_i - j + alpha'_j - i - 1 and content j - i, and
     # spread = sum of (L + c(u) - h(u)) = (L - 1)|alpha| - 2 sum of i alpha_i
     size = sum(alpha)
-    power: Counter = Counter()
+    power: dict[int, int] = {}
     for i, x in enumerate(alpha):
         for j in range(x):
-            power[x - j + cols[j] - i - 1] += 1
-            power[big + j - i] -= 1
+            k = x - j + cols[j] - i - 1
+            power[k] = power.get(k, 0) + 1
+            k = big + j - i
+            power[k] = power.get(k, 0) - 1
     spread = (big - 1) * size - 2 * sum(i * x for i, x in enumerate(alpha))
     inverse = Fraction(*_brackets(power, qn, qd))
     kn, kd = inverse.numerator, inverse.denominator
@@ -211,20 +209,26 @@ def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dic
     powers: dict[int, tuple[int, int]] = {}  # B -> that factor times kn/kd
     prefix, out = (c,) * (n - m), {}
 
-    def visit(j: int, state: tuple, least: int, path: tuple, cells: int) -> None:
-        # column j+1 from its upper bound down to the least value that keeps
-        # beta (or beta') a partition, given the elimination of the columns
-        # past it, c minus their values (last first) and their cells
+    # a stack item: a moving column j (0-based) still to place, the
+    # elimination of the columns past it, the least value that keeps beta (or
+    # beta') a partition, c minus their values (last first) and their cells;
+    # at first the rows left, last first, are their entries in the unit
+    # columns, which start at pivot times the identity
+    unit = [[pivot if r == i else 0 for i in range(width)] for r in reversed(range(width))]
+    stack = [(width - 1, (pivot, unit), 0, () if dual else prefix, 0)]
+    while stack:
+        j, state, least, path, cells = stack.pop()
         floor = max(lower[j], least)
         if j:
+            # pushed from the least value up, so the largest is placed first
             last, left = state
-            for y in range(upper[j], floor - 1, -1):
+            for y in range(floor, upper[j] + 1):
                 if y == rows_of[j]:
                     grown = last, left[1:]
                 else:
                     grown = _extend(state, columns[y - j - 1 + width], pivot)
-                visit(j - 1, grown, y, path + (c - y,), cells + y)
-            return
+                stack.append((j - 1, grown, y, path + (c - y,), cells + y))
+            continue
         (cof,) = state[1]
         for y in range(upper[0], floor - 1, -1):
             det = sum(map(mul, columns[y - 1 + width], cof)) // divisor
@@ -240,11 +244,6 @@ def _approximant(alpha: list[int], c: int, n: int, big: int, q: Fraction) -> dic
                 pair = powers[total] = kn * xn * yn, kd * xd * yd
             dn, dd = _qdim_pair(lam, qn, qd)
             out[Signature._trusted(lam)] = Fraction(pair[0] * det * dn, pair[1] * dd)
-
-    # no column visited yet: the rows left, last first, as their entries in
-    # the unit columns, which start at pivot times the identity
-    unit = [[pivot if r == i else 0 for i in range(width)] for r in reversed(range(width))]
-    visit(width - 1, (pivot, unit), 0, () if dual else prefix, 0)
     if dual:  # visited in another order
         return dict(sorted(out.items(), key=lambda item: item[0].parts))
     return out

@@ -235,15 +235,15 @@ def total_variation(a: LevelCharacter, b: LevelCharacter) -> Fraction:
 
     Taken in integers over D = lcm of both measures' denominators: every
     weight n/d becomes n * (D/d), and the result is one Fraction,
-    sum |n_a (D/d_a) - n_b (D/d_b)| / 2D.
+    sum |n_a (D/d_a) - n_b (D/d_b)| / 2D, in one pass that reads each n/d
+    and hashes each signature once; those only in b add their own mass.
     """
-    common = lcm(*(w.denominator for chi in (a, b) for w in chi.weights.values()))
-    ia, ib = (
-        {sig: w.numerator * (common // w.denominator) for sig, w in chi.weights.items()}
-        for chi in (a, b)
-    )
-    gap = sum(abs(ia.get(sig, 0) - ib.get(sig, 0)) for sig in ia.keys() | ib.keys())
-    return Fraction(gap, 2 * common)
+    ra = [w.as_integer_ratio() for w in a.weights.values()]
+    rb = [w.as_integer_ratio() for w in b.weights.values()]
+    common = lcm(*[d for _, d in ra], *[d for _, d in rb])
+    ib = {sig: n * (common // d) for sig, (n, d) in zip(b.weights, rb)}
+    gap = sum(abs(n * (common // d) - ib.pop(sig, 0)) for sig, (n, d) in zip(a.weights, ra))
+    return Fraction(gap + sum(ib.values()), 2 * common)
 
 
 def is_coherent(family: CoherentFamily) -> CoherenceReport:

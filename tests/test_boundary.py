@@ -331,6 +331,13 @@ class TestDeterminant:
             ((-1, -1, 0, 0, 0, 1, 1), 2, 5, 6),
             ((-1, -1, 0, 0, 0, 1, 1), 2, 6, 8),
             ((-2, -1, -1) + (0,) * 12 + (1, 1), 2, 15, 18),
+            # each form at L = N + 1 and past it, its second moving row (a
+            # column, in the dual) emptied on part of the support: the h x h
+            # one at alpha = (4, 2), the dual at alpha = (2, 2, 1, 1)
+            ((-2, 0), 2, 2, 3),
+            ((-2, 0), 2, 2, 5),
+            ((0, 0, 1, 1), 2, 4, 5),
+            ((0, 0, 1, 1), 2, 3, 7),
         ],
     )
     def test_runs_of_equal_head_entries(self, head, tail, level, trunc):
