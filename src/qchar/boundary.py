@@ -70,10 +70,14 @@ class CorollaryReport(_Frozen):
         self._set(ok, tensored, shifted, gap, discrepancy)
 
 
-def _levels(level: int, truncation: int) -> tuple[int, int]:
-    """The level and truncation, read with `operator.index`: 1 <= level <=
-    truncation, and a level beyond `sys.maxsize`, the longest tuple, is
-    refused."""
+def _read(
+    theta: BoundaryParam, level: int, truncation: int, q: Fraction
+) -> tuple[int, int, Fraction, int, list[int]]:
+    """The arguments of an approximant as (level, truncation, q, c, below):
+    the level and truncation read with `operator.index`, 1 <= level <=
+    truncation, and a level beyond `sys.maxsize`, the longest tuple,
+    refused; q by `check_q`; c = theta_L, and the head entries below c in
+    order."""
     level, truncation = index(level), index(truncation)
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -81,7 +85,9 @@ def _levels(level: int, truncation: int) -> tuple[int, int]:
         raise ValueError(f"level {level} is beyond the longest signature, {sys.maxsize} parts")
     if truncation < level:
         raise ValueError(f"truncation {truncation} must be >= level {level}")
-    return level, truncation
+    q = check_q(q)
+    top = theta.entry(truncation)
+    return level, truncation, q, top, [x for x in theta.head[:truncation] if x < top]
 
 
 def extreme_character(
@@ -101,10 +107,7 @@ def extreme_character(
     level beyond `sys.maxsize`, the longest tuple, is refused.  The
     measure is built without re-checking its weights.
     """
-    level, truncation = _levels(level, truncation)
-    q = check_q(q)
-    top = theta.entry(truncation)
-    below = [x for x in theta.head[:truncation] if x < top]
+    level, truncation, q, top, below = _read(theta, level, truncation, q)
     if not below or level == truncation:
         parts = (top,) * (level - len(below)) + tuple(reversed(below))
         weights = {Signature._trusted(parts): Fraction(1)}
@@ -302,11 +305,8 @@ def check_printable(
     least signature, so F >= 2 (c - theta_1)(M - h + 1).  The request is
     refused, with ValueError, when qd^F >= 10^limit, decided in integers.
     """
-    level, truncation = _levels(level, truncation)
-    q = check_q(q)
+    level, truncation, q, top, below = _read(theta, level, truncation, q)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    top = theta.entry(truncation)
-    below = [x for x in theta.head[:truncation] if x < top]
     h = len(below)
     if not limit or not below or truncation - level < h:
         return

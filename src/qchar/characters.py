@@ -11,18 +11,16 @@ sum along each row.  `_step`, in integers, then adds each row's run to
 every prefix of the box below it as one slice; it is the one level of
 `_push`, behind a kernel row and `restrict`.  In floats, on states scaled
 by their dominant monomials so that no factor exceeds 1 in modulus,
-`sgf_eval_torus` takes its first level the same way by `_torus_step`,
-since there the rows are the measure's support, and every level below it
-by `_torus_sweep`, one running sum per coordinate that the rows move.  The
-extreme-character approximants of `boundary` take many levels at once by
-a closed form, without a walk.
+`sgf_eval_torus` takes every level by `_torus_sweep`, one running sum per
+coordinate that the rows move.  The extreme-character approximants of
+`boundary` take many levels at once by a closed form, without a walk.
 """
 
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
 from operator import add, index
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
 from .schur import _evaluator, _fold, _lr_terms, _principal_pair, _qdim_pair, _qpow, check_q
@@ -347,11 +345,9 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
                 * prod_i t^(i (mu_i - lam_(i+1))),
 
     whose factors all have modulus at most 1; the value is the sum over the
-    level-1 states of W(lam) z_1^lam_1.  The first level, k = N, is one
-    `_torus_step`: its rows are the support, few and with boxes that barely
-    overlap, so each slice writes its target about once.  Every level below
-    it is one `_torus_sweep`, which costs O(states x moving coordinates)
-    rather than the box volume of its rows.  Every term is positive at
+    level-1 states of W(lam) z_1^lam_1.  Each level, the first included, is
+    one `_torus_sweep`, which costs O(states x moving coordinates) rather
+    than the box volume of its rows.  Every term is positive at
     z = (1, ..., 1), so rounding stays relative to the normaliser, and no
     state leaves the float range: for every 0 < q < 1 and every valid
     character, |S(z)| <= 1 + 1e-12 and |S(1, ..., 1) - 1| <= 1e-12.
@@ -377,61 +373,44 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
         en, ed = _qpow(qn, qd, sum([(n + 1 - 2 * i) * x for i, x in enumerate(parts, 1)]))
         _add_run(rows, parts[:-1], parts[-1], [p.numerator * dd * ed / (p.denominator * dn * en)])
     t = qn * qn / (qd * qd)
-    if n > 1:
-        rows = _torus_step(rows, zs[n - 1], t, n)
-    for k in range(n - 1, 1, -1):
+    for k in range(n, 1, -1):
         rows = _torus_sweep(rows, zs[k - 1], t, k)
     (start, values), = rows.values()
     return sum(c * zs[0] ** last for last, c in enumerate(values, start))
 
 
-def _torus_step(rows: dict, z: complex, t: float, k: int) -> dict:
-    """The first level of `sgf_eval_torus`, from k = N >= 2 to k - 1, on the
-    rows of `_add_run`.  With |lam| - |mu| = lam_1 - sum_i (mu_i - lam_(i+1))
-    the step's factor is z^lam_1 prod_i (t^i / z)^(mu_i - lam_(i+1)):
-    z^lam_1 and the factor for i = k - 1 are in the row's run
-    (`_torus_runs`), and the rest is one factor per prefix of the box below
-    the row, by which the run is added there as one slice.  Box coordinates
-    of width 1 add no factor, and each list of powers of t^i / z is built
-    on first use.
-    """
-    powers: dict[int, list] = {}  # i -> (t^i / z)^d for d = 0, 1, ...
-    below: dict[tuple[int, ...], list] = {}
-    for key, (start, run) in _torus_runs(rows, z, t ** (k - 1) / z):
-        box = [range(key[i], key[i - 1] + 1) for i in range(1, k - 1)]
-        factors = [1.0]  # in the order of product(*box)
-        for i, span in enumerate(box, 1):
-            width = len(span)
-            if width > 1:
-                pw = powers.setdefault(i, [1.0])
-                while len(pw) < width:
-                    pw.append(pw[-1] * (t ** i / z))
-                factors = [f * g for f in factors for g in pw[:width]]
-        for prefix, f in zip(product(*box), factors):
-            _add_run(below, prefix, start, [f * v for v in run])
-    return below
-
-
 def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
-    """A level of `sgf_eval_torus` below its first, from k >= 2 to k - 1, on
-    the rows of `_add_run`: the factor of `_torus_step`, summed out one
-    coordinate at a time, right to left.  First each row's run along the
-    last part, decaying by t^(k-1) / z and times z^lam_1 (`_torus_runs`);
-    then, for i = k - 2 down to 1, the key's lam_(i+1) becomes mu_i by a
-    running sum across the rows that differ only in it, decaying by t^i / z
-    and emitted for each mu_i up to lam_i; last, lam_1 is folded into the
-    level-(k-1) rows.  A coordinate that no row moves (lam_i = lam_(i+1) in
-    every row, so mu_i = lam_i with weight 1) costs no pass.  Each state
-    is emitted once per pass, so a level costs O(states x moving
-    coordinates), not one slice per box prefix.
+    """A level of `sgf_eval_torus`, from k >= 2 to k - 1, on the rows of
+    `_add_run`.  With |lam| - |mu| = lam_1 - sum_i (mu_i - lam_(i+1)) the
+    step's factor is z^lam_1 prod_i (t^i / z)^(mu_i - lam_(i+1)), summed out
+    one coordinate at a time, right to left.  First each row's running sum
+    along the last part, decaying by t^(k-1) / z, taken on to lam_(k-1) and
+    times z^lam_1; then, for i = k - 2 down to 1, the key's lam_(i+1)
+    becomes mu_i by a running sum across the rows that differ only in it,
+    decaying by t^i / z and emitted for each mu_i up to lam_i; last, lam_1
+    is folded into the level-(k-1) rows.  A coordinate that no row moves
+    (lam_i = lam_(i+1) in every row, so mu_i = lam_i with weight 1) costs
+    no pass, and at a level with no pass, k = 2 among them, each run is
+    folded as soon as it is made, so the runs are never all held at once.
+    Each state is emitted once per pass, so a level costs O(states x
+    moving coordinates), not one slice per box prefix.
     """
     cols = list(zip(*rows))  # cols[i] = key[i] of every row, in one order
-    items = _torus_runs(rows, z, t ** (k - 1) / z)
-    for i in range(k - 2, 0, -1):
-        if cols[i - 1] == cols[i]:
-            continue
+    moving = [i for i in range(k - 2, 0, -1) if cols[i - 1] != cols[i]]
+    c, cur, below = t ** (k - 1) / z, {}, {}
+    for key, (start, values) in rows.items():
+        run, acc, f = [], 0, z ** key[0]
+        # mu_(k-1) runs on to lam_(k-1), past the last state of the row
+        for w in values + [0] * (key[-1] + 1 - start - len(values)):
+            acc = acc * c + w
+            run.append(acc * f)
+        if moving:
+            cur[key] = [start, run]
+        else:  # no pass: each run goes straight into the level-(k-1) rows
+            _add_run(below, key[1:], start, run)
+    for i in moving:
         d = t ** i / z
-        rows, cur = dict(items), {}
+        rows, cur = cur, {}
         lows: dict[tuple[int, ...], int] = {}  # the rest of a key -> its least lam_(i+1)
         for key in rows:
             rest = key[:i] + key[i + 1 :]
@@ -450,21 +429,6 @@ def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
                 row = rows.get(key)
                 if row is not None:
                     _add_run(cur, key, *row)
-        items = cur.items()
-    below: dict[tuple[int, ...], list] = {}
-    for key, (start, values) in items:
+    for key, (start, values) in cur.items():
         _add_run(below, key[1:], start, values)
     return below
-
-
-def _torus_runs(rows: dict, z: complex, c: complex) -> Iterator[tuple[tuple[int, ...], list]]:
-    """Each row of a level-k step of `sgf_eval_torus` as (key, [start, run]),
-    run the row's running sum along the last part, decaying by
-    c = t^(k-1) / z and taken on to lam_(k-1), times z^lam_1."""
-    for key, (start, values) in rows.items():
-        run, acc, f = [], 0, z ** key[0]
-        # mu_(k-1) runs on to lam_(k-1), past the last state of the row
-        for w in values + [0] * (key[-1] + 1 - start - len(values)):
-            acc = acc * c + w
-            run.append(acc * f)
-        yield key, [start, run]

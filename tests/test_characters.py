@@ -621,16 +621,27 @@ class TestSgfTorus:
     @pytest.mark.parametrize("q", [HALF, Fraction(9, 10), Fraction(99, 100)], ids=str)
     @pytest.mark.parametrize(
         "level, top",
-        [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (4, 6), (5, 6), (6, 6)],
-        ids=["1", "2", "3", "4", "5", "6", "4-wide", "5-wide", "6-wide"],
+        [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (4, 6), (5, 6), (6, 6), (4, None)],
+        ids=["1", "2", "3", "4", "5", "6", "4-wide", "5-wide", "6-wide", "4-broad"],
     )
     def test_prefix_rows_agree_with_the_edge_walk(self, level, top, q):
         # the running sums over prefix rows against the walk that adds each
         # state along every interlacing edge, at (1, ..., 1) and on the torus;
-        # parts in [-6, 6] give rows that the sweeps below the first level
-        # merge many at a time
+        # parts in [-6, 6] give rows that the sweeps merge many at a time.
+        # With top None the input is the restriction of the level-5 point
+        # mass (6, 3, 0, -3, -6): 256 states on 64 first-level rows whose
+        # boxes overlap, each row's box holding many of the others
         import cmath
 
+        if top is None:
+            chi = restrict(indecomposable(sig(6, 3, 0, -3, -6), q))
+            rng = random.Random(760 + q.denominator)
+            points = [[1] * level] + [
+                [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(level)] for _ in range(2)
+            ]
+            for pts in points:
+                assert abs(sgf_eval_torus(chi, pts) - sgf_eval_torus_edge_oracle(chi, pts)) <= 1e-13
+            return
         rng = random.Random(700 + 10 * level + q.denominator + 1000 * (top - 3))
         for _ in range(8):
             chi = random_character(level, q, rng, lo=-top, hi=top)
@@ -639,25 +650,37 @@ class TestSgfTorus:
                 assert abs(sgf_eval_torus(chi, pts) - sgf_eval_torus_edge_oracle(chi, pts)) <= 1e-13
 
     @pytest.mark.parametrize(
-        "parts, q",
+        "parts, q, broad",
         [
-            ((40, 20, 0, -20, -40), Fraction(99, 100)),
-            ((30, 10, 0, -10, -30), Fraction(999, 1000)),
-            ((30, 10, 0, -10, -30), 1 - Fraction(1, 10**12)),
-            ((1000, 0, -1000), 1 - Fraction(1, 10**12)),
+            ((40, 20, 0, -20, -40), Fraction(99, 100), False),
+            ((30, 10, 0, -10, -30), Fraction(999, 1000), False),
+            ((30, 10, 0, -10, -30), 1 - Fraction(1, 10**12), False),
+            ((1000, 0, -1000), 1 - Fraction(1, 10**12), False),
+            ((12, 6, 0, -6, -12), Fraction(99, 100), True),
+            ((12, 6, 0, -6, -12), Fraction(999, 1000), True),
         ],
-        ids=["level5-99/100", "level5-999/1000", "level5-1-1e-12", "level3-1-1e-12"],
+        ids=[
+            "level5-99/100",
+            "level5-999/1000",
+            "level5-1-1e-12",
+            "level3-1-1e-12",
+            "broad4-99/100",
+            "broad4-999/1000",
+        ],
     )
-    def test_wide_point_masses_meet_the_bound(self, parts, q):
+    def test_wide_point_masses_meet_the_bound(self, parts, q, broad):
         # up to 21^4 states a level below the support, far past the edge
-        # oracle's reach, and q up to 1 - 10^-12
+        # oracle's reach, and q up to 1 - 10^-12; a broad input is the
+        # point mass restricted once, 2401 states on 343 first-level rows
         import cmath
 
         chi = indecomposable(sig(*parts), q)
-        assert abs(sgf_eval_torus(chi, [1] * len(parts)) - 1) <= 1e-12
+        if broad:
+            chi = restrict(chi)
+        assert abs(sgf_eval_torus(chi, [1] * chi.level) - 1) <= 1e-12
         rng = random.Random(53)
         for _ in range(3):
-            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in parts]
+            z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(chi.level)]
             assert abs(sgf_eval_torus(chi, z)) <= 1 + 1e-12
 
     # points of the unit circle with rational coordinates, from Pythagorean triples
