@@ -23,7 +23,7 @@ from operator import add, index
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
-from .schur import _evaluator, _fold, _lr_terms, _principal_pair, _qdim_pair, _qpow, check_q
+from .schur import _evaluator, _fold, _lr_terms, _qdim_pair, _qpow, check_q
 
 
 class LevelCharacter(_Frozen):
@@ -308,20 +308,28 @@ def sgf_eval(chi: LevelCharacter, points: Sequence[Fraction]) -> Fraction:
 
     At the normalization point (1, q^-2, ..., q^(-2(N-1))) the value is 1
     for every character.  The sum is taken in integers, one Fraction at the
-    end: each term is the product of the integer parts of P(lam), of the
-    Schur value and of the principal specialization, and the terms are
-    folded over the lcm of their denominators, so the running denominator
-    grows only by the factors a term does not share with it.
+    end, in one pass over the support: each term is the product of the
+    integer parts of P(lam), of the Schur value (`schur._evaluator`: a
+    Jacobi-Trudi determinant expanded up to two rows, by Bareiss from
+    three) and of the principal specialization, the cached qdim pair over
+    q^((N-1)|lam|).  The terms are folded over the lcm of their
+    denominators, so the running denominator grows only by the factors a
+    term does not share with it.
     """
     if len(points) != chi.level:
         raise ValueError(f"need {chi.level} points, got {len(points)}")
     s = _evaluator(points)
     qn, qd = chi.q.numerator, chi.q.denominator
+    n = chi.level - 1
     terms = []
     for lam, p in chi.weights.items():
+        parts = lam.parts
         sn, sd = s(lam)
-        pn, pd = _principal_pair(lam.parts, qn, qd)
-        terms.append((p.numerator * sn * pd, p.denominator * sd * pn))
+        dn, dd = _qdim_pair(parts, qn, qd)
+        un, ud = _qpow(qd, qn, n * sum(parts))  # q^-(N-1)|lam|
+        pn, pd = p.as_integer_ratio()
+        # P(lam) s_lam(x) / (qdim(lam) q^-(N-1)|lam|)
+        terms.append((pn * sn * dd * ud, pd * sd * dn * un))
     return Fraction(*_fold(terms))
 
 
@@ -390,10 +398,11 @@ def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
     decaying by t^i / z and emitted for each mu_i up to lam_i; last, lam_1
     is folded into the level-(k-1) rows.  A coordinate that no row moves
     (lam_i = lam_(i+1) in every row, so mu_i = lam_i with weight 1) costs
-    no pass, and at a level with no pass, k = 2 among them, each run is
-    folded as soon as it is made, so the runs are never all held at once.
-    Each state is emitted once per pass, so a level costs O(states x
-    moving coordinates), not one slice per box prefix.
+    no pass.  Each state of the last pass, or each run at a level with no
+    pass (k = 2 among them), is folded as soon as it is final, so they are
+    never all held beside the level-(k-1) rows.  Each state is emitted
+    once per pass, so a level costs O(states x moving coordinates), not
+    one slice per box prefix.
     """
     cols = list(zip(*rows))  # cols[i] = key[i] of every row, in one order
     moving = [i for i in range(k - 2, 0, -1) if cols[i - 1] != cols[i]]
@@ -410,6 +419,7 @@ def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
             _add_run(below, key[1:], start, run)
     for i in moving:
         d = t ** i / z
+        last = i == moving[-1]
         rows, cur = cur, {}
         lows: dict[tuple[int, ...], int] = {}  # the rest of a key -> its least lam_(i+1)
         for key in rows:
@@ -424,11 +434,13 @@ def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
             key = head + (low,) + tail
             acc = cur[key] = rows[key]
             for v in range(low + 1, rest[i - 1] + 1):
+                if last:  # the state at key is final: fold it and drop it
+                    _add_run(below, key[1:], *cur.pop(key))
                 key = head + (v,) + tail
                 acc = cur[key] = [acc[0], [a * d for a in acc[1]]]
                 row = rows.get(key)
                 if row is not None:
                     _add_run(cur, key, *row)
-    for key, (start, values) in cur.items():
-        _add_run(below, key[1:], start, values)
+            if last:
+                _add_run(below, key[1:], *cur.pop(key))
     return below

@@ -7,14 +7,15 @@ rational strictly between 0 and 1, supplied at call time.  Laurent labels
 part: s_lam(x) = (prod x_i)^{lam_N} * s_{lam - lam_N}(x).  Inside, the
 exact Schur evaluator and ``qdim`` work in Python integers: the points are
 put over one common denominator, and each Schur value is a Jacobi-Trudi
-determinant of complete homogeneous values, taken fraction-free (Bareiss)
-at every point set and handed back as an integer numerator and
+determinant of complete homogeneous values, valid at every point set:
+read off the h table by its expansion up to two rows, taken fraction-free
+(Bareiss) from three, and handed back as an integer numerator and
 denominator, which `schur_eval` wraps in one Fraction.  Quantum
 dimensions are cached on integers, as an unreduced integer pair per part
 tuple and q = a/b, which the other layers multiply into their own integer
-sums; `qdim` wraps the pair in one Fraction, and `_principal_pair` gives
-the principal specialization s_lam(1, q^-2, ...) as the same pair over a
-power of q.  Littlewood-Richardson coefficients come from the row
+sums (`characters.sgf_eval` puts the pair over a power of q for the
+principal specialization s_lam(1, q^-2, ...)); `qdim` wraps the pair in
+one Fraction.  Littlewood-Richardson coefficients come from the row
 (horizontal-strip) form of the tableau rule, on bare part tuples.
 """
 
@@ -88,46 +89,52 @@ def _evaluator(points: Sequence[Fraction]) -> Callable[[Signature], tuple[int, i
         s_lam(x) = s_mu(c) (c_1 ... c_N)^lam_N / B^|lam|.
 
     s_mu(c) is the Jacobi-Trudi determinant det(h_(mu_i - i + j)(c)), l x l
-    for the l <= N - 1 nonzero parts of mu, taken by Bareiss elimination;
-    it holds at every point set, distinct or coincident.  The complete
-    homogeneous values h_k(c) are one table shared by every signature of
-    the call, grown on demand by the column recurrence
-    h_k(c_1..c_n) = h_k(c_1..c_(n-1)) + c_n h_(k-1)(c_1..c_n), O(N) per k.
-    Zero points are rejected; each caller checks the number of points.
+    for the l <= N - 1 nonzero parts of mu; it holds at every point set,
+    distinct or coincident.  Up to two rows it is expanded, 1, h_a or
+    h_a h_b - h_(a+1) h_(b-1), and from three rows it is taken by Bareiss
+    elimination.  The complete homogeneous values h_k(c) are one table
+    shared by every signature of the call, grown on demand by the column
+    recurrence h_k(c_1..c_n) = h_k(c_1..c_(n-1)) + c_n h_(k-1)(c_1..c_n),
+    O(N) per k.  Zero points are rejected; each caller checks the number
+    of points.
     """
     pts = [x if type(x) is Fraction else Fraction(x) for x in points]
-    if any(x == 0 for x in pts):
-        raise ValueError("evaluation points must be nonzero")
     den = lcm(*(x.denominator for x in pts))
     c = [x.numerator * (den // x.denominator) for x in pts]
+    if not all(c):
+        raise ValueError("evaluation points must be nonzero")
     h = [1]  # h[k] = h_k(c_1..c_N)
-    col = [1] * len(pts)  # col[n] = h_(len(h)-1)(c_1..c_(n+1))
-
-    def partition(mu: tuple[int, ...]) -> int:
-        rows = mu[: len(mu) - mu.count(0)]  # the nonzero parts
-        ell = len(rows)
-        while ell and len(h) < rows[0] + ell:
-            acc = 0
-            for n, x in enumerate(c):
-                acc = col[n] = acc + x * col[n]
-            h.append(acc)
-        return _bareiss(
-            [
-                [h[m - i + j] if j >= i - m else 0 for j in range(ell)]
-                for i, m in enumerate(rows)
-            ]
-        )
-
+    col = [1] * len(c)  # col[n] = h_(len(h)-1)(c_1..c_(n+1))
     cprod = prod(c)
 
     def value(lam: Signature) -> tuple[int, int]:
         parts = lam.parts
         base = parts[-1] if parts else 0
-        size = sum(parts)
-        s_mu = partition(tuple([p - base for p in parts]))
+        mu = [p - base for p in parts if p != base]  # the nonzero parts
+        ell = len(mu)
+        while ell and len(h) < mu[0] + ell:
+            acc = 0
+            for n, x in enumerate(c):
+                acc = col[n] = acc + x * col[n]
+            h.append(acc)
+        if ell > 2:
+            num = _bareiss(
+                [[h[m - i + j] if j >= i - m else 0 for j in range(ell)] for i, m in enumerate(mu)]
+            )
+        elif ell == 2:
+            a, b = mu
+            num = h[a] * h[b] - h[a + 1] * h[b - 1]
+        else:
+            num = h[mu[0]] if ell else 1
         # lam_N and |lam| may be negative: each power goes where it is positive
-        num = s_mu * cprod ** max(base, 0) * den ** max(-size, 0)
-        return num, cprod ** max(-base, 0) * den ** max(size, 0)
+        if base >= 0:
+            num, out = num * cprod ** base, 1
+        else:
+            out = cprod ** -base
+        size = sum(parts)
+        if size >= 0:
+            return num, out * den ** size
+        return num * den ** -size, out
 
     return value
 
@@ -185,14 +192,6 @@ def _brackets(power: dict[int, int], a: int, b: int) -> tuple[int, int]:
         elif e < 0:
             den *= (b ** (2 * m) - a ** (2 * m)) ** -e
     return num, den
-
-
-def _principal_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
-    """The principal specialization at q = a/b as a positive integer pair,
-    not reduced: the qdim pair over q^((N-1)|lam|)."""
-    num, den = _qdim_pair(parts, a, b)
-    pn, pd = _qpow(b, a, (len(parts) - 1) * sum(parts))
-    return num * pn, den * pd
 
 
 def _qpow(a: int, b: int, e: int) -> tuple[int, int]:
@@ -290,7 +289,9 @@ def _lr_terms(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[tuple[int
 
 def lr_coefficients(lam: Signature, mu: Signature) -> dict[Signature, int]:
     """Structure constants of s_lam * s_mu in level-many variables, keyed by
-    signatures of the common level in ascending order (see `_lr_terms`)."""
+    signatures of the common level in ascending order (see `_lr_terms`).
+    The rule yields nonincreasing integer parts, so the keys are built
+    unchecked."""
     if lam.level != mu.level:
         raise ValueError(f"levels must agree: {lam.level} != {mu.level}")
-    return {Signature(nu): c for nu, c in _lr_terms(lam.parts, mu.parts)}
+    return {Signature._trusted(nu): c for nu, c in _lr_terms(lam.parts, mu.parts)}

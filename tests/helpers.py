@@ -35,7 +35,7 @@ from qchar import (
 )
 from qchar.blocks import DecomposeReport, FCompatReport, pattern_groups
 from qchar.jsonio import character_to_json, format_scalar
-from qchar.schur import _qdim_pair
+from qchar.schur import _qdim_pair, _qpow
 
 
 def run_fresh(*argv, timeout):
@@ -53,9 +53,18 @@ def run_fresh(*argv, timeout):
 
 def principal_specialization(lam: Signature, q: Fraction) -> Fraction:
     """s_lam at (1, q^-2, ..., q^(-2(N-1))) by `schur_eval`: the oracle for
-    the product formula of `schur._principal_pair`."""
+    the product formula of `principal_pair`."""
     q = check_q(q)
     return schur_eval(lam, [q ** (-2 * i) for i in range(lam.level)])
+
+
+def principal_pair(parts: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    """The principal specialization at q = a/b as a positive integer pair,
+    not reduced: the qdim pair over q^((N-1)|lam|), the product formula
+    that `characters.sgf_eval` forms term by term."""
+    num, den = _qdim_pair(parts, a, b)
+    pn, pd = _qpow(b, a, (len(parts) - 1) * sum(parts))
+    return num * pn, den * pd
 
 
 def family_to_json(family) -> dict:

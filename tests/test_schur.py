@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qchar import (
     EMPTY,
+    LevelCharacter,
     Signature,
     check_q,
     dimension,
@@ -20,11 +21,12 @@ from qchar import (
 
 from qchar import schur
 from qchar.jsonio import MAX_PART
-from qchar.schur import _principal_pair, _qdim_pair
+from qchar.schur import _qdim_pair
 
 from helpers import (
     iter_signatures,
     lr_by_subtraction,
+    principal_pair,
     principal_specialization,
     qbracket,
     random_character,
@@ -32,6 +34,7 @@ from helpers import (
     schur_eval_bialternant,
     schur_eval_branching_oracle,
     schur_eval_gt_oracle,
+    sgf_eval_oracle,
 )
 
 HALF = Fraction(1, 2)
@@ -238,12 +241,48 @@ class TestJacobiTrudi:
                 if len(set(pts)) == level:
                     assert schur_eval_bialternant(lam, pts) == expected
 
+    # point sets per level: pairwise distinct, partly coincident (the first
+    # two, and at level 5 also the last two), and all equal; negative points in each
+    SIZE_POINTS = {
+        "distinct": ("1/2", "-2/3", "5/7", "-9/4", "3"),
+        "partly-coincident": ("-1/3", "-1/3", "5/2", "-2", "-2"),
+        "all-equal": ("-3/4",) * 5,
+    }
+
+    def test_each_determinant_size_against_the_oracles(self):
+        # the Jacobi-Trudi determinant of mu = lam - lam_N is expanded up to
+        # two rows and taken by Bareiss from three: shapes of 0-4 rows, at
+        # lam_N negative, zero and positive, parts within +-3
+        rng = random.Random(20261020)
+        by_level: dict[int, list[Signature]] = {}
+        for rows in range(5):
+            for base in (-2, 0, 1):
+                for level in sorted({rows + 1, 5}):
+                    mu = sorted((rng.randint(1, 3 - base) for _ in range(rows)), reverse=True)
+                    lam = Signature([m + base for m in mu] + [base] * (level - rows))
+                    assert sum(p != base for p in lam.parts) == rows
+                    by_level.setdefault(level, []).append(lam)
+        for level, sigs in by_level.items():
+            for name, raw in self.SIZE_POINTS.items():
+                pts = tuple(Fraction(x) for x in raw[:level])
+                for lam in sigs:
+                    value = schur_eval(lam, pts)
+                    assert value == schur_eval_gt_oracle(lam, pts), (lam, name)
+                    if len(set(pts)) == level:
+                        assert value == schur_eval_bialternant(lam, pts), (lam, name)
+                for q in (HALF, Fraction(2, 3)):
+                    raw_weights = [Fraction(rng.randint(1, 9)) for _ in sigs]
+                    total = sum(raw_weights)
+                    chi = LevelCharacter(level, q, {lam: w / total for lam, w in zip(sigs, raw_weights)})
+                    assert sgf_eval(chi, pts) == sgf_eval_oracle(chi, pts), (level, name, q)
+        assert sorted(by_level) == [1, 2, 3, 4, 5]
+
 
 class TestPrincipalSpecialization:
     def test_frozen_values(self):
         for parts, value in (((0, 0, 0), 1), ((1, 0), 5), ((1, 1), 4)):
             assert principal_specialization(sig(*parts), HALF) == value
-            assert Fraction(*_principal_pair(parts, 1, 2)) == value
+            assert Fraction(*principal_pair(parts, 1, 2)) == value
 
 
 class TestQDim:
@@ -325,7 +364,7 @@ class TestQDimPair:
     @pytest.mark.parametrize("q", QS)
     def test_principal_pair_is_the_schur_value(self, q):
         for lam in self.random_signatures(11):
-            num, den = _principal_pair(lam.parts, q.numerator, q.denominator)
+            num, den = principal_pair(lam.parts, q.numerator, q.denominator)
             assert num > 0 and den > 0
             pts = tuple(q ** (-2 * i) for i in range(lam.level))
             assert Fraction(num, den) == schur_eval(lam, pts)
@@ -399,6 +438,21 @@ class TestLRCoefficients:
                 pts = random_points(lam.level, rng)
                 lhs = sum(c * schur_eval(nu, pts) for nu, c in coeffs.items())
                 assert lhs == schur_eval(lam, pts) * schur_eval(mu, pts), (lam, mu)
+
+    def test_unchecked_keys_are_signatures(self):
+        # the keys are built without the constructor's checks: each must be
+        # the signature the constructor builds from its parts
+        rng = random.Random(20261020)
+        for _ in range(40):
+            level = rng.randint(1, 4)
+            lam, mu = (
+                sig(*sorted((rng.randint(-3, 2) for _ in range(level)), reverse=True))
+                for _ in range(2)
+            )
+            coeffs = lr_coefficients(lam, mu)
+            for nu in coeffs:
+                assert type(nu.parts) is tuple and nu == Signature(nu.parts), nu
+            assert coeffs == lr_by_subtraction(lam, mu), (lam, mu)
 
     @pytest.mark.parametrize("q", [HALF, Fraction(2, 3)])
     def test_dimension_multiplicativity(self, q):
