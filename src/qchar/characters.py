@@ -5,19 +5,18 @@ combination of the indecomposable ones, so it is stored losslessly as a
 finitely supported probability measure.  This module provides the
 cotransition kernel, restriction, coherence checking, the tensor product
 (fusion weighted by quantum-dimension ratios) and generating-function
-evaluation, exact and on the torus.  Every level step keeps a level's
-states in rows by all parts but the last (`_add_run`) and takes a running
-sum along each row.  `_step`, in integers, then adds each row's run to
-every prefix of the box below it as one slice; it is the one level of
-`_push`, behind a kernel row and `restrict`.  In floats, on states scaled
-by their dominant monomials so that no factor exceeds 1 in modulus,
-`sgf_eval_torus` takes every level by `_torus_sweep`, one running sum per
-coordinate that the rows move.  The extreme-character approximants of
-`boundary` take many levels at once by a closed form, without a walk.
+evaluation, exact and on the torus.  Every level step is one walk,
+`_sweep`, on a level's states kept in rows by all parts but the last
+(`_add_run`): a running sum along each row, then one running sum across
+the rows per coordinate that they move, each with a factor its caller
+gives.  `_push`, behind a kernel row and `restrict`, takes one level with
+every factor 1, in integers; `sgf_eval_torus` takes every level in
+floats, on states scaled by their dominant monomials so that no factor
+exceeds 1 in modulus.  The extreme-character approximants of `boundary`
+take many levels at once by a closed form, without a walk.
 """
 
 from fractions import Fraction
-from itertools import accumulate, product
 from math import gcd, lcm
 from operator import add, index
 from typing import Mapping, Sequence
@@ -132,17 +131,16 @@ def _push(weights: Mapping[Signature, Fraction], q: Fraction) -> dict:
     on nu[i+1] <= lam[i] <= nu[i].  Each nu starts as the integer
     P(nu) q^(-N(|nu|-s0)) / qdim(nu) (s0 the least |nu|) over one common
     denominator, divided by their gcd; the states are kept in rows by all
-    parts but the last (`_add_run`) and moved by one `_step`, and each
-    output weight is one Fraction from integers.  A single nu that is a
-    rectangle (nu[0] == nu[-1]), or a push to level 0, is a point mass at
-    once.  Keys ascend lexicographically, and the signatures are built
-    unchecked.
+    parts but the last (`_add_run`) and moved by one `_sweep` with every
+    factor 1, so each lam gets the plain sum of the integers above it, and
+    each output weight is one Fraction from integers.  A push to level 0 is
+    the point mass at the empty signature.  Keys ascend lexicographically,
+    and the signatures are built unchecked.
     """
     sigs = list(weights)
-    top = sigs[0].parts
-    n = len(top) - 1
-    if n == 0 or len(sigs) == 1 and top[0] == top[-1]:
-        return {Signature._trusted(top[:n]): Fraction(1)}
+    n = sigs[0].level - 1
+    if not n:
+        return {Signature._trusted(()): Fraction(1)}
     qn, qd = q.numerator, q.denominator
     least = min([nu.size for nu in sigs])
     nums, dens = [], []
@@ -158,9 +156,9 @@ def _push(weights: Mapping[Signature, Fraction], q: Fraction) -> dict:
     rows: dict[tuple[int, ...], list] = {}
     for nu, c in zip(sigs, starts):
         _add_run(rows, nu.parts[:-1], nu.parts[-1], [c // g])
-    rows = _step(rows)
-    scale = Fraction(qn, qd) ** (-n * least) * Fraction(g, common)
-    sn, sd = scale.numerator, scale.denominator
+    rows = _sweep(rows, n + 1, lambda i: 1, lambda first: 1)
+    up, down = _qpow(qn, qd, -n * least)
+    sn, sd = Fraction(up * g, down * common).as_integer_ratio()
     powers: dict[int, tuple[int, int]] = {}  # |lam| -> the scale times q^((N+1)|lam|)
     out = {}
     for key in sorted(rows):
@@ -177,27 +175,6 @@ def _push(weights: Mapping[Signature, Fraction], q: Fraction) -> dict:
             dn, dd = _qdim_pair(parts, qn, qd)
             out[Signature._trusted(parts)] = Fraction(pair[0] * c * dn, pair[1] * dd)
     return out
-
-
-def _step(rows: dict) -> dict:
-    """The level step of `_push`, on rows of states keyed by all parts but
-    the last (prefix -> [start, values], as in `_add_run`): each lam gets the
-    sum of the values of the nu above it.
-
-    The row with prefix pre reaches exactly the lam in (the box below pre)
-    x [start, pre[-1]] with lam_last >= nu_last, so its running sum is added
-    to the row of each lam[:-1] in the box as one slice, not one edge at a
-    time.  The walk is on bare part tuples, so it builds no Signature.
-    """
-    below: dict[tuple[int, ...], list] = {}
-    for pre, (start, values) in rows.items():
-        run = list(accumulate(values))
-        # lam_last runs on to pre[-1], past the last state of the row
-        run += [run[-1]] * (pre[-1] + 1 - start - len(run))
-        box = [range(pre[i + 1], pre[i] + 1) for i in range(len(pre) - 1)]
-        for prefix in product(*box):
-            _add_run(below, prefix, start, run)
-    return below
 
 
 def _add_run(rows: dict, prefix: tuple, start: int, run: list) -> None:
@@ -354,11 +331,12 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
 
     whose factors all have modulus at most 1; the value is the sum over the
     level-1 states of W(lam) z_1^lam_1.  Each level, the first included, is
-    one `_torus_sweep`, which costs O(states x moving coordinates) rather
-    than the box volume of its rows.  Every term is positive at
-    z = (1, ..., 1), so rounding stays relative to the normaliser, and no
-    state leaves the float range: for every 0 < q < 1 and every valid
-    character, |S(z)| <= 1 + 1e-12 and |S(1, ..., 1) - 1| <= 1e-12.
+    one `_sweep` with the factors t^i / z_k and z_k^lam_1, which costs
+    O(states x moving coordinates) rather than the box volume of its rows.
+    Every term is positive at z = (1, ..., 1), so rounding stays relative
+    to the normaliser, and no state leaves the float range: for every
+    0 < q < 1 and every valid character, |S(z)| <= 1 + 1e-12 and
+    |S(1, ..., 1) - 1| <= 1e-12.
     """
     if len(z) != chi.level:
         raise ValueError(f"need {chi.level} torus points, got {len(z)}")
@@ -382,33 +360,37 @@ def sgf_eval_torus(chi: LevelCharacter, z: Sequence[complex]) -> complex:
         _add_run(rows, parts[:-1], parts[-1], [p.numerator * dd * ed / (p.denominator * dn * en)])
     t = qn * qn / (qd * qd)
     for k in range(n, 1, -1):
-        rows = _torus_sweep(rows, zs[k - 1], t, k)
+        zk = zs[k - 1]
+        rows = _sweep(rows, k, lambda i: t ** i / zk, zk.__pow__)
     (start, values), = rows.values()
     return sum(c * zs[0] ** last for last, c in enumerate(values, start))
 
 
-def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
-    """A level of `sgf_eval_torus`, from k >= 2 to k - 1, on the rows of
-    `_add_run`.  With |lam| - |mu| = lam_1 - sum_i (mu_i - lam_(i+1)) the
-    step's factor is z^lam_1 prod_i (t^i / z)^(mu_i - lam_(i+1)), summed out
-    one coordinate at a time, right to left.  First each row's running sum
-    along the last part, decaying by t^(k-1) / z, taken on to lam_(k-1) and
-    times z^lam_1; then, for i = k - 2 down to 1, the key's lam_(i+1)
+def _sweep(rows: dict, k: int, decay, lead) -> dict:
+    """One level of the transposed branching rule, from k >= 2 to k - 1, on
+    the rows of `_add_run`: each mu gets the sum over the lam above it of
+    the value at lam times lead(lam_1) prod_i decay(i)^(mu_i - lam_(i+1)),
+    the factors given by the caller (1 and 1 for `_push`, in integers;
+    z^lam_1 and t^i / z for `sgf_eval_torus`, where |lam| - |mu| =
+    lam_1 - sum_i (mu_i - lam_(i+1))).  The sum is taken one coordinate at
+    a time, right to left.  First each row's running sum along the last
+    part, decaying by decay(k-1), taken on to lam_(k-1) and times
+    lead(lam_1); then, for i = k - 2 down to 1, the key's lam_(i+1)
     becomes mu_i by a running sum across the rows that differ only in it,
-    decaying by t^i / z and emitted for each mu_i up to lam_i; last, lam_1
+    decaying by decay(i) and emitted for each mu_i up to lam_i; last, lam_1
     is folded into the level-(k-1) rows.  A coordinate that no row moves
     (lam_i = lam_(i+1) in every row, so mu_i = lam_i with weight 1) costs
-    no pass.  Each state of the last pass, or each run at a level with no
-    pass (k = 2 among them), is folded as soon as it is final, so they are
-    never all held beside the level-(k-1) rows.  Each state is emitted
-    once per pass, so a level costs O(states x moving coordinates), not
-    one slice per box prefix.
+    no pass and no factor.  Each state of the last pass, or each run at a
+    level with no pass (k = 2 among them), is folded as soon as it is
+    final, so they are never all held beside the level-(k-1) rows.  Each
+    state is emitted once per pass, so a level costs O(states x moving
+    coordinates), not one slice per box prefix.
     """
     cols = list(zip(*rows))  # cols[i] = key[i] of every row, in one order
     moving = [i for i in range(k - 2, 0, -1) if cols[i - 1] != cols[i]]
-    c, cur, below = t ** (k - 1) / z, {}, {}
+    c, cur, below = decay(k - 1), {}, {}
     for key, (start, values) in rows.items():
-        run, acc, f = [], 0, z ** key[0]
+        run, acc, f = [], 0, lead(key[0])
         # mu_(k-1) runs on to lam_(k-1), past the last state of the row
         for w in values + [0] * (key[-1] + 1 - start - len(values)):
             acc = acc * c + w
@@ -418,7 +400,7 @@ def _torus_sweep(rows: dict, z: complex, t: float, k: int) -> dict:
         else:  # no pass: each run goes straight into the level-(k-1) rows
             _add_run(below, key[1:], start, run)
     for i in moving:
-        d = t ** i / z
+        d = decay(i)
         last = i == moving[-1]
         rows, cur = cur, {}
         lows: dict[tuple[int, ...], int] = {}  # the rest of a key -> its least lam_(i+1)

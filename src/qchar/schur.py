@@ -41,12 +41,10 @@ def check_q(q: Fraction) -> Fraction:
 
 
 def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination, in place (`_eliminate` on all but the last column)."""
-    n = len(rows)
-    if not n:
-        return 1
-    done = _eliminate(rows, n - 1)
+    """Determinant of a square integer matrix of at least one row by
+    Bareiss's fraction-free elimination, in place (`_eliminate` on all but
+    the last column)."""
+    done = _eliminate(rows, len(rows) - 1)
     return 0 if done is None else done[0] * rows[-1][-1]
 
 

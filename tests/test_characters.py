@@ -284,6 +284,15 @@ class TestKernelWalker:
         rng = random.Random(19)
         shared = 0
         for q in (HALF, Fraction(9, 10)):
+            # full restrictions of point masses: dense rows that differ in
+            # several coordinates, one and two levels down
+            for parts in ((8, 4, 0, -4, -8), (12, 8, 4, 0, -4, -8)):
+                chi = restrict(delta(q, *parts))
+                for level in (chi.level - 1, chi.level - 2):
+                    got = push_down(chi.weights, level, q)
+                    want = push_edge_oracle(chi.weights, level, q)
+                    assert list(got.items()) == ascending(want), (parts, q, level)
+                    assert all(type(p) is Fraction for p in got.values())
             for big in range(2, 6):
                 for _ in range(6):
                     if rng.random() < 0.5:
@@ -304,16 +313,18 @@ class TestKernelWalker:
             [(4, 4, 4), (0, 0, 0), (2, 2, -3)],
             [(3, -3, -3), (3, 3, 3), (-2, -2, -2)],
             [(0, 0, 0, 0), (6, 1, 0, -4), (6, 6, -1, -1)],
+            [(-1, -2, -5, -9), (-3, -3, -4, -9)],
         ],
     )
     def test_edge_loop_on_supports_with_gaps(self, support):
         # runs of sums that leave gaps in a row, or start below or end past
-        # the part of the row already filled
+        # the part of the row already filled, and one with lam_1 < 0 throughout
         for q in (HALF, Fraction(9, 10)):
             weights = {Signature(p): Fraction(1, len(support)) for p in support}
             for level in range(len(support[0])):
                 got = push_down(weights, level, q)
                 assert list(got.items()) == ascending(push_edge_oracle(weights, level, q))
+                assert all(type(p) is Fraction for p in got.values())
 
     def test_built_measures_are_stochastic(self):
         # restrict and tensor build their measures unchecked; check them here
