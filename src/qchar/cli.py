@@ -3,12 +3,15 @@
 Every command reads exact scalars as "p/q" strings and prints one JSON
 document to stdout (or --output).  Exit status: 0 on success or a passing
 check, 1 when a verification command finds a violation, 2 on usage or
-domain errors (a `--z` integer coordinate beyond the float range, a
-signature part or boundary parameter entry beyond `jsonio.MAX_PART` in a
-document read or about to be printed, an approximant whose weights provably
-exceed Python's int-to-str digit limit, refused before the work, an
-`--output` path that cannot be written, a request deeper than Python's
-recursion limit and one that runs out of memory included).
+domain errors.  Every exit 2 writes one JSON error to stdout and nothing
+to stderr (argparse's usage errors, among them an unknown flag, a flag
+without its value, `--trunc inf` and a missing or unknown subcommand, a
+`--z` integer coordinate beyond the float range, a signature part or
+boundary parameter entry beyond `jsonio.MAX_PART` in a document read or
+about to be printed, an approximant whose weights provably exceed Python's
+int-to-str digit limit, refused before the work, an `--output` path that
+cannot be written, a request deeper than Python's recursion limit and one
+that runs out of memory included).
 Identical flags and seed produce byte-identical output.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
@@ -17,8 +20,7 @@ Structured arguments (--char, --block, ...) take either inline JSON or
 Each handler imports the layer (characters, boundary or blocks) it calls,
 so a request loads only what its subcommand uses.  Likewise a request
 builds only the parser of the subcommand it names; `qchar`, `qchar --help`
-and an unknown subcommand go through the parser of all 16 subcommands, and
-every usage line, the narrowed parser's included, lists all 16.
+and an unknown subcommand go through the parser of all 16 subcommands.
 
 `qchar` and `python -m qchar.cli` enter through `run`, never `main`
 directly: `run` calls `main` and, once the reply is written (or `main` has
@@ -378,22 +380,25 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as `ValueError(message)` instead of printing it and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The qchar parser with every subcommand, or with only the one named.
 
-    A parser narrowed to `only` still names all 16 subcommands in its usage
-    line, so an "unrecognized arguments" error reads as the full parser's.
+    A usage error raises `ValueError` with argparse's message, which `main`
+    answers as a JSON error; no usage line is printed, so a parser narrowed
+    to `only` answers every request as the full parser does.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qchar",
         description="Exact finite-level calculus of quantized characters.",
     )
-    if only is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
-        )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS if only is None else (only,):
         help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
@@ -409,10 +414,9 @@ def main(argv=None) -> int:
     # a request builds only the subparser it names; no arguments, --help and
     # an unknown name go through the full parser
     named = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(named).parse_args(argv)
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code, payload = handler(args)
+        args = build_parser(named).parse_args(argv)
+        code, payload = globals()["_cmd_" + args.command.replace("-", "_")](args)
         _emit(jsonio.dumps(payload), args.output)
         return code
     except RecursionError:

@@ -162,13 +162,34 @@ REPEATS = {
 
 # one request per way out of `main`: its reply, a failed verification (the
 # identity density of side 2 is not proportional to F's eigenvalues), a
-# handler error, and an argparse usage error, which raises SystemExit(2)
+# handler error, an argparse usage error, answered as a handler error is,
+# and a help request, which raises SystemExit(0)
 IDENTITY_2 = BLOCK % (2, '[{"sig": [1, 0], "matrix": [["1/2", "0"], ["0", "1/2"]]}]')
 OUTCOMES = {
     "exit-0": (["qdim", "--q", "1/2", "--sig", "[2, 1, 0]"], 0),
     "exit-1": (["decompose", "--densities", IDENTITY_2], 1),
     "exit-2": (["qdim", "--q", "3/2", "--sig", "[1, 0]"], 2),
     "usage": (["qdim", "--q", "1/2", "--sig", "[1, 0]", "extra"], 2),
+    "help": (["qdim", "--help"], 0),
+}
+
+# argparse usage errors beyond a missing value, a trailing token and an
+# unknown subcommand (tested apart), each with a fragment of its message
+# that reads the same on every supported Python
+USAGE_ERRORS = {
+    "unknown-flag": (
+        ["qdim", "--q", "1/2", "--sig", "[1, 0]", "--nope", "1"],
+        "unrecognized arguments: --nope 1",
+    ),
+    "missing-flag": (["qdim", "--q", "1/2"], "required: --sig"),
+    "trunc-inf": (
+        ["extreme", "--q", "1/2", "--theta", THETA_0, "--level", "1", "--trunc", "inf"],
+        "argument --trunc: invalid int value",
+    ),
+    "seed-float": (
+        ["kms-check", "--state", DELTA_10, "--seed", "1.5"], "argument --seed: invalid int value"
+    ),
+    "no-subcommand": ([], "required: command"),
 }
 
 # `python -m qchar.cli` or the console script named in pyproject.toml, run
@@ -206,6 +227,16 @@ def in_process_reply(argv) -> tuple:
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def usage_error(reply) -> str:
+    """The message of an (exit code, stdout, stderr) reply that must be an
+    exit 2 with one JSON object, whose only key is "error", and no stderr."""
+    code, out, err = reply
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert list(doc) == ["error"], doc
+    return doc["error"]
 
 
 class TestBasicCommands:
@@ -324,8 +355,12 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("outcome", list(OUTCOMES) + ["output-file"])
     @pytest.mark.parametrize("entry", ["module", "console-script"])
-    def test_the_process_entry_freezes_after_the_reply(self, entry, outcome, tmp_path):
-        # the entry froze the collector before exit, and its reply is main's
+    def test_the_process_entry_freezes_after_the_reply(
+        self, entry, outcome, tmp_path, monkeypatch
+    ):
+        # the entry froze the collector before exit, and its reply is main's;
+        # help is wrapped to COLUMNS, so both sides read the same width
+        monkeypatch.setenv("COLUMNS", "80")
         argv, _ = OUTCOMES.get(outcome, OUTCOMES["exit-0"])
 
         def to_file(name):
@@ -742,10 +777,17 @@ class TestErrorPaths:
         assert code == 2
         assert "q must lie strictly between 0 and 1" in json.loads(out)["error"]
 
-    def test_unknown_command_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
+    def test_unknown_command_exits_two(self):
+        error = usage_error(in_process_reply(["no-such-command"]))
+        assert "invalid choice" in error and "no-such-command" in error
+        # every subcommand is named; whether each choice is quoted differs
+        # between Python versions
+        choices = re.search(r"\(choose from (.*)\)$", error).group(1)
+        assert [c.strip("'") for c in choices.split(", ")] == list(LAZY)
+
+    @pytest.mark.parametrize("argv, fragment", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+    def test_a_usage_error_is_one_json_error(self, argv, fragment):
+        assert fragment in usage_error(in_process_reply(argv))
 
     def test_recursion_error_exits_two(self, capsys, monkeypatch):
         # no request is known to recurse this deep; the handler stays as a guard
@@ -857,15 +899,7 @@ class TestNarrowedParser:
     """A request builds only the subparser it names; everything it prints,
     and its exit code, must be what the parser with all 16 subcommands gives."""
 
-    @staticmethod
-    def outcome(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-        return code, out.getvalue(), err.getvalue()
+    outcome = staticmethod(in_process_reply)
 
     def full_outcome(self, argv):
         # the same `main`, with `build_parser` always building every subcommand
@@ -887,18 +921,13 @@ class TestNarrowedParser:
     @pytest.mark.parametrize("name", list(LAZY))
     def test_missing_value(self, name):
         # the last flag loses its value: an error of the subcommand's parser
-        code, out, err = self.assert_same(LAZY[name][0][:-1])
-        assert code == 2 and out == ""
-        assert err.startswith(f"usage: qchar {name} ")
-        assert "expected one argument" in err
+        error = usage_error(self.assert_same(LAZY[name][0][:-1]))
+        assert "expected one argument" in error
 
     @pytest.mark.parametrize("name", list(LAZY))
     def test_trailing_argument(self, name):
-        code, out, err = self.assert_same(LAZY[name][0] + ["extra"])
-        assert code == 2 and out == ""
-        assert err.startswith("usage: qchar [-h]")
-        assert "{%s}" % ",".join(LAZY) in err
-        assert "unrecognized arguments: extra" in err
+        error = usage_error(self.assert_same(LAZY[name][0] + ["extra"]))
+        assert "unrecognized arguments: extra" in error
 
     @pytest.mark.parametrize("name", list(LAZY))
     def test_subcommand_help(self, name):
@@ -906,11 +935,11 @@ class TestNarrowedParser:
         assert code == 0 and err == ""
         assert out.startswith(f"usage: qchar {name} [-h] [--output OUTPUT]")
 
-    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["no-such-command"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
     def test_top_level_lists_every_subcommand(self, argv):
         code, out, err = self.assert_same(argv)
-        assert code == (0 if argv[:1] in (["--help"], ["-h"]) else 2)
-        assert "{%s}" % ",".join(LAZY) in out + err
+        assert code == 0 and err == ""
+        assert "{%s}" % ",".join(LAZY) in out
 
     def test_malformed_document_is_not_an_argparse_error(self):
         # a JSON error is the handler's, reported on stdout as before
@@ -1220,6 +1249,47 @@ class TestBlockArgumentFuzz:
     def test_embed(self, level, data):
         block = data.draw(valid_block_doc(level) | BLOCK_DOC)
         _exit_code(["embed", "--targets", TARGETS[level], f"--block={json.dumps(block)}"])
+
+
+# Each subcommand's well-formed request from LAZY with one malformation, each
+# an argparse usage error: a required flag dropped, the last value dropped, an
+# unknown flag or a bare token appended, or an int flag given a non-integer.
+
+@st.composite
+def malformed_argv(draw):
+    name = draw(st.sampled_from(list(LAZY)))
+    argv = list(LAZY[name][0])
+    flags = cli._COMMANDS[name][1]
+    required = [f for f, options in flags.items() if options.get("required")]
+    ints = [f for f, options in flags.items() if options.get("type") is int]
+    kinds = ["drop-flag", "drop-value", "flag", "token"] + (["int"] if ints else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop-flag":
+        i = argv.index(draw(st.sampled_from(required)))
+        del argv[i:i + 2]
+    elif kind == "drop-value":
+        argv.pop()
+    elif kind == "flag":
+        argv.append("--nope")
+    elif kind == "token":
+        argv.append(draw(st.sampled_from(["extra", "qdim", "1/2", "[]"])))
+    else:
+        flag, value = draw(st.sampled_from(ints)), draw(st.sampled_from(["inf", "1.5", "x"]))
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @FUZZ
+    @given(argv=malformed_argv())
+    def test_a_malformed_argv_exits_two(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _exit_code(argv)
+        assert (code, err.getvalue()) == (2, "")
 
 
 # Parameter sequences and signatures, valid, near-valid and arbitrary, fed to
