@@ -13,7 +13,11 @@ q <-> 1/q flip would negate every exponent coherently and is an equally
 valid convention.
 
 States are reused from `characters`: a level character evaluates on a
-block element as sum of weight(lam) * Tr(F_lam x_lam) / qdim(lam).
+block element as sum of weight(lam) * Tr(F_lam x_lam) / qdim(lam).  The
+rule that two operands share their level and then their q is
+`schur._check_operands`, the one `characters.tensor` applies, and this
+module names `LevelCharacter` only in annotations, so importing it loads
+`combinatorics` and `schur` but not `characters`.
 
 With q = a/b every eigenvalue of F is a^e/b^e, so a twisted trace is a
 Laurent polynomial in q.  The pairings below gather each block's entry
@@ -39,12 +43,14 @@ Rows of int 0s, most of a matrix unit or of an embedding that misses a
 label, are stored once per block side, and the walks skip them.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import index, is_
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .combinatorics import (
     Signature,
@@ -54,8 +60,10 @@ from .combinatorics import (
     enumerate_gt_patterns,
     weight,
 )
-from .characters import LevelCharacter, _check_operands
-from .schur import _fold, _qdim_pair, _qpow, check_q
+from .schur import _check_operands, _fold, _qdim_pair, _qpow, check_q
+
+if TYPE_CHECKING:
+    from .characters import LevelCharacter
 
 Matrix = tuple[tuple, ...]
 _INEXACT = "block entries must be exact (int or Fraction)"

@@ -22,7 +22,7 @@ from operator import add, index
 from typing import Mapping, Sequence
 
 from .combinatorics import Signature, _Frozen
-from .schur import _evaluator, _fold, _lr_terms, _qdim_pair, _qpow, check_q
+from .schur import _check_operands, _evaluator, _fold, _lr_terms, _qdim_pair, _qpow, check_q
 
 
 class LevelCharacter(_Frozen):
@@ -241,15 +241,6 @@ def is_coherent(family: CoherentFamily) -> CoherenceReport:
                 lower.weights.get(sig, Fraction(0)),
             )
     return CoherenceReport(True)
-
-
-def _check_operands(a, b) -> None:
-    """The rule for two operands of one level's algebra, characters or block
-    elements alike: their levels agree, and then their q."""
-    if a.level != b.level:
-        raise ValueError(f"levels must agree: {a.level} != {b.level}")
-    if a.q != b.q:
-        raise ValueError("q must agree")
 
 
 def tensor(chi1: LevelCharacter, chi2: LevelCharacter) -> LevelCharacter:

@@ -1,9 +1,9 @@
 """Batch command-line front end; JSON in, JSON out.
 
 Every command reads exact scalars as "p/q" strings and prints one JSON
-document to stdout (or --output).  Exit status: 0 on success or a passing
-check, 1 when a verification command finds a violation, 2 on usage or
-domain errors.  Every exit 2 writes one JSON error to stdout and nothing
+document to stdout (or --output).  Exit status: 0 on success, a passing
+check or help, 1 when a verification command finds a violation, 2 on usage
+or domain errors.  Every exit 2 writes one JSON error to stdout and nothing
 to stderr (argparse's usage errors, among them an unknown flag, a flag
 without its value, `--trunc inf` and a missing or unknown subcommand, a
 `--z` integer coordinate beyond the float range, a signature part or
@@ -12,25 +12,30 @@ about to be printed, an approximant whose weights provably exceed Python's
 int-to-str digit limit, refused before the work, an `--output` path that
 cannot be written, a request deeper than Python's recursion limit and one
 that runs out of memory included).
-Identical flags and seed produce byte-identical output.
+Help (`--help` or `-h`, for qchar or for one subcommand) is a reply too:
+it is printed to stdout at a fixed 78 columns, the width argparse gives a
+pipe, whatever `COLUMNS` says, and `main` returns 0.  Identical flags and
+seed produce byte-identical output, help included.
 
 Structured arguments (--char, --block, ...) take either inline JSON or
 @path to read a file.
 
 Each handler imports the layer (characters, boundary or blocks) it calls,
-so a request loads only what its subcommand uses.  Likewise a request
-builds only the parser of the subcommand it names; `qchar`, `qchar --help`
-and an unknown subcommand go through the parser of all 16 subcommands.
+so a request loads only what its subcommand uses: `blocks` itself loads
+only `combinatorics` and `schur`, so `f-compat`, `decompose` and `embed`
+load neither `characters` nor `boundary`.  Likewise a request builds only
+the parser of the subcommand it names; `qchar`, `qchar --help` and an
+unknown subcommand go through the parser of all 16 subcommands.
 
 `qchar` and `python -m qchar.cli` enter through `run`, never `main`
-directly: `run` calls `main` and, once the reply is written (or `main` has
-raised), moves every live object into the collector's permanent generation
-with `gc.freeze()` before the process exits.  The exit-time collections
-then skip every object that `site`, argparse, json, fractions and the
-qchar layers left alive, which nothing will use again: the teardown of a
-`qdim` request took 7.2 -> 2.0 ms of about 55 ms on a 2-core x86-64 VM
-(README, "CLI").  `main` never freezes, so in-process callers (tests,
-library users) keep their collector as it was.
+directly: `run` calls `main` and, once the reply is written, moves every
+live object into the collector's permanent generation with `gc.freeze()`
+before the process exits.  The exit-time collections then skip every
+object that `site`, argparse, json, fractions and the qchar layers left
+alive, which nothing will use again: the teardown of a `qdim` request
+took 7.2 -> 2.0 ms of about 55 ms on a 2-core x86-64 VM (README, "CLI").
+`main` never freezes, so in-process callers (tests, library users) keep
+their collector as it was.
 """
 
 from __future__ import annotations
@@ -141,7 +146,7 @@ def _cmd_tensor(args):
     from . import characters
 
     left, right = _char_arg(args.left), _char_arg(args.right)
-    characters._check_operands(left, right)
+    schur._check_operands(left, right)
     # the product's extreme parts, exact because the term lam + mu always has
     # a positive weight: the limit is decided before the work it bounds
     if left.level:
@@ -381,7 +386,12 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as `ValueError(message)` instead of printing it and exiting."""
+    """Raises a usage error as `ValueError(message)` instead of printing it
+    and exiting, and formats help at 78 columns, argparse's width for a pipe
+    (80 - 2), so that help reads the same under any `COLUMNS`."""
+
+    def __init__(self, **kw):
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78), **kw)
 
     def error(self, message):
         raise ValueError(message)
@@ -409,6 +419,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Reply to one request, help included, on stdout (or --output); return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
     # a request builds only the subparser it names; no arguments, --help and
@@ -419,6 +430,9 @@ def main(argv=None) -> int:
         code, payload = globals()["_cmd_" + args.command.replace("-", "_")](args)
         _emit(jsonio.dumps(payload), args.output)
         return code
+    except SystemExit:
+        # argparse's help, printed in full: the one exit `_Parser` leaves it
+        return 0
     except RecursionError:
         error = "input too large: maximum recursion depth exceeded"
     except MemoryError:
@@ -431,12 +445,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry: `main`, then freeze the collector and exit with its code."""
-    try:
-        code = main()
-    finally:
-        # after the reply and before teardown, on every path out of `main`
-        gc.freeze()
+    """The process entry: `main`, which returns on every path, then freeze the
+    collector after the reply and before teardown, and exit with `main`'s code."""
+    code = main()
+    gc.freeze()
     sys.exit(code)
 
 

@@ -16,7 +16,10 @@ tuple and q = a/b, which the other layers multiply into their own integer
 sums (`characters.sgf_eval` puts the pair over a power of q for the
 principal specialization s_lam(1, q^-2, ...)); `qdim` wraps the pair in
 one Fraction.  Littlewood-Richardson coefficients come from the row
-(horizontal-strip) form of the tableau rule, on bare part tuples.
+(horizontal-strip) form of the tableau rule, on bare part tuples.  Beside
+`check_q` lives `_check_operands`, the rule for two operands of one
+level's algebra that `characters.tensor` and the `blocks` products and
+pairings share, so that `blocks` needs no import of `characters`.
 """
 
 from fractions import Fraction
@@ -38,6 +41,15 @@ def check_q(q: Fraction) -> Fraction:
     if not 0 < q.numerator < q.denominator:
         raise ValueError(f"q must lie strictly between 0 and 1: {q}")
     return q
+
+
+def _check_operands(a, b) -> None:
+    """The rule for two operands of one level's algebra, characters or block
+    elements alike: their levels agree, and then their q."""
+    if a.level != b.level:
+        raise ValueError(f"levels must agree: {a.level} != {b.level}")
+    if a.q != b.q:
+        raise ValueError("q must agree")
 
 
 def _bareiss(rows: list[list[int]]) -> int:

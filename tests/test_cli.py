@@ -108,9 +108,9 @@ LAZY = {
         {"blocks"},
     ),
     "kms-check": (["kms-check", "--state", DELTA_10, "--trials", "2"], {"boundary"}),
-    "f-compat": (["f-compat", "--q", "1/2", "--sig", "[1, 0]"], {"boundary"}),
-    "decompose": (["decompose", "--densities", BLOCK_1], {"boundary"}),
-    "embed": (EMBED + [BLOCK_1], {"boundary"}),
+    "f-compat": (["f-compat", "--q", "1/2", "--sig", "[1, 0]"], {"characters", "boundary"}),
+    "decompose": (["decompose", "--densities", BLOCK_1], {"characters", "boundary"}),
+    "embed": (EMBED + [BLOCK_1], {"characters", "boundary"}),
 }
 
 # runs one request through the console-script entry point in a fresh
@@ -163,7 +163,7 @@ REPEATS = {
 # one request per way out of `main`: its reply, a failed verification (the
 # identity density of side 2 is not proportional to F's eigenvalues), a
 # handler error, an argparse usage error, answered as a handler error is,
-# and a help request, which raises SystemExit(0)
+# and a help request, which `main` prints and returns 0 for
 IDENTITY_2 = BLOCK % (2, '[{"sig": [1, 0], "matrix": [["1/2", "0"], ["0", "1/2"]]}]')
 OUTCOMES = {
     "exit-0": (["qdim", "--q", "1/2", "--sig", "[2, 1, 0]"], 0),
@@ -172,6 +172,9 @@ OUTCOMES = {
     "usage": (["qdim", "--q", "1/2", "--sig", "[1, 0]", "extra"], 2),
     "help": (["qdim", "--help"], 0),
 }
+
+# every way to ask for help: qchar's, and each subcommand's
+HELP_FORMS = [["--help"], ["-h"]] + [[name, "--help"] for name in LAZY]
 
 # argparse usage errors beyond a missing value, a trailing token and an
 # unknown subcommand (tested apart), each with a fragment of its message
@@ -217,10 +220,7 @@ def in_process_reply(argv) -> tuple:
     """(exit code, stdout, stderr) of `main` in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -358,15 +358,16 @@ class TestFreshProcess:
     def test_the_process_entry_freezes_after_the_reply(
         self, entry, outcome, tmp_path, monkeypatch
     ):
-        # the entry froze the collector before exit, and its reply is main's;
-        # help is wrapped to COLUMNS, so both sides read the same width
-        monkeypatch.setenv("COLUMNS", "80")
+        # the entry froze the collector before exit, and its reply is main's,
+        # help included, though each side reads a different terminal width
         argv, _ = OUTCOMES.get(outcome, OUTCOMES["exit-0"])
 
         def to_file(name):
             return ["--output", str(tmp_path / name)] if outcome == "output-file" else []
 
+        monkeypatch.setenv("COLUMNS", "40")
         expected = in_process_reply(argv + to_file("main.json"))
+        monkeypatch.setenv("COLUMNS", "200")
         how = "-m" if entry == "module" else console_script()
         proc = run_fresh("-c", ENTRY, how, *argv, *to_file("entry.json"), timeout=20)
         *err, frozen = proc.stderr.splitlines(keepends=True)
@@ -375,6 +376,20 @@ class TestFreshProcess:
         if outcome == "output-file":
             written = (tmp_path / "entry.json").read_bytes()
             assert written and written == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", HELP_FORMS, ids=[" ".join(argv) for argv in HELP_FORMS])
+    def test_help_is_a_reply(self, argv, monkeypatch):
+        # `main` prints help at a fixed width and returns 0, raising nothing;
+        # neither the caller's COLUMNS nor a fresh process changes a byte
+        replies = set()
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            replies.add(in_process_reply(argv))
+        [(code, out, err)] = replies
+        assert (code, err) == (0, "") and out.startswith("usage: qchar")
+        monkeypatch.setenv("COLUMNS", "60")
+        proc = run_fresh("-m", "qchar.cli", *argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_decompose_at_1200_levels(self):
         # the patterns of [0]*1200 are enumerated in a loop, not a call per level

@@ -89,8 +89,12 @@ def test_blocks_loads_no_float_math_for_the_flow():
         "import json, sys\n"
         "bare = set(sys.modules)\n"
         "import qchar.blocks\n"
-        "print(json.dumps('cmath' in set(sys.modules) - bare))"
+        "print(json.dumps(['cmath' in set(sys.modules) - bare,"
+        " sorted(m for m in sys.modules if m.startswith('qchar'))]))"
     )
     proc = run_fresh("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) is False
+    cmath, loaded = json.loads(proc.stdout)
+    assert cmath is False
+    # nor the characters layer: blocks takes its operand rule from schur
+    assert loaded == ["qchar", "qchar.blocks", "qchar.combinatorics", "qchar.schur"]

@@ -1,5 +1,6 @@
-"""Differential property tests: the exact fast paths against their oracles in
-`helpers`, on generated q.
+"""Differential property tests: the fast paths against their oracles in
+`helpers`, on generated q.  The exact paths equal theirs; the float torus
+pairing stays within its 1e-12 bound of the edge walk.
 
 The fixed grids of the other modules use a handful of q (1/2, 2/3, 9/10,
 99/100); here q ranges over a/b with b up to 10**6 and over the families
@@ -8,14 +9,31 @@ cases (a = 1, b - a = 1, a power of 2 against an odd b).  Derandomized with
 a fixed number of examples, so every run draws the same cases.
 """
 
+import cmath
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qchar import BoundaryParam, LevelCharacter, Signature, extreme_character, restrict
+from qchar import (
+    BoundaryParam,
+    LevelCharacter,
+    Signature,
+    cotransition,
+    extreme_character,
+    restrict,
+    sgf_eval,
+    sgf_eval_torus,
+    tensor,
+)
 
-from helpers import push_edge_oracle
+from helpers import (
+    cotransition_oracle,
+    push_edge_oracle,
+    sgf_eval_oracle,
+    sgf_eval_torus_edge_oracle,
+    tensor_oracle,
+)
 
 PROPERTY = settings(
     max_examples=150,
@@ -35,16 +53,25 @@ Q = st.one_of(
 PART = st.integers(-3, 3)
 
 
-@st.composite
-def measures(draw):
-    """A measure on 1-3 signatures at level 2-4, parts in [-3, 3]."""
-    level = draw(st.integers(2, 4))
-    sig = st.lists(PART, min_size=level, max_size=level).map(
+def signatures(level: int, part=PART):
+    """Signatures of one level, parts drawn by `part`."""
+    return st.lists(part, min_size=level, max_size=level).map(
         lambda parts: Signature(tuple(sorted(parts, reverse=True)))
     )
-    sigs = draw(st.lists(sig, min_size=1, max_size=3, unique=True))
+
+
+@st.composite
+def measures(draw, levels=st.integers(2, 4), part=PART, max_size=3):
+    """A measure on 1 to `max_size` signatures at a level drawn from
+    `levels` (by default 1-3 signatures at level 2-4, parts in [-3, 3])."""
+    level = draw(levels)
+    sigs = draw(st.lists(signatures(level, part), min_size=1, max_size=max_size, unique=True))
     raw = [draw(st.integers(1, 9)) for _ in sigs]
     return {s: Fraction(w, sum(raw)) for s, w in zip(sigs, raw)}
+
+
+def character(weights, q) -> LevelCharacter:
+    return LevelCharacter(next(iter(weights)).level, q, weights)
 
 
 def assert_reduced_measure(weights) -> None:
@@ -84,3 +111,50 @@ class TestExtremeCharacter:
         got = extreme_character(theta, level, truncation, q).measure.weights
         assert got == push_edge_oracle({theta.signature_at(truncation): Fraction(1)}, level, q)
         assert_reduced_measure(got)
+
+
+class TestCotransition:
+    @PROPERTY
+    @given(nu=st.integers(1, 4).flatmap(signatures), q=Q)
+    def test_cotransition_is_the_fraction_oracle(self, nu, q):
+        got = cotransition(nu, q)
+        assert list(got.items()) == list(cotransition_oracle(nu, q).items())
+        assert_reduced_measure(got)
+
+
+# operands of one level, 1-2 signatures each, parts in [-2, 2]
+SMALL_PART = st.integers(-2, 2)
+OPERANDS = st.integers(1, 3).flatmap(
+    lambda level: st.tuples(*[measures(st.just(level), SMALL_PART, max_size=2)] * 2)
+)
+
+
+class TestTensor:
+    @PROPERTY
+    @given(operands=OPERANDS, q=Q)
+    def test_tensor_is_the_fraction_oracle(self, operands, q):
+        left, right = (character(weights, q) for weights in operands)
+        got = tensor(left, right)
+        assert got == tensor_oracle(left, right)
+        assert_reduced_measure(got.weights)
+
+
+# a character at level 1-3 with 1-3 signatures, parts in [-3, 3]
+CHARACTERS = st.builds(character, measures(st.integers(1, 3)), Q)
+NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+UNIT = st.floats(0, 2 * cmath.pi).map(lambda angle: cmath.exp(1j * angle))
+
+
+class TestGeneratingFunction:
+    @PROPERTY
+    @given(chi=CHARACTERS, data=st.data())
+    def test_sgf_eval_is_the_fraction_oracle(self, chi, data):
+        points = data.draw(st.lists(NONZERO, min_size=chi.level, max_size=chi.level))
+        assert sgf_eval(chi, points) == sgf_eval_oracle(chi, points)
+
+    @PROPERTY
+    @given(chi=CHARACTERS, data=st.data())
+    def test_sgf_eval_torus_is_within_its_bound_of_the_edge_walk(self, chi, data):
+        z = data.draw(st.lists(UNIT, min_size=chi.level, max_size=chi.level))
+        assert abs(sgf_eval_torus(chi, z) - sgf_eval_torus_edge_oracle(chi, z)) <= 1e-12
+        assert abs(sgf_eval_torus(chi, [1] * chi.level) - 1) <= 1e-12
